@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import product
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,6 +42,7 @@ from .trajectory import Trajectory
 __all__ = [
     "HistogramSpace",
     "HistogramArrayStore",
+    "HistogramMatcher",
     "histogram_distance",
     "histogram_distance_quick",
     "histogram_match_capacity",
@@ -121,9 +123,8 @@ class HistogramSpace:
 
 def _approximate_neighbors(bin_index: BinIndex) -> Iterable[BinIndex]:
     """The bin itself and all adjacent bins (Definition 5's approximate match)."""
-    offsets = product((-1, 0, 1), repeat=len(bin_index))
-    for offset in offsets:
-        yield tuple(b + o for b, o in zip(bin_index, offset))
+    for offset in product((-1, 0, 1), repeat=len(bin_index)):
+        yield tuple(map(add, bin_index, offset))
 
 
 def _max_cancellation_1d(
@@ -134,7 +135,9 @@ def _max_cancellation_1d(
     On a line, a unit in bin b can only pair with bins b-1, b, b+1, so a
     left-to-right greedy that always serves the expiring carry first is
     optimal (a standard exchange argument) — no flow solver needed.
-    The property-based tests cross-check this against the Dinic path.
+    The property-based tests cross-check this against a Dinic oracle,
+    and it measures faster than :class:`HistogramMatcher`'s augmenting
+    paths on line bins, so the matcher delegates to it there.
     """
     bins = sorted(set(surplus) | set(deficit))
     carry_surplus = 0  # unmatched surplus from the previous bin
@@ -166,98 +169,140 @@ def _max_cancellation_1d(
     return total
 
 
-def _max_cancellation(
-    surplus: Dict[BinIndex, int], deficit: Dict[BinIndex, int]
-) -> int:
-    """Maximum total units cancellable between approximately-matching bins.
+class HistogramMatcher:
+    """One histogram prepared to be matched against many candidates.
 
-    A bipartite max-flow: source -> each surplus bin (capacity = surplus),
-    each deficit bin -> sink (capacity = deficit), and an uncapped edge
-    between every surplus bin and each deficit bin it approximately
-    matches.  One-dimensional bins take an O(bins) exact greedy instead;
-    higher dimensions run Dinic's algorithm on graphs of at most a few
-    hundred nodes.
+    HD's ``M`` (Theorem 6) is a bipartite max-flow between the query's
+    and a candidate's bins along approximately-matching pairs.  The
+    query side is built once: a *cover* index from every grid cell to
+    the query bins whose 3^d neighbourhood contains it, so a candidate
+    bin finds all of its edges with one dictionary lookup, and the
+    query mass reachable from each cell.  One sweep over a candidate
+    then gives both per-side matchable-mass caps of
+    :func:`histogram_distance_quick`, which makes the quick bound and
+    the window bound methods of the same object.
+
+    :meth:`matchable` is exact — the same integer as a general max-flow
+    solver, which the tests check against a Dinic oracle.  It seeds a
+    greedy flow, then pushes BFS augmenting paths through the residual
+    bipartite graph until none is left, stopping early once the flow
+    reaches ``min(caps)``, which no flow can exceed.  One-dimensional
+    bins take the exact line greedy instead.
     """
-    if not surplus or not deficit:
-        return 0
-    if len(next(iter(surplus))) == 1:
-        return _max_cancellation_1d(surplus, deficit)
-    if not any(
-        neighbor in deficit
-        for bin_index in surplus
-        for neighbor in _approximate_neighbors(bin_index)
-    ):
-        return 0
-    source = 0
-    sink = 1
-    node_of: Dict[Tuple[str, BinIndex], int] = {}
-    for bin_index in surplus:
-        node_of[("s", bin_index)] = len(node_of) + 2
-    for bin_index in deficit:
-        node_of[("d", bin_index)] = len(node_of) + 2
-    node_count = len(node_of) + 2
 
-    # Adjacency as edge lists: to[], cap[], head per node (Dinic).
-    graph: List[List[int]] = [[] for _ in range(node_count)]
-    to: List[int] = []
-    cap: List[int] = []
+    def __init__(self, query: TrajectoryHistogram) -> None:
+        self._query = query
+        self.total = sum(query.values())
+        self._amounts = amounts = list(query.values())
+        self._line = len(next(iter(query), ())) == 1
+        cover: Dict[BinIndex, List[int]] = {}
+        for slot, bin_index in enumerate(query):
+            for cell in _approximate_neighbors(bin_index):
+                cover.setdefault(cell, []).append(slot)
+        self._cover = cover
+        self._reach = {
+            cell: sum(amounts[slot] for slot in slots)
+            for cell, slots in cover.items()
+        }
 
-    def add_edge(u: int, v: int, capacity: int) -> None:
-        graph[u].append(len(to))
-        to.append(v)
-        cap.append(capacity)
-        graph[v].append(len(to))
-        to.append(u)
-        cap.append(0)
+    def _edges(
+        self, candidate: TrajectoryHistogram
+    ) -> Tuple[List[Tuple[int, List[int]]], int, int]:
+        """The candidate's matchable bins as ``(count, query slots)`` rows,
+        and the query-side and candidate-side matchable-mass caps."""
+        cover = self._cover
+        reach = self._reach
+        near = [0] * len(self._amounts)
+        rows = []
+        upper_candidate = 0
+        for cell, count in candidate.items():
+            slots = cover.get(cell)
+            if slots is not None:
+                limit = reach[cell]
+                upper_candidate += count if count < limit else limit
+                for slot in slots:
+                    near[slot] += count
+                rows.append((count, slots))
+        return rows, sum(map(min, self._amounts, near)), upper_candidate
 
-    infinite = sum(surplus.values()) + 1
-    for bin_index, amount in surplus.items():
-        add_edge(source, node_of[("s", bin_index)], amount)
-    for bin_index, amount in deficit.items():
-        add_edge(node_of[("d", bin_index)], sink, amount)
-    for bin_index in surplus:
-        for neighbor in _approximate_neighbors(bin_index):
-            if neighbor in deficit:
-                add_edge(node_of[("s", bin_index)], node_of[("d", neighbor)], infinite)
+    def quick_distance(self, candidate: TrajectoryHistogram) -> int:
+        """:func:`histogram_distance_quick` against ``candidate``."""
+        _, upper_query, upper_candidate = self._edges(candidate)
+        upper = min(upper_query, upper_candidate)
+        return max(self.total, sum(candidate.values())) - upper
 
-    flow = 0
-    while True:
-        # BFS level graph.
-        level = [-1] * node_count
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for edge in graph[u]:
-                v = to[edge]
-                if cap[edge] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            return flow
-        # DFS blocking flow with an iteration pointer per node.
-        pointer = [0] * node_count
+    def window_bound(self, candidate: TrajectoryHistogram) -> int:
+        """:func:`histogram_window_bound` against ``candidate``."""
+        return max(0, self.total - self._edges(candidate)[1])
 
-        def augment(u: int, pushed: int) -> int:
-            if u == sink:
-                return pushed
-            while pointer[u] < len(graph[u]):
-                edge = graph[u][pointer[u]]
-                v = to[edge]
-                if cap[edge] > 0 and level[v] == level[u] + 1:
-                    found = augment(v, min(pushed, cap[edge]))
-                    if found > 0:
-                        cap[edge] -= found
-                        cap[edge ^ 1] += found
-                        return found
-                pointer[u] += 1
+    def distance(self, candidate: TrajectoryHistogram) -> int:
+        """:func:`histogram_distance` against ``candidate``."""
+        return max(self.total, sum(candidate.values())) - self.matchable(candidate)
+
+    def matchable(self, candidate: TrajectoryHistogram) -> int:
+        """Maximum one-to-one element pairing ``M`` with ``candidate``."""
+        if self._line:
+            return _max_cancellation_1d(self._query, candidate)
+        rows, upper_query, upper_candidate = self._edges(candidate)
+        cap = min(upper_query, upper_candidate)
+        if not cap:
             return 0
-
-        while True:
-            pushed = augment(source, infinite)
-            if pushed == 0:
+        residual = self._amounts[:]  # unused query mass per slot
+        holders: Dict[int, Dict[int, int]] = {}  # slot -> {row: flow}
+        supply = []  # unmatched candidate mass per row
+        flow = 0
+        for row, (count, slots) in enumerate(rows):
+            left = count
+            for slot in slots:
+                free = residual[slot]
+                if free:
+                    take = free if free < left else left
+                    residual[slot] = free - take
+                    holders.setdefault(slot, {})[row] = take
+                    left -= take
+                    if not left:
+                        break
+            flow += count - left
+            supply.append(left)
+        while flow < cap:
+            # Multi-source BFS: rows with supply -> any neighbouring slot;
+            # a full slot leads on to the rows holding flow on it.
+            parent_row = {row: None for row, left in enumerate(supply) if left}
+            queue = deque(parent_row)
+            parent_slot: Dict[int, int] = {}
+            end = None
+            while queue and end is None:
+                row = queue.popleft()
+                for slot in rows[row][1]:
+                    if slot in parent_slot:
+                        continue
+                    parent_slot[slot] = row
+                    if residual[slot]:
+                        end = slot
+                        break
+                    for other, units in holders.get(slot, {}).items():
+                        if units and other not in parent_row:
+                            parent_row[other] = slot
+                            queue.append(other)
+            if end is None:
                 break
-            flow += pushed
+            path = []  # (slot, row) edges gaining flow, sink side first
+            push = residual[end]
+            slot = end
+            while slot is not None:
+                row = parent_slot[slot]
+                path.append((slot, row))
+                slot = parent_row[row]
+                push = min(push, supply[row] if slot is None else holders[slot][row])
+            residual[end] -= push
+            supply[row] -= push
+            for slot, row in path:
+                held = holders.setdefault(slot, {})
+                held[row] = held.get(row, 0) + push
+            for (_, row), (slot, _) in zip(path, path[1:]):
+                holders[slot][row] -= push
+            flow += push
+        return flow
 
 
 def histogram_distance(
@@ -283,12 +328,7 @@ def histogram_distance(
     can exceed the true EDR — the flow form computed here never does,
     and the property-based test suite verifies it.
     """
-    total_first = sum(first.values())
-    total_second = sum(second.values())
-    if not first or not second:
-        return max(total_first, total_second)
-    matchable = _max_cancellation(dict(first), dict(second))
-    return max(total_first, total_second) - matchable
+    return HistogramMatcher(first).distance(second)
 
 
 def histogram_match_capacity(
@@ -303,7 +343,7 @@ def histogram_match_capacity(
     bounds ``LCSS(R, S)``, which is how the paper's pruning framework
     transfers to LCSS (Section 4, "can also be applied to LCSS").
     """
-    return _max_cancellation(dict(first), dict(second))
+    return HistogramMatcher(first).matchable(second)
 
 
 def comphisdist_paper(
@@ -358,25 +398,7 @@ def histogram_distance_quick(
     sweep.  The search engines consult this first and only pay for the
     exact flow when the quick bound fails to prune.
     """
-    total_first = sum(first.values())
-    total_second = sum(second.values())
-    if not first or not second:
-        return max(total_first, total_second)
-
-    def matchable_upper(source: TrajectoryHistogram, target: TrajectoryHistogram) -> int:
-        upper = 0
-        for bin_index, amount in source.items():
-            neighborhood = 0
-            for neighbor in _approximate_neighbors(bin_index):
-                neighborhood += target.get(neighbor, 0)
-                if neighborhood >= amount:
-                    neighborhood = amount
-                    break
-            upper += neighborhood
-        return upper
-
-    upper = min(matchable_upper(first, second), matchable_upper(second, first))
-    return max(total_first, total_second) - upper
+    return HistogramMatcher(first).quick_distance(second)
 
 
 def histogram_window_bound(
@@ -398,19 +420,7 @@ def histogram_window_bound(
     corresponding entry of
     :meth:`HistogramArrayStore.bulk_window_bounds` bit for bit.
     """
-    total_query = sum(query_histogram.values())
-    if not query_histogram:
-        return 0
-    upper = 0
-    for bin_index, amount in query_histogram.items():
-        neighborhood = 0
-        for neighbor in _approximate_neighbors(bin_index):
-            neighborhood += candidate_histogram.get(neighbor, 0)
-            if neighborhood >= amount:
-                neighborhood = amount
-                break
-        upper += neighborhood
-    return max(0, total_query - upper)
+    return HistogramMatcher(query_histogram).window_bound(candidate_histogram)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from ..index.mergejoin import (
     sort_means_2d,
 )
 from .database import TrajectoryDatabase
-from .histogram import histogram_match_capacity
+from .histogram import HistogramMatcher
 from .qgram import mean_value_qgrams
 from .search import SearchStats
 from .trajectory import Trajectory
@@ -80,7 +80,7 @@ class LcssHistogramBound(LcssUpperBound):
         self._database = database
         self.name = f"lcss-histogram(delta={delta:g})"
         self._space, self._histograms = database.histograms(delta=delta)
-        self._query_histogram = None
+        self._matcher = None
 
     def for_query(self, query: Trajectory) -> "LcssHistogramBound":
         bound = LcssHistogramBound.__new__(LcssHistogramBound)
@@ -88,15 +88,11 @@ class LcssHistogramBound(LcssUpperBound):
         bound.name = self.name
         bound._space = self._space
         bound._histograms = self._histograms
-        bound._query_histogram = self._space.histogram(query)
+        bound._matcher = HistogramMatcher(self._space.histogram(query))
         return bound
 
     def upper_bound(self, candidate_index: int) -> float:
-        return float(
-            histogram_match_capacity(
-                self._query_histogram, self._histograms[candidate_index]
-            )
-        )
+        return float(self._matcher.matchable(self._histograms[candidate_index]))
 
 
 class LcssQgramBound(LcssUpperBound):

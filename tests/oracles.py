@@ -8,6 +8,10 @@ per-suite inline scans that used to live in test_search.py,
 test_sharding.py, test_tiered.py, and test_replicas.py are deduplicated
 here so every suite states expectations in the same vocabulary.
 
+The histogram matcher has its own reference:
+:func:`dinic_max_cancellation` is a general Dinic max-flow over the HD
+bipartite graph, against which the matcher's exact ``M`` is checked.
+
 Canonical answer shapes
 -----------------------
 ``answers``/``window_answers`` flatten engine results into comparable
@@ -17,6 +21,9 @@ oracle.  Ordering contracts mirror the engines: k-NN ranks on
 ``(distance, index)``, range results arrive in index order, and each
 trajectory's best window resolves ties on ``(distance, start, end)``.
 """
+
+from collections import deque
+from itertools import product
 
 from repro import Trajectory, edr
 from repro.core.subtrajectory import (
@@ -32,6 +39,7 @@ __all__ = [
     "brute_knn",
     "brute_range",
     "brute_subknn",
+    "dinic_max_cancellation",
 ]
 
 
@@ -142,3 +150,80 @@ def brute_subknn(
         (index, start, end, distance)
         for distance, index, start, end in ranked[:k]
     ]
+
+
+def dinic_max_cancellation(first, second):
+    """Maximum one-to-one pairing of two histograms' elements (HD's ``M``).
+
+    A bipartite max-flow solved by Dinic's algorithm: source -> each bin
+    of ``first`` (capacity = its count), each bin of ``second`` -> sink
+    (capacity = its count), and an uncapped edge between every pair of
+    bins in the same or adjacent grid cells (Definition 5).  Any
+    dimension; histograms are ``{bin tuple: count}`` dicts.
+    """
+    if not first or not second:
+        return 0
+    source, sink = 0, 1
+    left = {bin_index: slot + 2 for slot, bin_index in enumerate(first)}
+    right = {
+        bin_index: slot + 2 + len(left) for slot, bin_index in enumerate(second)
+    }
+    node_count = 2 + len(left) + len(right)
+    graph = [[] for _ in range(node_count)]
+    to = []
+    cap = []
+
+    def add_edge(u, v, capacity):
+        graph[u].append(len(to))
+        to.append(v)
+        cap.append(capacity)
+        graph[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+
+    infinite = sum(first.values()) + 1
+    for bin_index, amount in first.items():
+        add_edge(source, left[bin_index], amount)
+    for bin_index, amount in second.items():
+        add_edge(right[bin_index], sink, amount)
+    for bin_index in first:
+        for offset in product((-1, 0, 1), repeat=len(bin_index)):
+            neighbor = tuple(b + o for b, o in zip(bin_index, offset))
+            if neighbor in right:
+                add_edge(left[bin_index], right[neighbor], infinite)
+
+    flow = 0
+    while True:
+        level = [-1] * node_count
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for edge in graph[u]:
+                if cap[edge] > 0 and level[to[edge]] < 0:
+                    level[to[edge]] = level[u] + 1
+                    queue.append(to[edge])
+        if level[sink] < 0:
+            return flow
+        pointer = [0] * node_count
+
+        def augment(u, pushed):
+            if u == sink:
+                return pushed
+            while pointer[u] < len(graph[u]):
+                edge = graph[u][pointer[u]]
+                v = to[edge]
+                if cap[edge] > 0 and level[v] == level[u] + 1:
+                    found = augment(v, min(pushed, cap[edge]))
+                    if found > 0:
+                        cap[edge] -= found
+                        cap[edge ^ 1] += found
+                        return found
+                pointer[u] += 1
+            return 0
+
+        while True:
+            pushed = augment(source, infinite)
+            if pushed == 0:
+                break
+            flow += pushed

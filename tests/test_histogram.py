@@ -187,15 +187,13 @@ class TestOneDimensionalFastPath:
         ),
     )
     def test_greedy_equals_flow(self, surplus_raw, deficit_raw):
-        from repro.core.histogram import _max_cancellation, _max_cancellation_1d
+        from .oracles import dinic_max_cancellation
+        from repro.core.histogram import _max_cancellation_1d
 
         surplus = {(k,): v for k, v in surplus_raw.items()}
         deficit = {(k,): v for k, v in deficit_raw.items()}
-        # Force the general flow path by lifting to 2-D bins on a line.
-        surplus_2d = {(k, 0): v for (k,), v in surplus.items()}
-        deficit_2d = {(k, 0): v for (k,), v in deficit.items()}
-        assert _max_cancellation_1d(surplus, deficit) == _max_cancellation(
-            surplus_2d, deficit_2d
+        assert _max_cancellation_1d(surplus, deficit) == dinic_max_cancellation(
+            surplus, deficit
         )
 
     def test_chain_is_fully_matched(self):
