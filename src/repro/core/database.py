@@ -34,6 +34,9 @@ from .trajectory import Trajectory
 
 __all__ = ["TrajectoryDatabase"]
 
+# Format 2: q=1 Q-gram means are the points verbatim (see mean_value_qgrams).
+_MEANS_FORMAT = 2
+
 
 class TrajectoryDatabase:
     """A searchable collection of trajectories under one matching threshold.
@@ -435,6 +438,7 @@ class TrajectoryDatabase:
             arrays[f"points_{index}"] = trajectory.points
 
         manifest = {
+            "means_format": _MEANS_FORMAT,
             "means2d": sorted(self._sorted_means_2d),
             "means1d": sorted(self._sorted_means_1d),
             "histograms": sorted(
@@ -505,6 +509,9 @@ class TrajectoryDatabase:
             ]
             database = cls(trajectories, float(archive["epsilon"]))
             manifest = json.loads(str(archive["manifest"]))
+            # Means from an older format are dropped; they rebuild on use.
+            if manifest.get("means_format") != _MEANS_FORMAT:
+                manifest["means2d"], manifest["means1d"] = [], []
             for q in manifest["means2d"]:
                 database._sorted_means_2d[q] = [
                     archive[f"m2d_{q}_{index}"] for index in range(count)

@@ -70,7 +70,10 @@ def mean_value_qgrams(
 
     Computed with a cumulative sum so building the pruning artifact for a
     whole database is linear.  By Theorem 2 these means are all that must
-    be stored: matching Q-grams have matching means.
+    be stored: matching Q-grams have matching means.  For ``q = 1`` the
+    means are the points themselves, returned verbatim: cumsum
+    differencing drifts by a few ulps, and a drifted mean can miss an
+    ε-match that sits exactly on the boundary (a false dismissal).
     """
     points = _points(trajectory)
     if q < 1:
@@ -79,6 +82,8 @@ def mean_value_qgrams(
     count = n - q + 1
     if count <= 0:
         return np.empty((0, d), dtype=np.float64)
+    if q == 1:
+        return np.array(points, dtype=np.float64)
     cumulative = np.vstack([np.zeros((1, d)), np.cumsum(points, axis=0)])
     return (cumulative[q:] - cumulative[:-q]) / q
 

@@ -119,7 +119,9 @@ __all__ = [
 ]
 
 STORE_FORMAT = "repro-tiered-store"
-STORE_VERSION = 1
+# Version 2: q=1 Q-gram means are the points verbatim (version 1 stored
+# cumsum-differenced means that can miss exact ε-boundary matches).
+STORE_VERSION = 2
 
 _QGRAM_Q = 1
 _STORE_PARTS = ("histogram", "histogram-1d", "qgram", "nti")

@@ -5,16 +5,23 @@ fix cannot silently rot.  The bug descriptions double as documentation
 of the subtle corners of the paper's algorithms.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro import (
     HistogramSpace,
+    QgramMergeJoinPruner,
     Trajectory,
+    TrajectoryDatabase,
     dtw,
     edr,
     histogram_distance,
+    knn_scan,
+    knn_search,
     lcss,
+    mean_value_qgrams,
 )
 from repro.core.edr import edr_reference
 from repro.data import load_csv, save_csv
@@ -107,6 +114,54 @@ class TestMergeJoinBoundaryRounding:
         query = np.array([0.0])
         candidate = np.array([0.5])
         assert count_common_sorted_1d(query, candidate, 0.5) == 1
+
+
+class TestQgramEpsilonBoundary:
+    """q=1 means were once cumsum differences: 0.05 came back as
+    0.050000000000000044, so a pair exactly ε apart stopped matching,
+    the common-Q-gram bound overshot EDR and the served default chain
+    (which uses q=1) dismissed the true nearest neighbour."""
+
+    def _database(self):
+        corpus = [
+            Trajectory(np.array([[5.0, 5.0], [5.0, 5.0]])),
+            Trajectory(np.array([[0.0, 1.0], [0.0, 0.05], [0.0, 0.05]])),
+        ]
+        return TrajectoryDatabase(corpus, epsilon=0.05)
+
+    def test_q1_means_are_the_points(self):
+        points = np.array([[0.0, 1.0], [0.0, 0.05], [0.0, 0.05]])
+        means = mean_value_qgrams(points, 1)
+        assert means.tobytes() == points.tobytes()
+        means[0, 0] = 7.0
+        assert points[0, 0] == 0.0
+
+    def test_knn_keeps_the_boundary_match(self):
+        database = self._database()
+        query = Trajectory(np.array([[0.0, 0.0], [0.0, 0.0]]))
+        expected, _ = knn_scan(database, query, 1)
+        got, _ = knn_search(
+            database, query, 1, [QgramMergeJoinPruner(database, q=1)]
+        )
+        assert [(n.index, n.distance) for n in expected] == [(1, 1.0)]
+        assert [(n.index, n.distance) for n in got] == [(1, 1.0)]
+
+    def test_archives_with_stale_means_rebuild_them(self, tmp_path):
+        database = self._database()
+        database.sorted_qgram_means(1)
+        path = tmp_path / "db.npz"
+        database.save(path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        manifest = json.loads(str(arrays["manifest"]))
+        del manifest["means_format"]
+        arrays["manifest"] = np.array(json.dumps(manifest))
+        arrays["m2d_1_1"] = np.nextafter(arrays["m2d_1_1"], np.inf)  # drifted
+        np.savez(path, **arrays)
+        loaded = TrajectoryDatabase.load(path)
+        assert loaded.sorted_qgram_means(1)[1].tobytes() == (
+            database.sorted_qgram_means(1)[1].tobytes()
+        )
 
 
 class TestHistogramChainSoundness:
