@@ -254,10 +254,12 @@ class MutableDatabase:
         self.mutations = 0
         self._view: Optional[_MergedView] = None
         # Per-trajectory incremental artifact caches, all keyed by uid —
-        # stable across deletes, compactions, and view rebuilds.
+        # stable across deletes, compactions, and view rebuilds.  Histogram
+        # rows also depend on the grid origin, so each (delta, axis) keeps
+        # the rows of its current origin only.
         self._qgram_cache: Dict[Tuple[int, Optional[int]], Dict[int, np.ndarray]] = {}
         self._hist_cache: Dict[
-            Tuple[float, Optional[int], bytes], Dict[int, dict]
+            Tuple[float, Optional[int]], Tuple[bytes, Dict[int, dict]]
         ] = {}
         self._nti_cache: Dict[int, Dict[int, float]] = {}
         self._nti_seeded: set = set()
@@ -450,9 +452,13 @@ class MutableDatabase:
         uid: int,
         trajectory: Trajectory,
     ) -> dict:
-        cache = self._hist_cache.setdefault(
-            (delta, axis, space.origin.tobytes()), {}
-        )
+        origin = space.origin.tobytes()
+        cached_origin, cache = self._hist_cache.get((delta, axis), (None, None))
+        if cached_origin != origin:
+            # An insert or delete moved the corpus minimum: rows binned on
+            # the old origin would otherwise be kept for the process life.
+            cache = {}
+            self._hist_cache[(delta, axis)] = (origin, cache)
         row = cache.get(uid)
         if row is None:
             base_pos = self._base_pos.get(uid)

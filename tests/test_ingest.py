@@ -227,6 +227,28 @@ class TestMutableExactness:
         finally:
             mutable.close()
 
+    def test_origin_shifts_keep_one_histogram_cache(self, tmp_path):
+        # Each insert below the corpus minimum moves the grid origin;
+        # rows binned on an old origin must not pile up across views.
+        rng = np.random.default_rng(404)
+        root = IngestRoot.init(tmp_path / "root", _corpus(14, count=16), EPSILON)
+        mutable = root.open_mutable()
+        try:
+            for step in range(4):
+                mutable.insert(_walk(rng, 12, offset=-100.0 * (step + 1)))
+                view = mutable.view()
+                space, _ = view.histograms()
+                assert list(mutable._hist_cache) == [(1.0, None)]
+                origin, rows = mutable._hist_cache[(1.0, None)]
+                assert origin == space.origin.tobytes()
+                assert len(rows) == len(view)
+            assert_engines_match(
+                mutable.view(), _cold_oracle(mutable), [_walk(rng, 18)],
+                "histogram,qgram",
+            )
+        finally:
+            mutable.close()
+
     def test_exactness_across_compaction_boundary(self, tmp_path):
         rng = np.random.default_rng(303)
         root = IngestRoot.init(tmp_path / "root", _corpus(13, count=18), EPSILON)
