@@ -163,7 +163,7 @@ class TestEnginesUnderTheOracle:
                     HistogramPruner(tiered.database),
                     QgramMergeJoinPruner(tiered.database),
                 ]
-                runs = [
+                engine_runs = [
                     knn_search(database, query, 5, chain),
                     knn_search(database, query, 3, per_axis),
                     knn_sorted_search(database, query, 5, chain[0], chain[1:]),
@@ -172,7 +172,7 @@ class TestEnginesUnderTheOracle:
                         query, 5, tiered_chain[0], tiered_chain[1:]
                     ),
                 ]
-                for neighbors, stats in runs:
+                for neighbors, stats in engine_runs:
                     results.append(
                         (
                             answers(neighbors),
@@ -192,7 +192,8 @@ class TestEnginesUnderTheOracle:
                 )
             return results
 
-        return run_all
+        yield run_all
+        tiered.close()
 
     def test_identical_answers_and_counters(self, runs, monkeypatch):
         calls = []
