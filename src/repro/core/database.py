@@ -294,7 +294,7 @@ class TrajectoryDatabase:
     # ------------------------------------------------------------------
     # Refine-kernel selection
     # ------------------------------------------------------------------
-    def kernel_selection(self, trials: int = 3, sample: int = 8):
+    def kernel_selection(self, trials: int = 5, sample: int = 8):
         """The autotuned per-length-bucket refine kernel table.
 
         Built on first use by racing the EDR kernels on deterministic

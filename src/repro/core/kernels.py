@@ -76,6 +76,10 @@ TIMED_KERNELS = ("scalar", "batched", "bitparallel")
 #: them; the CLI and the service default to "auto" instead.
 LEGACY_KERNEL = "batched"
 
+#: The autotuner drops a kernel from a bucket's race once its best time
+#: exceeds this multiple of the leader's.
+RACE_CUTOFF = 2.0
+
 #: Environment override: set to a concrete kernel name to force it
 #: everywhere, bypassing the autotuner (and any timing) entirely.
 FORCE_ENV = "REPRO_KERNEL_FORCE"
@@ -248,7 +252,7 @@ def resolve_kernel_plan(database=None, kernel: Optional[str] = None) -> KernelPl
 
 def autotune_kernels(
     database,
-    trials: int = 3,
+    trials: int = 5,
     sample: int = 8,
     kernels: Sequence[str] = TIMED_KERNELS,
     seed: int = 0,
@@ -262,8 +266,15 @@ def autotune_kernels(
     against a representative query (the database trajectory of median
     length) by each candidate kernel, ``trials`` times; the best-of
     time decides the bucket, with ties broken toward the legacy kernel.
-    ``time_fn`` defaults to ``time.perf_counter`` and is injectable so
-    tests can drive the choice deterministically.
+    Each kernel first runs once untimed, so one-time costs (first-call
+    setup, cold caches) never decide a bucket, and the timed trials go
+    round-robin over the kernels, so a host slowdown during the race
+    hits every kernel alike instead of whichever one was running.  A
+    kernel more than ``RACE_CUTOFF`` times slower than the leader sits
+    out the remaining rounds: it cannot win on noise, and the rounds
+    left go to the close contenders.  ``time_fn`` defaults to
+    ``time.perf_counter`` and is injectable so tests can drive the
+    choice deterministically.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -296,24 +307,34 @@ def autotune_kernels(
             members = [members[int(index)] for index in np.sort(chosen)]
         candidates = [database.trajectories[index] for index in members]
         cells = len(query) * int(sum(len(c) for c in candidates))
-        best_kernel = None
-        best_key = None
         for kernel in kernels:
-            elapsed = None
-            for _ in range(trials):
+            run_kernel(kernel, query, candidates, database.epsilon)
+        elapsed: Dict[str, float] = {}
+        racing = list(kernels)
+        for _ in range(trials):
+            for kernel in racing:
                 start = clock()
                 run_kernel(kernel, query, candidates, database.epsilon)
                 delta = clock() - start
-                elapsed = delta if elapsed is None else min(elapsed, delta)
+                elapsed[kernel] = min(elapsed.get(kernel, delta), delta)
+            leader = min(elapsed[kernel] for kernel in racing)
+            racing = [
+                kernel
+                for kernel in racing
+                if elapsed[kernel] <= RACE_CUTOFF * leader
+            ]
+        for kernel in kernels:
             cells_by_kernel[kernel] = cells_by_kernel.get(kernel, 0.0) + cells
             seconds_by_kernel[kernel] = seconds_by_kernel.get(kernel, 0.0) + max(
-                elapsed, 0.0
+                elapsed[kernel], 0.0
             )
-            key = (elapsed, preference.get(kernel, len(preference)))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_kernel = kernel
-        table[bucket] = best_kernel
+        table[bucket] = min(
+            kernels,
+            key=lambda kernel: (
+                elapsed[kernel],
+                preference.get(kernel, len(preference)),
+            ),
+        )
 
     throughput = {
         kernel: (cells_by_kernel[kernel] / seconds_by_kernel[kernel])

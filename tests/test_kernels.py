@@ -103,6 +103,69 @@ class TestAutotuner:
         assert all(kernel == LEGACY_KERNEL for kernel in selection.table.values())
         assert selection.default == LEGACY_KERNEL
 
+    @staticmethod
+    def _scripted_race(monkeypatch, costs, slowdown_after=None):
+        """Drive the autotuner with a fake clock: each kernel call takes
+        ``costs[kernel]`` (``(first, later)``) fake seconds, tripled from
+        call number ``slowdown_after`` on.  Returns the calls made."""
+        from repro.core import kernels
+
+        now = [0.0]
+        calls = []
+
+        def fake_run(kernel, *args, **kwargs):
+            first, later = costs[kernel]
+            cost = first if kernel not in calls else later
+            if slowdown_after is not None and len(calls) >= slowdown_after:
+                cost *= 3.0
+            calls.append(kernel)
+            now[0] += cost
+
+        monkeypatch.setattr(kernels, "run_kernel", fake_run)
+        return calls, lambda: now[0]
+
+    def test_first_call_cost_does_not_decide(self, monkeypatch):
+        database = TrajectoryDatabase(
+            [Trajectory(np.zeros((20, 2))) for _ in range(4)], epsilon=0.5
+        )
+        costs = {"batched": (1.0, 1.0), "bitparallel": (50.0, 0.9)}
+        calls, clock = self._scripted_race(monkeypatch, costs)
+        selection = autotune_kernels(
+            database, trials=1, kernels=("batched", "bitparallel"), time_fn=clock
+        )
+        assert set(selection.table.values()) == {"bitparallel"}
+
+    def test_trials_round_robin_through_a_slowdown(self, monkeypatch):
+        # The host slows 3x after the warm-up calls and the first round:
+        # racing each kernel's trials back to back would time batched fast
+        # and bitparallel slow, and pick the wrong kernel.
+        database = TrajectoryDatabase(
+            [Trajectory(np.zeros((20, 2))) for _ in range(4)], epsilon=0.5
+        )
+        costs = {"batched": (1.0, 1.0), "bitparallel": (0.9, 0.9)}
+        calls, clock = self._scripted_race(monkeypatch, costs, slowdown_after=4)
+        selection = autotune_kernels(
+            database, trials=5, kernels=("batched", "bitparallel"), time_fn=clock
+        )
+        assert selection.table == {length_bucket(20): "bitparallel"}
+        assert calls[:4] == ["batched", "bitparallel"] * 2
+
+    def test_hopeless_kernel_sits_out_later_rounds(self, monkeypatch):
+        database = TrajectoryDatabase(
+            [Trajectory(np.zeros((20, 2))) for _ in range(4)], epsilon=0.5
+        )
+        costs = {
+            "scalar": (10.0, 10.0),
+            "batched": (1.0, 1.0),
+            "bitparallel": (1.1, 1.1),
+        }
+        calls, clock = self._scripted_race(monkeypatch, costs)
+        selection = autotune_kernels(database, trials=5, time_fn=clock)
+        assert selection.table == {length_bucket(20): "batched"}
+        # Warm-up plus one timed round for scalar; all five for the rest.
+        assert calls.count("scalar") == 2
+        assert calls.count("batched") == calls.count("bitparallel") == 6
+
     def test_validates_arguments(self, workload):
         database, _ = workload
         with pytest.raises(ValueError):
