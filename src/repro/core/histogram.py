@@ -431,6 +431,15 @@ def histogram_window_bound(
 _DENSE_CELL_LIMIT = 8_000_000
 
 
+def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-row sums of CSR-ordered ``values`` (empty rows sum to 0)."""
+    sums = np.zeros(len(indptr) - 1, dtype=np.int64)
+    rows = np.flatnonzero(np.diff(indptr))
+    if len(rows):
+        sums[rows] = np.add.reduceat(values, indptr[rows])
+    return sums
+
+
 class HistogramArrayStore:
     """All histograms of one database variant as a single count matrix.
 
@@ -579,31 +588,32 @@ class HistogramArrayStore:
         pair_bins = bin_of_pair[in_grid]
         pair_columns = self._ravel(neighbor_bins[in_grid])
 
-        # upper_query: candidate mass around each query bin, capped by A.
         unique_columns, column_slot = np.unique(pair_columns, return_inverse=True)
-        indicator = np.zeros((len(unique_columns), len(query_keys)), dtype=np.int64)
-        indicator[column_slot, pair_bins] = 1
-        candidate_neighborhood = self._counts[:, unique_columns] @ indicator
-        candidate_neighborhood = np.asarray(candidate_neighborhood)
-        upper_query = np.minimum(amounts[None, :], candidate_neighborhood).sum(
-            axis=1
-        )
-
-        # upper_candidate: query neighborhood mass at every grid cell the
-        # candidates occupy, capped by the candidate counts.
-        query_neighborhood = np.zeros(self.cells, dtype=np.int64)
-        np.add.at(query_neighborhood, pair_columns, amounts[pair_bins])
+        # QN is zero outside the query's neighborhood columns, so both caps
+        # only see those columns of the store: the candidates near the
+        # query.  No temporary grows with the grid or the store's nonzeros.
+        near = self._counts[:, unique_columns]
+        neighborhood = np.zeros(len(unique_columns), dtype=np.int64)
+        np.add.at(neighborhood, column_slot, amounts[pair_bins])
         if self._sparse:
-            counts = self._counts
-            capped = np.minimum(counts.data, query_neighborhood[counts.indices])
-            upper_candidate = np.add.reduceat(
-                np.append(capped, 0), counts.indptr[:-1]
+            upper_candidate = _row_sums(
+                np.minimum(near.data, neighborhood[near.indices]), near.indptr
             )
-            upper_candidate[np.diff(counts.indptr) == 0] = 0
+            indicator = _scipy_sparse.csr_matrix(
+                (np.ones(len(pair_bins), dtype=np.int64), (column_slot, pair_bins)),
+                shape=(len(unique_columns), len(query_keys)),
+            )
+            around = near @ indicator
+            upper_query = _row_sums(
+                np.minimum(around.data, amounts[around.indices]), around.indptr
+            )
         else:
-            upper_candidate = np.minimum(
-                self._counts, query_neighborhood[None, :]
-            ).sum(axis=1)
+            upper_candidate = np.minimum(near, neighborhood[None, :]).sum(axis=1)
+            indicator = np.zeros(
+                (len(unique_columns), len(query_keys)), dtype=np.int64
+            )
+            indicator[column_slot, pair_bins] = 1
+            upper_query = np.minimum(amounts[None, :], near @ indicator).sum(axis=1)
 
         upper = np.minimum(upper_query, upper_candidate)
         return np.maximum(query_total, self.totals) - upper

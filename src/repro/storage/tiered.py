@@ -1010,9 +1010,16 @@ def _sliced_quick_bounds(
     """
     totals = store.totals[row_lo:row_hi]
     if store._sparse:
-        piece = store._counts[row_lo:row_hi]
-        counts = (piece.data, piece.indices, piece.indptr)
-        touched = piece.data.nbytes + piece.indices.nbytes + piece.indptr.nbytes
+        # Views of the rows' CSR runs, not scipy's row-slice copy: the
+        # column slice in bulk_quick_bounds reads only what it keeps.
+        full = store._counts
+        start, stop = int(full.indptr[row_lo]), int(full.indptr[row_hi])
+        counts = (
+            full.data[start:stop],
+            full.indices[start:stop],
+            full.indptr[row_lo : row_hi + 1] - start,
+        )
+        touched = sum(part.nbytes for part in counts)
     else:
         counts = store._counts[row_lo:row_hi]
         touched = int(counts.size) * counts.itemsize

@@ -9,6 +9,7 @@ check the engines end to end against the sequential scan.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from repro import (
     knn_sorted_scan,
     knn_sorted_search,
 )
-from repro.core.histogram import histogram_distance_quick
+from repro.core.histogram import HistogramArrayStore, histogram_distance_quick
 from repro.eval import same_answers
 from repro.index.mergejoin import (
     bulk_count_common,
@@ -34,6 +35,7 @@ from repro.index.mergejoin import (
     sort_means_1d,
     sort_means_2d,
 )
+from repro.storage.tiered import _sliced_quick_bounds
 
 
 @st.composite
@@ -91,6 +93,35 @@ class TestHistogramKernel:
                 assert bulk[index] == histogram_distance_quick(
                     query_histogram, candidate
                 )
+
+    @COMMON_SETTINGS
+    @given(databases())
+    def test_csr_store_and_row_slices_match_dict_quick_bound(self, case):
+        """The CSR path (large grids, shard stores, tiered blocks) and
+        every row slice of it equal the scalar bound too."""
+        sparse = pytest.importorskip("scipy.sparse")
+        database, query = case
+        store = database.histogram_arrays(delta=1.0)
+        space, histograms = database.histograms(delta=1.0)
+        query_histogram = space.histogram(query)
+        counts = (
+            store._counts
+            if store._sparse
+            else sparse.csr_matrix(np.asarray(store._counts))
+        )
+        csr = HistogramArrayStore.from_state(
+            store.ndim, store._lo, store._shape, store.totals,
+            (counts.data, counts.indices, counts.indptr), sparse=True,
+        )
+        want = [
+            histogram_distance_quick(query_histogram, candidate)
+            for candidate in histograms
+        ]
+        assert csr.bulk_quick_bounds(query_histogram).tolist() == want
+        for lo in range(len(histograms)):
+            for hi in (lo, lo + 1, len(histograms)):
+                piece, _ = _sliced_quick_bounds(csr, query_histogram, lo, hi)
+                assert piece.tolist() == want[lo:hi]
 
 
 class TestMergeJoinKernel:
