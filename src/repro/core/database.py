@@ -228,7 +228,7 @@ class TrajectoryDatabase:
     def histogram_arrays(
         self, delta: float = 1.0, axis: Optional[int] = None
     ) -> HistogramArrayStore:
-        """Array-backed (dense/CSR) histogram store for one variant.
+        """Array-backed (CSR) histogram store for one variant.
 
         Built from the same per-trajectory histograms as
         :meth:`histograms`; used by the bulk quick-bound kernels.

@@ -28,14 +28,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import product
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-try:  # SciPy is optional; the array store falls back to dense numpy.
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_sparse = None
+from scipy import sparse
 
 from .trajectory import Trajectory
 
@@ -43,6 +39,7 @@ __all__ = [
     "HistogramSpace",
     "HistogramArrayStore",
     "HistogramMatcher",
+    "QueryProbe",
     "histogram_distance",
     "histogram_distance_quick",
     "histogram_match_capacity",
@@ -426,11 +423,6 @@ def histogram_window_bound(
 # ----------------------------------------------------------------------
 # Array-backed histogram store (bulk filter kernels)
 # ----------------------------------------------------------------------
-# Above this many grid cells the dense (N, bins) count matrix switches to
-# a CSR representation (when scipy is present) to keep memory bounded.
-_DENSE_CELL_LIMIT = 8_000_000
-
-
 def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Per-row sums of CSR-ordered ``values`` (empty rows sum to 0)."""
     sums = np.zeros(len(indptr) - 1, dtype=np.int64)
@@ -440,17 +432,60 @@ def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums
 
 
+class QueryProbe(NamedTuple):
+    """A query histogram's 3^d neighbourhood on one store's grid.
+
+    ``columns`` are the distinct in-grid columns adjacent to (or
+    equal to) some query bin, ``indicator`` is the 0/1 CSR incidence
+    ``(columns, query bins)`` between them, ``amounts`` are the query
+    bin counts and ``neighborhood`` is the query mass adjacent to each
+    column.  Every bulk bound only looks at these columns of a count
+    matrix: the methods take ``near``, a CSR matrix of one row per
+    candidate over the probed columns, in ``columns`` order.
+
+    With ``A`` the query amounts, ``NS[i, u]`` row ``i``'s mass in the
+    3^d-neighbourhood of query bin ``u`` and ``QN`` the neighbourhood
+    mass, the two matchable-mass caps of
+    :func:`histogram_distance_quick` are
+
+        ``upper_query[i]     = sum_u min(A[u], NS[i, u])``
+        ``upper_candidate[i] = sum_v min(counts[i, v], QN[v])``
+    """
+
+    amounts: np.ndarray
+    columns: np.ndarray
+    indicator: sparse.csr_matrix
+    neighborhood: np.ndarray
+
+    def query_cap(self, near: sparse.csr_matrix) -> np.ndarray:
+        """``upper_query`` of every row of ``near``."""
+        around = near @ self.indicator
+        return _row_sums(
+            np.minimum(around.data, self.amounts[around.indices]), around.indptr
+        )
+
+    def quick_bounds(self, near: sparse.csr_matrix, totals: np.ndarray) -> np.ndarray:
+        """``max(m_query, totals[i]) - min(upper_query[i], upper_candidate[i])``."""
+        upper_candidate = _row_sums(
+            np.minimum(near.data, self.neighborhood[near.indices]), near.indptr
+        )
+        upper = np.minimum(self.query_cap(near), upper_candidate)
+        return np.maximum(int(self.amounts.sum()), totals) - upper
+
+
 class HistogramArrayStore:
-    """All histograms of one database variant as a single count matrix.
+    """All histograms of one database variant as a single CSR count matrix.
 
     The per-trajectory ``dict`` histograms are the build- and exact-bound
-    representation; this store re-packs them into one ``(N, bins)`` count
-    matrix over the database's occupied bin range (padded by one bin per
-    axis so adjacency never falls off the grid), which makes the *quick*
-    HD bound of :func:`histogram_distance_quick` computable for every
-    database trajectory in a handful of vectorized operations instead of
-    N dictionary sweeps.  The matrix is dense numpy for small grids and
-    scipy CSR for large ones (dense is kept when scipy is unavailable).
+    representation; this store re-packs them into one ``(N, cells)``
+    scipy CSR matrix over the database's occupied bin range (padded by
+    one bin per axis so adjacency never falls off the grid), which makes
+    the *quick* HD bound of :func:`histogram_distance_quick` computable
+    for every database trajectory in a handful of vectorized operations
+    instead of N dictionary sweeps.  Row ``i`` holds histogram ``i``'s
+    counts at its raveled bin keys in increasing column order: the same
+    canonical ``(data, indices, indptr)`` triple that the tiered store
+    and the shard packer write.
 
     The bulk bound is integer-exact: for every candidate ``i`` the value
     equals ``histogram_distance_quick(query_histogram, histograms[i])``
@@ -462,50 +497,32 @@ class HistogramArrayStore:
     ) -> None:
         self.ndim = int(ndim)
         self.count = len(histograms)
-        occupied = [key for histogram in histograms for key in histogram]
-        if not occupied:
+        lengths = [len(histogram) for histogram in histograms]
+        indptr = np.zeros(self.count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        nnz = int(indptr[-1])
+        keys = np.asarray(
+            [key for histogram in histograms for key in histogram], dtype=np.int64
+        ).reshape(nnz, self.ndim)
+        data = np.fromiter(
+            (value for histogram in histograms for value in histogram.values()),
+            dtype=np.int64,
+            count=nnz,
+        )
+        if not nnz:
             # Degenerate (all-empty) histograms: keep a 1-cell grid.
             self._lo = np.zeros(self.ndim, dtype=np.int64)
             self._shape = np.ones(self.ndim, dtype=np.int64)
         else:
-            keys = np.asarray(occupied, dtype=np.int64).reshape(len(occupied), -1)
             self._lo = keys.min(axis=0) - 1
             self._shape = keys.max(axis=0) + 1 - self._lo + 1
         self.cells = int(np.prod(self._shape))
-        self.totals = np.array(
-            [sum(histogram.values()) for histogram in histograms], dtype=np.int64
+        self.totals = _row_sums(data, indptr)
+        columns = self._ravel(keys)
+        order = np.lexsort((columns, np.repeat(np.arange(self.count), lengths)))
+        self._counts = sparse.csr_matrix(
+            (data[order], columns[order], indptr), shape=(self.count, self.cells)
         )
-
-        row_ids: List[np.ndarray] = []
-        columns: List[np.ndarray] = []
-        values: List[np.ndarray] = []
-        for row, histogram in enumerate(histograms):
-            if not histogram:
-                continue
-            keys = np.asarray(list(histogram), dtype=np.int64).reshape(
-                len(histogram), -1
-            )
-            columns.append(self._ravel(keys))
-            values.append(np.fromiter(histogram.values(), dtype=np.int64))
-            row_ids.append(np.full(len(histogram), row, dtype=np.int64))
-        rows = np.concatenate(row_ids) if row_ids else np.empty(0, dtype=np.int64)
-        cols = np.concatenate(columns) if columns else np.empty(0, dtype=np.int64)
-        vals = np.concatenate(values) if values else np.empty(0, dtype=np.int64)
-
-        use_sparse = (
-            _scipy_sparse is not None
-            and self.count * self.cells > _DENSE_CELL_LIMIT
-        )
-        if use_sparse:
-            self._counts = _scipy_sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(self.count, self.cells), dtype=np.int64
-            )
-            self._sparse = True
-        else:
-            counts = np.zeros((self.count, self.cells), dtype=np.int64)
-            np.add.at(counts, (rows, cols), vals)
-            self._counts = counts
-            self._sparse = False
 
     @classmethod
     def from_state(
@@ -514,8 +531,7 @@ class HistogramArrayStore:
         lo: np.ndarray,
         shape: np.ndarray,
         totals: np.ndarray,
-        counts,
-        sparse: bool = False,
+        counts: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> "HistogramArrayStore":
         """Rebuild a store from its raw arrays, skipping the binning pass.
 
@@ -524,8 +540,7 @@ class HistogramArrayStore:
         (``lo``/``shape``): shard stores must keep the global grid, not
         re-derive one from their own rows, or the neighborhood columns —
         and therefore the quick bounds — would shift at shard borders.
-        ``counts`` is the dense ``(count, cells)`` matrix, or the CSR
-        triple ``(data, indices, indptr)`` when ``sparse`` is true.
+        ``counts`` is the CSR triple ``(data, indices, indptr)``.
         """
         store = cls.__new__(cls)
         store.ndim = int(ndim)
@@ -534,89 +549,56 @@ class HistogramArrayStore:
         store.cells = int(np.prod(store._shape))
         store.totals = np.asarray(totals, dtype=np.int64)
         store.count = len(store.totals)
-        if sparse:
-            if _scipy_sparse is None:  # pragma: no cover - needs scipy absent
-                raise RuntimeError("CSR histogram state needs scipy")
-            data, indices, indptr = counts
-            store._counts = _scipy_sparse.csr_matrix(
-                (data, indices, indptr), shape=(store.count, store.cells)
-            )
-            store._sparse = True
-        else:
-            store._counts = counts
-            store._sparse = False
+        store._counts = sparse.csr_matrix(counts, shape=(store.count, store.cells))
         return store
 
     def _ravel(self, keys: np.ndarray) -> np.ndarray:
         """Flat grid column of every (in-grid) d-dimensional bin index."""
         return np.ravel_multi_index(tuple((keys - self._lo).T), tuple(self._shape))
 
-    def _in_grid(self, keys: np.ndarray) -> np.ndarray:
-        relative = keys - self._lo
-        return np.all((relative >= 0) & (relative < self._shape), axis=1)
+    def query_probe(self, query_histogram: TrajectoryHistogram) -> QueryProbe:
+        """The query-side geometry shared by every bulk bound on this grid.
 
-    def bulk_quick_bounds(self, query_histogram: TrajectoryHistogram) -> np.ndarray:
-        """``histogram_distance_quick(query, ·)`` against every database row.
-
-        Vectorized transcription of the per-side matchable-mass caps: with
-        ``A`` the query amounts and ``NS[i, u]`` candidate ``i``'s mass in
-        the 3^d-neighborhood of query bin ``u``,
-
-            ``upper_query[i]     = sum_u min(A[u], NS[i, u])``
-            ``upper_candidate[i] = sum_v min(counts[i, v], QN[v])``
-
-        where ``QN`` is the query's neighborhood mass on the grid; the
-        bound is ``max(m_query, m_i) - min(upper_query, upper_candidate)``.
+        Query bins whose neighbourhood leaves the padded grid lose those
+        columns: no database bin lies there, so they match nothing on
+        the scalar path either.
         """
-        query_total = int(sum(query_histogram.values()))
-        if not query_histogram:
-            return np.maximum(query_total, self.totals).astype(np.int64)
         query_keys = np.asarray(list(query_histogram), dtype=np.int64).reshape(
-            len(query_histogram), -1
+            len(query_histogram), self.ndim
         )
-        amounts = np.fromiter(query_histogram.values(), dtype=np.int64)
+        amounts = np.fromiter(
+            query_histogram.values(), dtype=np.int64, count=len(query_histogram)
+        )
         offsets = np.array(
             list(product((-1, 0, 1), repeat=self.ndim)), dtype=np.int64
         )
-
-        # Neighborhoods of the query bins, as (query bin, grid column) pairs.
         neighbor_bins = (query_keys[:, None, :] + offsets[None, :, :]).reshape(
             -1, self.ndim
         )
         bin_of_pair = np.repeat(np.arange(len(query_keys)), len(offsets))
-        in_grid = self._in_grid(neighbor_bins)
+        relative = neighbor_bins - self._lo
+        in_grid = np.all((relative >= 0) & (relative < self._shape), axis=1)
         pair_bins = bin_of_pair[in_grid]
-        pair_columns = self._ravel(neighbor_bins[in_grid])
+        columns, column_slot = np.unique(
+            self._ravel(neighbor_bins[in_grid]), return_inverse=True
+        )
+        indicator = sparse.csr_matrix(
+            (np.ones(len(pair_bins), dtype=np.int64), (column_slot, pair_bins)),
+            shape=(len(columns), len(query_keys)),
+        )
+        return QueryProbe(amounts, columns, indicator, indicator @ amounts)
 
-        unique_columns, column_slot = np.unique(pair_columns, return_inverse=True)
-        # QN is zero outside the query's neighborhood columns, so both caps
-        # only see those columns of the store: the candidates near the
-        # query.  No temporary grows with the grid or the store's nonzeros.
-        near = self._counts[:, unique_columns]
-        neighborhood = np.zeros(len(unique_columns), dtype=np.int64)
-        np.add.at(neighborhood, column_slot, amounts[pair_bins])
-        if self._sparse:
-            upper_candidate = _row_sums(
-                np.minimum(near.data, neighborhood[near.indices]), near.indptr
-            )
-            indicator = _scipy_sparse.csr_matrix(
-                (np.ones(len(pair_bins), dtype=np.int64), (column_slot, pair_bins)),
-                shape=(len(unique_columns), len(query_keys)),
-            )
-            around = near @ indicator
-            upper_query = _row_sums(
-                np.minimum(around.data, amounts[around.indices]), around.indptr
-            )
-        else:
-            upper_candidate = np.minimum(near, neighborhood[None, :]).sum(axis=1)
-            indicator = np.zeros(
-                (len(unique_columns), len(query_keys)), dtype=np.int64
-            )
-            indicator[column_slot, pair_bins] = 1
-            upper_query = np.minimum(amounts[None, :], near @ indicator).sum(axis=1)
+    def bulk_quick_bounds(self, query_histogram: TrajectoryHistogram) -> np.ndarray:
+        """``histogram_distance_quick(query, ·)`` against every database row.
 
-        upper = np.minimum(upper_query, upper_candidate)
-        return np.maximum(query_total, self.totals) - upper
+        Vectorized transcription of the per-side matchable-mass caps
+        (see :class:`QueryProbe`).  The query's neighbourhood mass is
+        zero outside the probed columns, so both caps only read those
+        columns of the store: no temporary grows with the grid or the
+        store's nonzeros.
+        """
+        probe = self.query_probe(query_histogram)
+        return probe.quick_bounds(self._counts[:, probe.columns], self.totals)
 
     def bulk_window_bounds(
         self, query_histogram: TrajectoryHistogram
@@ -627,37 +609,8 @@ class HistogramArrayStore:
         window-sound (see :func:`histogram_window_bound`), so this is
         the same neighborhood gather with the candidate-side cap and the
         ``max(m, n)`` term dropped:
-        ``max(0, m_query - upper_query[i])`` per candidate.  Query bins
-        outside the padded grid contribute zero matchable mass on both
-        paths, so the bulk values equal the scalar ones bit for bit.
+        ``max(0, m_query - upper_query[i])`` per candidate.
         """
-        query_total = int(sum(query_histogram.values()))
-        if not query_histogram:
-            return np.zeros(self.count, dtype=np.int64)
-        query_keys = np.asarray(list(query_histogram), dtype=np.int64).reshape(
-            len(query_histogram), -1
-        )
-        amounts = np.fromiter(query_histogram.values(), dtype=np.int64)
-        offsets = np.array(
-            list(product((-1, 0, 1), repeat=self.ndim)), dtype=np.int64
-        )
-        neighbor_bins = (query_keys[:, None, :] + offsets[None, :, :]).reshape(
-            -1, self.ndim
-        )
-        bin_of_pair = np.repeat(np.arange(len(query_keys)), len(offsets))
-        in_grid = self._in_grid(neighbor_bins)
-        pair_bins = bin_of_pair[in_grid]
-        pair_columns = self._ravel(neighbor_bins[in_grid])
-        if pair_columns.size == 0:
-            # Every query bin sits outside the database grid: nothing in
-            # any trajectory (or window) can match.
-            return np.full(self.count, query_total, dtype=np.int64)
-        unique_columns, column_slot = np.unique(pair_columns, return_inverse=True)
-        indicator = np.zeros((len(unique_columns), len(query_keys)), dtype=np.int64)
-        indicator[column_slot, pair_bins] = 1
-        candidate_neighborhood = self._counts[:, unique_columns] @ indicator
-        candidate_neighborhood = np.asarray(candidate_neighborhood)
-        upper_query = np.minimum(amounts[None, :], candidate_neighborhood).sum(
-            axis=1
-        )
-        return np.maximum(0, query_total - upper_query)
+        probe = self.query_probe(query_histogram)
+        upper_query = probe.query_cap(self._counts[:, probe.columns])
+        return np.maximum(0, int(probe.amounts.sum()) - upper_query)

@@ -252,50 +252,31 @@ def _pack_shard(
                     variants.append(variant)
     for tag_index, (delta, axis) in enumerate(variants):
         tag = f"h{tag_index}"
-        space, built = database.histograms(delta=delta, axis=axis)
+        space, _ = database.histograms(delta=delta, axis=axis)
         store = database.histogram_arrays(delta=delta, axis=axis)
-        shard_histograms = built[start:stop]
-        key_rows: List[np.ndarray] = []
-        count_rows: List[np.ndarray] = []
-        koffsets = np.zeros(len(shard_histograms) + 1, dtype=np.int64)
-        for index, histogram in enumerate(shard_histograms):
-            koffsets[index + 1] = koffsets[index] + len(histogram)
-            if histogram:
-                keys = sorted(histogram)
-                key_rows.append(np.asarray(keys, dtype=np.int64).reshape(len(keys), -1))
-                count_rows.append(
-                    np.asarray([histogram[key] for key in keys], dtype=np.int64)
-                )
-        ndim_h = 1 if axis is not None else database.ndim
-        arrays[f"{tag}_keys"] = (
-            np.concatenate(key_rows)
-            if key_rows
-            else np.empty((0, ndim_h), dtype=np.int64)
+        # A CSR row is its histogram's keys in sorted order, so the row
+        # slice gives both the exact-bound runs and the count matrix —
+        # the same files a tiered store holds.
+        counts = store._counts
+        klo, khi = int(counts.indptr[start]), int(counts.indptr[stop])
+        indices = counts.indices[klo:khi].astype(np.int64)
+        arrays[f"{tag}_keys"] = store._lo + np.stack(
+            np.unravel_index(indices, tuple(store._shape)), axis=1
         )
-        arrays[f"{tag}_kcounts"] = (
-            np.concatenate(count_rows) if count_rows else np.empty(0, dtype=np.int64)
-        )
-        arrays[f"{tag}_koffsets"] = koffsets
+        arrays[f"{tag}_kcounts"] = counts.data[klo:khi]
+        arrays[f"{tag}_indices"] = indices
+        arrays[f"{tag}_koffsets"] = counts.indptr[start : stop + 1].astype(np.int64) - klo
         arrays[f"{tag}_totals"] = store.totals[start:stop]
-        sparse = store._sparse
-        if sparse:
-            sliced = store._counts[start:stop]
-            arrays[f"{tag}_data"] = sliced.data
-            arrays[f"{tag}_indices"] = sliced.indices
-            arrays[f"{tag}_indptr"] = sliced.indptr
-        else:
-            arrays[f"{tag}_counts"] = store._counts[start:stop]
         meta["hist"].append(
             {
                 "tag": tag,
                 "delta": float(delta),
                 "axis": axis,
-                "ndim": ndim_h,
+                "ndim": store.ndim,
                 "origin": [float(v) for v in space.origin],
                 "bin_size": float(space.bin_size),
                 "lo": [int(v) for v in store._lo],
                 "shape": [int(v) for v in store._shape],
-                "sparse": bool(sparse),
             }
         )
 
@@ -406,21 +387,12 @@ class _ShardRuntime:
                     )
             key = (float(variant["delta"]), axis)
             self.database._histograms[key] = (space, histograms)
-            if variant["sparse"]:
-                counts = (
-                    arrays[f"{tag}_data"],
-                    arrays[f"{tag}_indices"],
-                    arrays[f"{tag}_indptr"],
-                )
-            else:
-                counts = arrays[f"{tag}_counts"]
             self.database._histogram_arrays[key] = HistogramArrayStore.from_state(
                 variant["ndim"],
                 np.asarray(variant["lo"], dtype=np.int64),
                 np.asarray(variant["shape"], dtype=np.int64),
                 arrays[f"{tag}_totals"],
-                counts,
-                sparse=variant["sparse"],
+                (kcounts, arrays[f"{tag}_indices"], koffsets),
             )
 
         # Near-triangle reference column slices (global reference ids,

@@ -69,6 +69,15 @@ def _atomic_write_json(path: Path, payload: Dict[str, object]) -> None:
     os.replace(tmp, path)
 
 
+def _read_meta(directory: Path) -> Dict[str, object]:
+    meta_path = directory / "meta.json"
+    if not meta_path.exists():
+        raise IngestError(
+            f"generation {directory} has no meta.json (incomplete compaction?)"
+        )
+    return json.loads(meta_path.read_text())
+
+
 class Generation:
     """One immutable generation, opened read-only."""
 
@@ -77,13 +86,7 @@ class Generation:
     ) -> None:
         self.directory = Path(directory)
         self.name = self.directory.name
-        meta_path = self.directory / "meta.json"
-        if not meta_path.exists():
-            raise IngestError(
-                f"generation {self.directory} has no meta.json "
-                "(incomplete compaction?)"
-            )
-        self.meta: Dict[str, object] = json.loads(meta_path.read_text())
+        self.meta = _read_meta(self.directory)
         self.tiered = None
         if self.meta["kind"] == "store":
             from ..storage.tiered import TieredDatabase
@@ -294,10 +297,11 @@ def compact(
     trip("compact:fold")
     mutable = root.open_mutable(pool_pages=pool_pages)
     try:
+        old_name = str(pointer["generation"])
         generation_kind = (
             kind
             if kind is not None
-            else str(root.open_generation().meta["kind"])
+            else str(_read_meta(root.root / old_name)["kind"])
         )
         if generation_kind not in GENERATION_KINDS:
             raise IngestError(f"unknown generation kind {generation_kind!r}")
@@ -305,7 +309,6 @@ def compact(
         last_seq = mutable.applied_seq
         next_uid = mutable.next_uid
         epsilon = mutable.epsilon
-        old_name = str(pointer["generation"])
         epoch = int(pointer.get("epoch", 0)) + 1
     finally:
         mutable.close()

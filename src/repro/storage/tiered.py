@@ -17,9 +17,9 @@ versioned JSON manifest (the on-disk sibling of
     stably sorted Q-gram array the bulk merge-join kernel scans.
 ``h{i}_*``
     Per histogram variant: per-trajectory sorted ``(key, count)`` runs
-    (the exact-bound representation), row totals, and the quick-bound
-    count matrix — dense ``(N, cells)`` for small grids, CSR for wide
-    ones, by the same rule as
+    (the exact-bound representation), row totals, and the raveled
+    column of every key: with the counts as ``data`` and the key
+    offsets as ``indptr`` they are the CSR count matrix of
     :class:`~repro.core.histogram.HistogramArrayStore`.
 ``nti_matrix`` / ``nti_refs``
     Stacked near-triangle reference columns.
@@ -53,7 +53,6 @@ import json
 import mmap as _mmap
 import os
 import time
-from itertools import product
 from pathlib import Path
 from typing import (
     Callable,
@@ -67,14 +66,10 @@ from typing import (
 )
 
 import numpy as np
+from scipy import sparse
 
 from ..core.database import TrajectoryDatabase
-from ..core.histogram import (
-    _DENSE_CELL_LIMIT,
-    _scipy_sparse,
-    HistogramArrayStore,
-    HistogramSpace,
-)
+from ..core.histogram import HistogramArrayStore, HistogramSpace
 from ..core.qgram import mean_value_qgrams
 from ..core.search import (
     DEFAULT_REFINE_BATCH_SIZE,
@@ -121,7 +116,9 @@ __all__ = [
 STORE_FORMAT = "repro-tiered-store"
 # Version 2: q=1 Q-gram means are the points verbatim (version 1 stored
 # cumsum-differenced means that can miss exact ε-boundary matches).
-STORE_VERSION = 2
+# Version 3: every histogram count matrix, block summaries included, is
+# CSR (no dense ``h{i}_counts.bin``, no ``sparse`` manifest key).
+STORE_VERSION = 3
 
 _QGRAM_Q = 1
 _STORE_PARTS = ("histogram", "histogram-1d", "qgram", "nti")
@@ -129,8 +126,6 @@ _STORE_PARTS = ("histogram", "histogram-1d", "qgram", "nti")
 _BLOCK_ROWS = 131072
 # Trajectories per block-summary skip block (see `_summary_block_bounds`).
 DEFAULT_SUMMARY_BLOCK = 4096
-# Skip the summary matrix when it would exceed this many bytes.
-_SUMMARY_BYTE_LIMIT = 256 * 1024 * 1024
 
 
 def _run_dtype(ndim: int) -> np.dtype:
@@ -726,7 +721,6 @@ def build_store(
             lo = key_lo - 1
             shape = key_hi + 1 - lo + 1
         cells = int(np.prod(shape))
-        use_sparse = _scipy_sparse is not None and count * cells > _DENSE_CELL_LIMIT
         keys_mm = (
             np.memmap(
                 directory / f"{tag}_keys.bin",
@@ -737,116 +731,70 @@ def build_store(
             if nnz
             else np.empty((0, ndim_h), dtype=np.int64)
         )
-        if use_sparse:
-            # CSR shares files with the exact-bound runs: data is the
-            # per-row count file, indptr is the key-offset file; only
-            # the raveled column indices are new bytes.
-            with open(directory / f"{tag}_indices.bin", "wb") as indices_handle:
-                for block_start in range(0, nnz, _BLOCK_ROWS):
-                    block = keys_mm[block_start : block_start + _BLOCK_ROWS]
-                    columns = np.ravel_multi_index(
-                        tuple((block - lo).T), tuple(shape)
-                    )
-                    indices_handle.write(columns.astype(np.int64).tobytes())
-                    _drop_pages(keys_mm)
-            entries[f"{tag}_data"] = _entry(f"{tag}_kcounts.bin", np.int64, (nnz,))
-            entries[f"{tag}_indices"] = _entry(
-                f"{tag}_indices.bin", np.int64, (nnz,)
-            )
-            entries[f"{tag}_indptr"] = _entry(
-                f"{tag}_koffsets.bin", np.int64, (count + 1,)
-            )
-        else:
-            counts_mm = np.memmap(
-                directory / f"{tag}_counts.bin",
-                dtype=np.int64,
-                mode="w+",
-                shape=(count, cells),
-            )
-            kcounts_mm = (
-                np.memmap(
-                    directory / f"{tag}_kcounts.bin",
-                    dtype=np.int64,
-                    mode="r",
-                    shape=(nnz,),
-                )
-                if nnz
-                else np.empty(0, dtype=np.int64)
-            )
-            rows = np.repeat(np.arange(count, dtype=np.int64), np.diff(koffsets))
+        # The CSR count matrix shares files with the exact-bound runs:
+        # data is the per-row count file, indptr is the key-offset file;
+        # only the raveled column indices are new bytes.
+        with open(directory / f"{tag}_indices.bin", "wb") as indices_handle:
             for block_start in range(0, nnz, _BLOCK_ROWS):
-                block_stop = min(block_start + _BLOCK_ROWS, nnz)
-                block = keys_mm[block_start:block_stop]
+                block = keys_mm[block_start : block_start + _BLOCK_ROWS]
                 columns = np.ravel_multi_index(tuple((block - lo).T), tuple(shape))
-                counts_mm[rows[block_start:block_stop], columns] = kcounts_mm[
-                    block_start:block_stop
-                ]
+                indices_handle.write(columns.astype(np.int64).tobytes())
                 _drop_pages(keys_mm)
-                _drop_pages(kcounts_mm)
-            counts_mm.flush()
-            del counts_mm
-            entries[f"{tag}_counts"] = _entry(
-                f"{tag}_counts.bin", np.int64, (count, cells)
+        del keys_mm
+        indices_mm, kcounts_mm = (
+            np.memmap(
+                directory / f"{tag}_{name}.bin",
+                dtype=np.int64,
+                mode="r",
+                shape=(nnz,),
             )
+            if nnz
+            else np.empty(0, dtype=np.int64)
+            for name in ("indices", "kcounts")
+        )
         # Per-block skip summaries: element-wise max counts over each
-        # block's rows (transposed to (cells, blocks) so a query's
-        # neighborhood columns land on few contiguous pages) plus the
+        # block's rows, one CSR row per block on the same grid, plus the
         # block's minimum total.  `_summary_block_bounds` turns these
         # into a lower bound on every member's quick HD bound, so the
         # blocked sorted engine can rule out whole blocks without
         # faulting their count-matrix rows.
         nblocks = (count + summary_block - 1) // summary_block
-        summary_info: Optional[Dict[str, int]] = None
-        if cells * nblocks * 8 <= _SUMMARY_BYTE_LIMIT:
-            smax_mm = np.memmap(
-                directory / f"{tag}_smax.bin",
-                dtype=np.int64,
-                mode="w+",
-                shape=(cells, nblocks),
-            )
-            stmin = np.empty(nblocks, dtype=np.int64)
-            kcounts_summary = (
-                np.memmap(
-                    directory / f"{tag}_kcounts.bin",
-                    dtype=np.int64,
-                    mode="r",
-                    shape=(nnz,),
-                )
-                if nnz
-                else np.empty(0, dtype=np.int64)
-            )
-            scratch = np.zeros(cells, dtype=np.int64)
+        stmin = np.empty(nblocks, dtype=np.int64)
+        sindptr = np.zeros(nblocks + 1, dtype=np.int64)
+        scratch = np.zeros(cells, dtype=np.int64)
+        with open(directory / f"{tag}_sindices.bin", "wb") as sindices_handle, open(
+            directory / f"{tag}_smax.bin", "wb"
+        ) as smax_handle:
             for block_id in range(nblocks):
                 row_lo = block_id * summary_block
                 row_hi = min(row_lo + summary_block, count)
                 stmin[block_id] = int(totals[row_lo:row_hi].min())
                 klo, khi = int(koffsets[row_lo]), int(koffsets[row_hi])
-                if khi > klo:
-                    columns = np.ravel_multi_index(
-                        tuple((keys_mm[klo:khi] - lo).T), tuple(shape)
-                    )
-                    values = kcounts_summary[klo:khi]
-                    np.maximum.at(scratch, columns, values)
-                    used = np.unique(columns)
-                    smax_mm[used, block_id] = scratch[used]
-                    scratch[used] = 0
+                columns = indices_mm[klo:khi]
+                np.maximum.at(scratch, columns, kcounts_mm[klo:khi])
+                used = np.unique(columns)
+                sindices_handle.write(used.astype(np.int64).tobytes())
+                smax_handle.write(scratch[used].tobytes())
+                scratch[used] = 0
+                sindptr[block_id + 1] = sindptr[block_id] + len(used)
                 if block_id % 64 == 0:
-                    _drop_pages(keys_mm)
-                    _drop_pages(kcounts_summary)
-            smax_mm.flush()
-            del smax_mm
-            _write_array(directory / f"{tag}_stmin.bin", stmin)
-            entries[f"{tag}_smax"] = _entry(
-                f"{tag}_smax.bin", np.int64, (cells, nblocks)
-            )
-            entries[f"{tag}_stmin"] = _entry(
-                f"{tag}_stmin.bin", np.int64, (nblocks,)
-            )
-            summary_info = {"block": int(summary_block), "blocks": int(nblocks)}
+                    _drop_pages(indices_mm)
+                    _drop_pages(kcounts_mm)
+        del indices_mm, kcounts_mm
+        snnz = int(sindptr[-1])
+        _write_array(directory / f"{tag}_sindptr.bin", sindptr)
+        _write_array(directory / f"{tag}_stmin.bin", stmin)
+        entries[f"{tag}_smax"] = _entry(f"{tag}_smax.bin", np.int64, (snnz,))
+        entries[f"{tag}_sindices"] = _entry(f"{tag}_sindices.bin", np.int64, (snnz,))
+        entries[f"{tag}_sindptr"] = _entry(
+            f"{tag}_sindptr.bin", np.int64, (nblocks + 1,)
+        )
+        entries[f"{tag}_stmin"] = _entry(f"{tag}_stmin.bin", np.int64, (nblocks,))
         _write_array(directory / f"{tag}_koffsets.bin", koffsets)
         _write_array(directory / f"{tag}_totals.bin", totals)
         entries[f"{tag}_keys"] = _entry(f"{tag}_keys.bin", np.int64, (nnz, ndim_h))
         entries[f"{tag}_kcounts"] = _entry(f"{tag}_kcounts.bin", np.int64, (nnz,))
+        entries[f"{tag}_indices"] = _entry(f"{tag}_indices.bin", np.int64, (nnz,))
         entries[f"{tag}_koffsets"] = _entry(
             f"{tag}_koffsets.bin", np.int64, (count + 1,)
         )
@@ -861,8 +809,7 @@ def build_store(
                 "bin_size": float(space.bin_size),
                 "lo": [int(v) for v in lo],
                 "shape": [int(v) for v in shape],
-                "sparse": bool(use_sparse),
-                "summary": summary_info,
+                "summary": {"block": int(summary_block), "blocks": int(nblocks)},
             }
         )
         tick(f"pass2:{tag}", count, count)
@@ -927,42 +874,10 @@ def build_store(
 # ----------------------------------------------------------------------
 # Block-skipping primary bounds
 # ----------------------------------------------------------------------
-def _query_probe(
-    store: HistogramArrayStore, query_histogram: Dict
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The query-side geometry of :meth:`HistogramArrayStore.bulk_quick_bounds`.
-
-    Returns ``(amounts, unique_columns, indicator, neighborhood)``: the
-    query bin amounts, the distinct in-grid neighborhood columns, the
-    (column, bin) incidence matrix, and the query's neighborhood mass
-    restricted to those columns.  ``None`` for an empty query histogram.
-    """
-    if not query_histogram:
-        return None
-    query_keys = np.asarray(list(query_histogram), dtype=np.int64).reshape(
-        len(query_histogram), -1
-    )
-    amounts = np.fromiter(query_histogram.values(), dtype=np.int64)
-    offsets = np.array(list(product((-1, 0, 1), repeat=store.ndim)), dtype=np.int64)
-    neighbor_bins = (query_keys[:, None, :] + offsets[None, :, :]).reshape(
-        -1, store.ndim
-    )
-    bin_of_pair = np.repeat(np.arange(len(query_keys)), len(offsets))
-    in_grid = store._in_grid(neighbor_bins)
-    pair_bins = bin_of_pair[in_grid]
-    pair_columns = store._ravel(neighbor_bins[in_grid])
-    unique_columns, column_slot = np.unique(pair_columns, return_inverse=True)
-    indicator = np.zeros((len(unique_columns), len(query_keys)), dtype=np.int64)
-    indicator[column_slot, pair_bins] = 1
-    neighborhood = np.zeros(len(unique_columns), dtype=np.int64)
-    np.add.at(neighborhood, column_slot, amounts[pair_bins])
-    return amounts, unique_columns, indicator, neighborhood
-
-
 def _summary_block_bounds(
     store: HistogramArrayStore,
     query_histogram: Dict,
-    smax: np.ndarray,
+    smax: sparse.csr_matrix,
     stmin: np.ndarray,
 ) -> Tuple[np.ndarray, int]:
     """A lower bound on every block member's quick HD bound, per block.
@@ -975,26 +890,18 @@ def _summary_block_bounds(
         ``max(q_total, min totals) - min(cap_query, cap_candidate)``
 
     is ``<=`` each member's quick bound — sound for sorted access and
-    block skipping.  Returns ``(bounds, bytes touched)``; only the
-    query-neighborhood rows of the ``(cells, blocks)`` summary matrix
-    are faulted, so the cost is O(blocks), not O(rows).
+    block skipping.  ``smax`` is the ``(cells, blocks)`` CSR of block
+    maxima.  Returns ``(bounds, bytes touched)``; only the
+    query-neighborhood rows of ``smax`` are read, so the cost is
+    O(blocks), not O(rows).
     """
-    query_total = int(sum(query_histogram.values()))
-    stmin_arr = np.asarray(stmin)
-    base = np.maximum(query_total, stmin_arr)
-    touched = stmin_arr.nbytes
-    probe = _query_probe(store, query_histogram)
-    if probe is None:
-        return base, touched
-    amounts, unique_columns, indicator, neighborhood = probe
-    sub = np.asarray(smax[unique_columns])
-    touched += sub.nbytes
-    # cap_query: block-max mass around each query bin, capped by amounts.
-    around_bins = indicator.T @ sub
-    cap_query = np.minimum(amounts[:, None], around_bins).sum(axis=0)
-    # cap_candidate: query neighborhood mass, capped by block-max counts.
-    cap_candidate = np.minimum(sub, neighborhood[:, None]).sum(axis=0)
-    return base - np.minimum(cap_query, cap_candidate), touched
+    probe = store.query_probe(query_histogram)
+    rows = smax[probe.columns]
+    stmin = np.asarray(stmin)
+    touched = (
+        stmin.nbytes + rows.data.nbytes + rows.indices.nbytes + rows.indptr.nbytes
+    )
+    return probe.quick_bounds(rows.T.tocsr(), stmin), touched
 
 
 def _sliced_quick_bounds(
@@ -1009,22 +916,18 @@ def _sliced_quick_bounds(
     pass would compute for those rows, while faulting only their bytes.
     """
     totals = store.totals[row_lo:row_hi]
-    if store._sparse:
-        # Views of the rows' CSR runs, not scipy's row-slice copy: the
-        # column slice in bulk_quick_bounds reads only what it keeps.
-        full = store._counts
-        start, stop = int(full.indptr[row_lo]), int(full.indptr[row_hi])
-        counts = (
-            full.data[start:stop],
-            full.indices[start:stop],
-            full.indptr[row_lo : row_hi + 1] - start,
-        )
-        touched = sum(part.nbytes for part in counts)
-    else:
-        counts = store._counts[row_lo:row_hi]
-        touched = int(counts.size) * counts.itemsize
+    # Views of the rows' CSR runs, not scipy's row-slice copy: the
+    # column slice in bulk_quick_bounds reads only what it keeps.
+    full = store._counts
+    start, stop = int(full.indptr[row_lo]), int(full.indptr[row_hi])
+    counts = (
+        full.data[start:stop],
+        full.indices[start:stop],
+        full.indptr[row_lo : row_hi + 1] - start,
+    )
+    touched = sum(part.nbytes for part in counts)
     sliced = HistogramArrayStore.from_state(
-        store.ndim, store._lo, store._shape, totals, counts, sparse=store._sparse
+        store.ndim, store._lo, store._shape, totals, counts
     )
     return sliced.bulk_quick_bounds(query_histogram), touched + totals.nbytes
 
@@ -1061,15 +964,23 @@ class TieredDatabase:
         self._arrays = block.arrays()
         self.page_size = int(manifest["page_size"])
         # Histogram skip-block summaries, keyed like the variant cache:
-        # (delta, axis) -> {smax (cells, blocks), stmin (blocks,), block}.
+        # (delta, axis) -> {smax, stmin (blocks,), block}.  The stored
+        # one-row-per-block CSR is transposed once to (cells, blocks),
+        # so a query's neighbourhood columns are a row gather.
         self._summaries: Dict[Tuple[float, Optional[int]], Dict[str, object]] = {}
         for variant in manifest["hist"]:
-            info = variant.get("summary")
-            if not info:
-                continue
+            info = variant["summary"]
             tag = variant["tag"]
+            smax = sparse.csr_matrix(
+                (
+                    self._arrays[f"{tag}_smax"],
+                    self._arrays[f"{tag}_sindices"],
+                    self._arrays[f"{tag}_sindptr"],
+                ),
+                shape=(int(info["blocks"]), int(np.prod(variant["shape"]))),
+            )
             self._summaries[(float(variant["delta"]), variant["axis"])] = {
-                "smax": self._arrays[f"{tag}_smax"],
+                "smax": smax.T.tocsr(),
                 "stmin": self._arrays[f"{tag}_stmin"],
                 "block": int(info["block"]),
             }
@@ -1152,21 +1063,16 @@ class TieredDatabase:
                     arrays[f"{tag}_koffsets"],
                 ),
             )
-            if variant["sparse"]:
-                counts = (
-                    arrays[f"{tag}_data"],
-                    arrays[f"{tag}_indices"],
-                    arrays[f"{tag}_indptr"],
-                )
-            else:
-                counts = arrays[f"{tag}_counts"]
             database._histogram_arrays[key] = HistogramArrayStore.from_state(
                 variant["ndim"],
                 np.asarray(variant["lo"], dtype=np.int64),
                 np.asarray(variant["shape"], dtype=np.int64),
                 arrays[f"{tag}_totals"],
-                counts,
-                sparse=variant["sparse"],
+                (
+                    arrays[f"{tag}_kcounts"],
+                    arrays[f"{tag}_indices"],
+                    arrays[f"{tag}_koffsets"],
+                ),
             )
         if manifest["nti"] is not None:
             matrix = arrays["nti_matrix"]
@@ -1239,8 +1145,8 @@ class TieredDatabase:
     def _pruner_bytes(self, pruner: Pruner, query: Trajectory) -> int:
         """Columnar bytes one pruner's bulk filter pass touches.
 
-        Histogram stores are scanned in full (totals plus the count
-        matrix — CSR triple or dense).  The Q-gram merge join probes the
+        Histogram stores are scanned in full (totals plus the CSR count
+        matrix).  The Q-gram merge join probes the
         sorted pool by binary search, so only the probe path and the
         matched ε-windows count — that component is what makes total
         filter bytes grow sublinearly with the corpus.  NTI counts its
@@ -1251,16 +1157,13 @@ class TieredDatabase:
         if isinstance(pruner, HistogramPruner):
             total = 0
             for store in pruner._stores:
-                total += store.totals.nbytes
-                if store._sparse:
-                    counts = store._counts
-                    total += (
-                        counts.data.nbytes
-                        + counts.indices.nbytes
-                        + counts.indptr.nbytes
-                    )
-                else:
-                    total += store._counts.nbytes
+                counts = store._counts
+                total += (
+                    store.totals.nbytes
+                    + counts.data.nbytes
+                    + counts.indices.nbytes
+                    + counts.indptr.nbytes
+                )
             return total
         if isinstance(pruner, QgramMergeJoinPruner):
             pool_values, _pool_owners = pruner._flat_pool
@@ -1923,18 +1826,11 @@ class TieredDatabase:
             klo, khi = int(koffsets[start]), int(koffsets[stop])
             entries[f"{tag}_keys"] = sliced(f"{tag}_keys", klo, khi)
             entries[f"{tag}_kcounts"] = sliced(f"{tag}_kcounts", klo, khi)
+            entries[f"{tag}_indices"] = sliced(f"{tag}_indices", klo, khi)
             entries[f"{tag}_koffsets"] = sliced(
                 f"{tag}_koffsets", start, stop + 1, bias=klo
             )
             entries[f"{tag}_totals"] = sliced(f"{tag}_totals", start, stop)
-            if variant["sparse"]:
-                entries[f"{tag}_data"] = sliced(f"{tag}_data", klo, khi)
-                entries[f"{tag}_indices"] = sliced(f"{tag}_indices", klo, khi)
-                entries[f"{tag}_indptr"] = sliced(
-                    f"{tag}_indptr", start, stop + 1, bias=klo
-                )
-            else:
-                entries[f"{tag}_counts"] = sliced(f"{tag}_counts", start, stop)
             meta["hist"].append(dict(variant))
 
         if "nti" in parts:

@@ -9,7 +9,6 @@ check the engines end to end against the sequential scan.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,7 @@ from repro import (
     knn_sorted_scan,
     knn_sorted_search,
 )
-from repro.core.histogram import HistogramArrayStore, histogram_distance_quick
+from repro.core.histogram import histogram_distance_quick, histogram_window_bound
 from repro.eval import same_answers
 from repro.index.mergejoin import (
     bulk_count_common,
@@ -63,6 +62,16 @@ COMMON_SETTINGS = settings(
 # ``bulk_workload`` factory in conftest.py (memoized per parameter set).
 
 
+def _store_variants(database, query):
+    """``(store, query histogram, candidate histograms)`` for the 2-D
+    store and each 1-D per-axis store."""
+    for axis in (None, *range(database.ndim)):
+        space, histograms = database.histograms(delta=1.0, axis=axis)
+        projected = query if axis is None else query.projection(axis)
+        store = database.histogram_arrays(delta=1.0, axis=axis)
+        yield store, space.histogram(projected), histograms
+
+
 # ----------------------------------------------------------------------
 # Kernel-level equality
 # ----------------------------------------------------------------------
@@ -97,31 +106,36 @@ class TestHistogramKernel:
     @COMMON_SETTINGS
     @given(databases())
     def test_csr_store_and_row_slices_match_dict_quick_bound(self, case):
-        """The CSR path (large grids, shard stores, tiered blocks) and
-        every row slice of it equal the scalar bound too."""
-        sparse = pytest.importorskip("scipy.sparse")
+        """Every row slice (shard stores, tiered blocks) of the 2-D and
+        the per-axis stores equals the scalar bound too."""
         database, query = case
-        store = database.histogram_arrays(delta=1.0)
-        space, histograms = database.histograms(delta=1.0)
-        query_histogram = space.histogram(query)
-        counts = (
-            store._counts
-            if store._sparse
-            else sparse.csr_matrix(np.asarray(store._counts))
-        )
-        csr = HistogramArrayStore.from_state(
-            store.ndim, store._lo, store._shape, store.totals,
-            (counts.data, counts.indices, counts.indptr), sparse=True,
-        )
-        want = [
-            histogram_distance_quick(query_histogram, candidate)
-            for candidate in histograms
-        ]
-        assert csr.bulk_quick_bounds(query_histogram).tolist() == want
-        for lo in range(len(histograms)):
-            for hi in (lo, lo + 1, len(histograms)):
-                piece, _ = _sliced_quick_bounds(csr, query_histogram, lo, hi)
-                assert piece.tolist() == want[lo:hi]
+        for store, query_histogram, histograms in _store_variants(database, query):
+            want = [
+                histogram_distance_quick(query_histogram, candidate)
+                for candidate in histograms
+            ]
+            for lo in range(len(histograms)):
+                for hi in (lo, lo + 1, len(histograms)):
+                    piece, _ = _sliced_quick_bounds(store, query_histogram, lo, hi)
+                    assert piece.tolist() == want[lo:hi]
+
+    @COMMON_SETTINGS
+    @given(databases())
+    def test_window_bounds_match_dict_window_bound(self, case):
+        database, query = case
+        for store, query_histogram, histograms in _store_variants(database, query):
+            far = {tuple(key + 1000 for key in next(iter(query_histogram))): 2}
+            for histogram in (query_histogram, {}, far):
+                bulk = store.bulk_window_bounds(histogram)
+                assert bulk.dtype == np.int64
+                assert bulk.tolist() == [
+                    histogram_window_bound(histogram, candidate)
+                    for candidate in histograms
+                ]
+                assert store.bulk_quick_bounds(histogram).tolist() == [
+                    histogram_distance_quick(histogram, candidate)
+                    for candidate in histograms
+                ]
 
 
 class TestMergeJoinKernel:

@@ -7,7 +7,9 @@ cold-built database over the same logical corpus — because the view
 assembles byte-identical pruning artifacts incrementally.
 """
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +461,16 @@ class TestGenerationChaos:
             assert generation.tiered is not None
         finally:
             generation.close()
+
+    def test_compact_closes_the_generation_it_reads(self, tmp_path):
+        root = IngestRoot.init(
+            tmp_path / "root", _corpus(33, count=6), EPSILON, kind="store"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            compact(root)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_init_refuses_existing_root(self, tmp_path):
         IngestRoot.init(tmp_path / "root", _corpus(32, count=4), EPSILON)

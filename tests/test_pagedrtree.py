@@ -87,25 +87,25 @@ class TestIoAccounting:
     def test_probes_cost_page_reads(self, tmp_path):
         rng = np.random.default_rng(7)
         points = rng.uniform(-10, 10, size=(2000, 2))
-        tree = PagedRTree.build(
+        with PagedRTree.build(
             tmp_path / "t.rtree", points, list(range(2000)),
             page_size=256, pool_pages=4,
-        )
-        before = tree.pool.misses
-        tree.match_search(rng.uniform(-10, 10, size=2), 0.3)
-        probe_cost = tree.pool.misses - before
+        ) as tree:
+            before = tree.pool.misses
+            tree.match_search(rng.uniform(-10, 10, size=2), 0.3)
+            probe_cost = tree.pool.misses - before
         assert probe_cost >= 2  # at least root + one leaf
 
     def test_warm_pool_reduces_physical_reads(self, tmp_path):
         rng = np.random.default_rng(8)
         points = rng.uniform(-1, 1, size=(500, 2))
-        tree = PagedRTree.build(
+        with PagedRTree.build(
             tmp_path / "t.rtree", points, list(range(500)),
             page_size=512, pool_pages=64,
-        )
-        query = np.zeros(2)
-        tree.match_search(query, 0.2)
-        cold_misses = tree.pool.misses
-        tree.match_search(query, 0.2)  # identical probe: all pages cached
-        assert tree.pool.misses == cold_misses
-        assert tree.pool.hits > 0
+        ) as tree:
+            query = np.zeros(2)
+            tree.match_search(query, 0.2)
+            cold_misses = tree.pool.misses
+            tree.match_search(query, 0.2)  # identical probe: all pages cached
+            assert tree.pool.misses == cold_misses
+            assert tree.pool.hits > 0

@@ -219,8 +219,9 @@ class TestValidation:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert "invalid JSON" in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:  # the error holds the response socket
+            assert error.code == 400
+            assert "invalid JSON" in json.loads(error.read())["error"]
 
     @pytest.mark.parametrize(
         "payload",
@@ -275,7 +276,8 @@ class TestValidation:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
-            assert excinfo.value.code == 413
+            with excinfo.value as error:  # the error holds the response socket
+                assert error.code == 413
 
 
 class TestAdmissionControl:
@@ -312,8 +314,8 @@ class TestAdmissionControl:
             for error in rejections:
                 assert error.status == 503
                 assert error.retry_after == 2.0
-            stats = ServiceClient(handle.host, handle.port).stats()
-            assert stats["rejected"] == len(rejections)
+            with ServiceClient(handle.host, handle.port) as sc:
+                assert sc.stats()["rejected"] == len(rejections)
 
     def test_request_timeout_returns_504(self, database):
         config = ServiceConfig(

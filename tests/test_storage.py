@@ -84,39 +84,42 @@ class TestBufferPool:
         return file
 
     def test_hit_after_miss(self, tmp_path):
-        pool = BufferPool(self.make_file(tmp_path), capacity=4)
-        pool.get(0)
-        pool.get(0)
-        assert pool.misses == 1
-        assert pool.hits == 1
-        assert pool.hit_rate == 0.5
+        with self.make_file(tmp_path) as file:
+            pool = BufferPool(file, capacity=4)
+            pool.get(0)
+            pool.get(0)
+            assert pool.misses == 1
+            assert pool.hits == 1
+            assert pool.hit_rate == 0.5
 
     def test_lru_eviction_order(self, tmp_path):
-        pool = BufferPool(self.make_file(tmp_path), capacity=2)
-        pool.get(0)
-        pool.get(1)
-        pool.get(0)  # 0 becomes most recent
-        pool.get(2)  # evicts 1
-        assert pool.evictions == 1
-        assert set(pool.resident_pages()) == {0, 2}
+        with self.make_file(tmp_path) as file:
+            pool = BufferPool(file, capacity=2)
+            pool.get(0)
+            pool.get(1)
+            pool.get(0)  # 0 becomes most recent
+            pool.get(2)  # evicts 1
+            assert pool.evictions == 1
+            assert set(pool.resident_pages()) == {0, 2}
 
     def test_dirty_write_back_on_eviction(self, tmp_path):
-        file = self.make_file(tmp_path)
-        pool = BufferPool(file, capacity=1)
-        pool.put(0, b"dirty!")
-        pool.get(1)  # evicts page 0, forcing write-back
-        assert file.read(0).startswith(b"dirty!")
+        with self.make_file(tmp_path) as file:
+            pool = BufferPool(file, capacity=1)
+            pool.put(0, b"dirty!")
+            pool.get(1)  # evicts page 0, forcing write-back
+            assert file.read(0).startswith(b"dirty!")
 
     def test_flush_writes_dirty_frames(self, tmp_path):
-        file = self.make_file(tmp_path)
-        pool = BufferPool(file, capacity=4)
-        pool.put(3, b"flushed")
-        pool.flush()
-        assert file.read(3).startswith(b"flushed")
+        with self.make_file(tmp_path) as file:
+            pool = BufferPool(file, capacity=4)
+            pool.put(3, b"flushed")
+            pool.flush()
+            assert file.read(3).startswith(b"flushed")
 
     def test_capacity_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            BufferPool(self.make_file(tmp_path), capacity=0)
+        with self.make_file(tmp_path) as file:
+            with pytest.raises(ValueError):
+                BufferPool(file, capacity=0)
 
 
 def sample_trajectories(count=25, seed=0):

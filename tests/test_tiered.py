@@ -17,6 +17,7 @@ import pytest
 from repro import ShardedDatabase, Trajectory, TrajectoryDatabase, knn_search
 from repro.core.rangequery import range_search
 from repro.core.search import knn_sorted_search
+from repro.core.sharding import _pack_shard
 from repro.service.pruning import build_pruners
 from repro.storage import StoreError, TieredDatabase, build_store
 from repro.storage.tiered import STORE_VERSION
@@ -28,6 +29,11 @@ VARIANTS = ((1.0, None), (1.0, 0), (1.0, 1))
 ALL_PARTS = ("histogram", "histogram-1d", "qgram", "nti")
 MAX_TRIANGLE = 12
 EPSILON = 0.4
+
+
+def _csr_bytes(store):
+    counts = store._counts
+    return [part.tobytes() for part in (counts.data, counts.indices, counts.indptr)]
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +81,17 @@ class TestOutOfCoreByteIdentity:
             chunk_size=chunk_size,
             max_triangle=MAX_TRIANGLE,
         )
+        shard_arrays, shard_meta = _pack_shard(
+            database, 0, len(database), ("histogram", "histogram-1d"), MAX_TRIANGLE
+        )
+        shard_tags = {
+            (v["delta"], v["axis"]): v["tag"] for v in shard_meta["hist"]
+        }
         with TieredDatabase.open(directory) as tiered:
             arrays = tiered._arrays
+            stored_tags = {
+                (v["delta"], v["axis"]): v["tag"] for v in tiered.manifest["hist"]
+            }
 
             packed = np.concatenate([t.points for t in trajectories])
             np.testing.assert_array_equal(arrays["points"], packed)
@@ -106,16 +121,18 @@ class TestOutOfCoreByteIdentity:
                 np.testing.assert_array_equal(theirs._lo, mine._lo)
                 np.testing.assert_array_equal(theirs._shape, mine._shape)
                 np.testing.assert_array_equal(theirs.totals, mine.totals)
-                assert theirs._sparse == mine._sparse
-                dense_mine = (
-                    mine._counts.toarray() if mine._sparse else np.asarray(mine._counts)
-                )
-                dense_theirs = (
-                    theirs._counts.toarray()
-                    if theirs._sparse
-                    else np.asarray(theirs._counts)
-                )
-                np.testing.assert_array_equal(dense_theirs, dense_mine)
+                # One canonical CSR triple: the resident build, the shard
+                # pack and build_store's files agree byte for byte.
+                assert _csr_bytes(theirs) == _csr_bytes(mine)
+                stored, shard = stored_tags[(delta, axis)], shard_tags[(delta, axis)]
+                for stored_name, shard_name in (
+                    (f"{stored}_kcounts", f"{shard}_kcounts"),
+                    (f"{stored}_indices", f"{shard}_indices"),
+                    (f"{stored}_koffsets", f"{shard}_koffsets"),
+                ):
+                    got = shard_arrays[shard_name]
+                    assert arrays[stored_name].dtype == got.dtype
+                    assert arrays[stored_name].tobytes() == got.tobytes()
 
             columns = database.reference_columns(MAX_TRIANGLE)
             tiered_columns = tiered.database.reference_columns(MAX_TRIANGLE)
@@ -272,11 +289,22 @@ class TestBlockSkipping:
                 == serial_stats.true_distance_computations
             )
 
-    def test_matches_unblocked_tiered_path(self, corpus, blocked_store):
+    def test_matches_unblocked_tiered_path(self, corpus, blocked_store, monkeypatch):
+        import repro.storage.tiered as tiered_module
+
         _, _, queries = corpus
         tiered, _ = blocked_store
+        histogram_bytes = []
+        for name in ("_summary_block_bounds", "_sliced_quick_bounds"):
+            def counted(*args, _bounds=getattr(tiered_module, name)):
+                bounds, touched = _bounds(*args)
+                histogram_bytes.append(touched)
+                return bounds, touched
+
+            monkeypatch.setattr(tiered_module, name, counted)
         for query in queries:
             primary, *secondary = build_pruners(tiered.database, "histogram,qgram")
+            histogram_bytes.clear()
             got, stats = tiered.knn_sorted_search(query, 5, primary, secondary)
             flat, flat_stats = tiered.knn_sorted_search(
                 query, 5, primary, secondary, block_skip=False
@@ -285,9 +313,14 @@ class TestBlockSkipping:
             assert stats.pruned_by == flat_stats.pruned_by
             assert flat_stats.blocks_total == 0  # full-scan path
             # Even when every block opens (this corpus has no ingest
-            # locality), the summary premium stays a few percent; real
-            # skipping is asserted on the clustered corpus below.
-            assert stats.bytes_touched <= 1.25 * flat_stats.bytes_touched
+            # locality), summaries plus opened blocks cost the primary at
+            # most a quarter more than its flat count-matrix scan; real
+            # skipping is asserted on the clustered corpus below.  Only
+            # the primary's quick-bound bytes are compared: the paths
+            # charge the exact stage and the secondaries under different
+            # models, and refine pages depend on which run warmed the pool.
+            flat_bytes = tiered._pruner_bytes(primary, query)
+            assert sum(histogram_bytes) <= 1.25 * flat_bytes
 
     def test_summary_bounds_lower_bound_every_member(
         self, corpus, blocked_store
@@ -448,13 +481,16 @@ class TestStoreFailureModes:
             TieredDatabase.open(clone)
 
     def test_version_mismatch(self, store_dir, tmp_path):
-        manifest = json.loads((store_dir / "manifest.json").read_text())
-        manifest["version"] = STORE_VERSION + 1
-        clone = tmp_path / "stale"
-        clone.mkdir()
-        (clone / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StoreError, match="rebuild the store"):
-            TieredDatabase.open(clone)
+        # Version 2 stores may hold dense count matrices this build no
+        # longer reads; a future version is just as foreign.
+        for version in (2, STORE_VERSION + 1):
+            manifest = json.loads((store_dir / "manifest.json").read_text())
+            manifest["version"] = version
+            clone = tmp_path / f"stale{version}"
+            clone.mkdir()
+            (clone / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(StoreError, match="rebuild the store"):
+                TieredDatabase.open(clone)
 
     def test_truncated_array_file(self, store_dir, tmp_path, corpus):
         _, trajectories, _ = corpus
