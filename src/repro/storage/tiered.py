@@ -116,8 +116,8 @@ __all__ = [
 STORE_FORMAT = "repro-tiered-store"
 # Version 2: q=1 Q-gram means are the points verbatim (version 1 stored
 # cumsum-differenced means that can miss exact ε-boundary matches).
-# Version 3: every histogram count matrix, block summaries included, is
-# CSR (no dense ``h{i}_counts.bin``, no ``sparse`` manifest key).
+# Version 3: every histogram count matrix is CSR (no dense
+# ``h{i}_counts.bin``, no ``sparse`` manifest key).
 STORE_VERSION = 3
 
 _QGRAM_Q = 1
@@ -126,6 +126,8 @@ _STORE_PARTS = ("histogram", "histogram-1d", "qgram", "nti")
 _BLOCK_ROWS = 131072
 # Trajectories per block-summary skip block (see `_summary_block_bounds`).
 DEFAULT_SUMMARY_BLOCK = 4096
+# Skip the summary matrix when it would exceed this many bytes.
+_SUMMARY_BYTE_LIMIT = 256 * 1024 * 1024
 
 
 def _run_dtype(ndim: int) -> np.dtype:
@@ -753,18 +755,23 @@ def build_store(
             for name in ("indices", "kcounts")
         )
         # Per-block skip summaries: element-wise max counts over each
-        # block's rows, one CSR row per block on the same grid, plus the
+        # block's rows (transposed to (cells, blocks) so a query's
+        # neighborhood columns land on few contiguous pages) plus the
         # block's minimum total.  `_summary_block_bounds` turns these
         # into a lower bound on every member's quick HD bound, so the
         # blocked sorted engine can rule out whole blocks without
         # faulting their count-matrix rows.
         nblocks = (count + summary_block - 1) // summary_block
-        stmin = np.empty(nblocks, dtype=np.int64)
-        sindptr = np.zeros(nblocks + 1, dtype=np.int64)
-        scratch = np.zeros(cells, dtype=np.int64)
-        with open(directory / f"{tag}_sindices.bin", "wb") as sindices_handle, open(
-            directory / f"{tag}_smax.bin", "wb"
-        ) as smax_handle:
+        summary_info: Optional[Dict[str, int]] = None
+        if cells * nblocks * 8 <= _SUMMARY_BYTE_LIMIT:
+            smax_mm = np.memmap(
+                directory / f"{tag}_smax.bin",
+                dtype=np.int64,
+                mode="w+",
+                shape=(cells, nblocks),
+            )
+            stmin = np.empty(nblocks, dtype=np.int64)
+            scratch = np.zeros(cells, dtype=np.int64)
             for block_id in range(nblocks):
                 row_lo = block_id * summary_block
                 row_hi = min(row_lo + summary_block, count)
@@ -773,23 +780,22 @@ def build_store(
                 columns = indices_mm[klo:khi]
                 np.maximum.at(scratch, columns, kcounts_mm[klo:khi])
                 used = np.unique(columns)
-                sindices_handle.write(used.astype(np.int64).tobytes())
-                smax_handle.write(scratch[used].tobytes())
+                smax_mm[used, block_id] = scratch[used]
                 scratch[used] = 0
-                sindptr[block_id + 1] = sindptr[block_id] + len(used)
                 if block_id % 64 == 0:
                     _drop_pages(indices_mm)
                     _drop_pages(kcounts_mm)
+            smax_mm.flush()
+            del smax_mm
+            _write_array(directory / f"{tag}_stmin.bin", stmin)
+            entries[f"{tag}_smax"] = _entry(
+                f"{tag}_smax.bin", np.int64, (cells, nblocks)
+            )
+            entries[f"{tag}_stmin"] = _entry(
+                f"{tag}_stmin.bin", np.int64, (nblocks,)
+            )
+            summary_info = {"block": int(summary_block), "blocks": int(nblocks)}
         del indices_mm, kcounts_mm
-        snnz = int(sindptr[-1])
-        _write_array(directory / f"{tag}_sindptr.bin", sindptr)
-        _write_array(directory / f"{tag}_stmin.bin", stmin)
-        entries[f"{tag}_smax"] = _entry(f"{tag}_smax.bin", np.int64, (snnz,))
-        entries[f"{tag}_sindices"] = _entry(f"{tag}_sindices.bin", np.int64, (snnz,))
-        entries[f"{tag}_sindptr"] = _entry(
-            f"{tag}_sindptr.bin", np.int64, (nblocks + 1,)
-        )
-        entries[f"{tag}_stmin"] = _entry(f"{tag}_stmin.bin", np.int64, (nblocks,))
         _write_array(directory / f"{tag}_koffsets.bin", koffsets)
         _write_array(directory / f"{tag}_totals.bin", totals)
         entries[f"{tag}_keys"] = _entry(f"{tag}_keys.bin", np.int64, (nnz, ndim_h))
@@ -809,7 +815,7 @@ def build_store(
                 "bin_size": float(space.bin_size),
                 "lo": [int(v) for v in lo],
                 "shape": [int(v) for v in shape],
-                "summary": {"block": int(summary_block), "blocks": int(nblocks)},
+                "summary": summary_info,
             }
         )
         tick(f"pass2:{tag}", count, count)
@@ -877,7 +883,7 @@ def build_store(
 def _summary_block_bounds(
     store: HistogramArrayStore,
     query_histogram: Dict,
-    smax: sparse.csr_matrix,
+    smax: np.ndarray,
     stmin: np.ndarray,
 ) -> Tuple[np.ndarray, int]:
     """A lower bound on every block member's quick HD bound, per block.
@@ -890,18 +896,24 @@ def _summary_block_bounds(
         ``max(q_total, min totals) - min(cap_query, cap_candidate)``
 
     is ``<=`` each member's quick bound — sound for sorted access and
-    block skipping.  ``smax`` is the ``(cells, blocks)`` CSR of block
-    maxima.  Returns ``(bounds, bytes touched)``; only the
-    query-neighborhood rows of ``smax`` are read, so the cost is
-    O(blocks), not O(rows).
+    block skipping.  Returns ``(bounds, bytes touched)``; only the
+    query-neighborhood rows of the ``(cells, blocks)`` summary matrix
+    are faulted, so the cost is O(blocks), not O(rows).
+
+    With tiny blocks those rows can outweigh the CSR count matrix they
+    summarize; then only ``stmin`` is read, and both caps are replaced
+    by the query mass they never exceed.
     """
     probe = store.query_probe(query_histogram)
-    rows = smax[probe.columns]
     stmin = np.asarray(stmin)
-    touched = (
-        stmin.nbytes + rows.data.nbytes + rows.indices.nbytes + rows.indptr.nbytes
-    )
-    return probe.quick_bounds(rows.T.tocsr(), stmin), touched
+    counts = store._counts
+    matrix_bytes = counts.data.nbytes + counts.indices.nbytes + counts.indptr.nbytes
+    if len(probe.columns) * smax.shape[1] * smax.itemsize > matrix_bytes:
+        query_total = int(probe.amounts.sum())
+        return np.maximum(query_total, stmin) - query_total, stmin.nbytes
+    rows = np.asarray(smax[probe.columns])
+    near = sparse.csr_matrix(rows.T)
+    return probe.quick_bounds(near, stmin), stmin.nbytes + rows.nbytes
 
 
 def _sliced_quick_bounds(
@@ -964,23 +976,15 @@ class TieredDatabase:
         self._arrays = block.arrays()
         self.page_size = int(manifest["page_size"])
         # Histogram skip-block summaries, keyed like the variant cache:
-        # (delta, axis) -> {smax, stmin (blocks,), block}.  The stored
-        # one-row-per-block CSR is transposed once to (cells, blocks),
-        # so a query's neighbourhood columns are a row gather.
+        # (delta, axis) -> {smax (cells, blocks), stmin (blocks,), block}.
         self._summaries: Dict[Tuple[float, Optional[int]], Dict[str, object]] = {}
         for variant in manifest["hist"]:
-            info = variant["summary"]
+            info = variant.get("summary")
+            if not info:
+                continue
             tag = variant["tag"]
-            smax = sparse.csr_matrix(
-                (
-                    self._arrays[f"{tag}_smax"],
-                    self._arrays[f"{tag}_sindices"],
-                    self._arrays[f"{tag}_sindptr"],
-                ),
-                shape=(int(info["blocks"]), int(np.prod(variant["shape"]))),
-            )
             self._summaries[(float(variant["delta"]), variant["axis"])] = {
-                "smax": smax.T.tocsr(),
+                "smax": self._arrays[f"{tag}_smax"],
                 "stmin": self._arrays[f"{tag}_stmin"],
                 "block": int(info["block"]),
             }

@@ -13,12 +13,32 @@ so the corpora (and therefore every derived expectation) are identical
 to what the files constructed for themselves.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import Trajectory, TrajectoryDatabase
 
 __all__ = ["random_walk_trajectories"]
+
+_LEAKS_FAIL = (
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+)
+
+
+def pytest_collection_modifyitems(config, items):
+    """An unclosed file, socket or mmap is a leak: fail the test that left it.
+
+    Scoped to this directory's tests, not set in ``pyproject.toml``, so
+    other suites collected in the same run keep their own warning level.
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            for mark in _LEAKS_FAIL:
+                item.add_marker(mark)
 
 
 def random_walk_trajectories(

@@ -290,37 +290,43 @@ class TestBlockSkipping:
             )
 
     def test_matches_unblocked_tiered_path(self, corpus, blocked_store, monkeypatch):
-        import repro.storage.tiered as tiered_module
+        from repro.core.search import _HistogramQuery
 
         _, _, queries = corpus
         tiered, _ = blocked_store
-        histogram_bytes = []
-        for name in ("_summary_block_bounds", "_sliced_quick_bounds"):
-            def counted(*args, _bounds=getattr(tiered_module, name)):
-                bounds, touched = _bounds(*args)
-                histogram_bytes.append(touched)
-                return bounds, touched
+        exact_stage = []
+        exact_lower_bound = _HistogramQuery.exact_lower_bound
 
-            monkeypatch.setattr(tiered_module, name, counted)
+        def recorded(query_state, candidate_index):
+            exact_stage.append(candidate_index)
+            return exact_lower_bound(query_state, candidate_index)
+
+        monkeypatch.setattr(_HistogramQuery, "exact_lower_bound", recorded)
         for query in queries:
             primary, *secondary = build_pruners(tiered.database, "histogram,qgram")
-            histogram_bytes.clear()
+            # Warm the pool so neither run pays for the other's pages.
+            tiered.knn_sorted_search(query, 5, primary, secondary, block_skip=False)
+            exact_stage.clear()
             got, stats = tiered.knn_sorted_search(query, 5, primary, secondary)
+            blocked_exact = list(exact_stage)
+            exact_stage.clear()
             flat, flat_stats = tiered.knn_sorted_search(
                 query, 5, primary, secondary, block_skip=False
             )
             assert _answers(got) == _answers(flat)
             assert stats.pruned_by == flat_stats.pruned_by
             assert flat_stats.blocks_total == 0  # full-scan path
+            assert blocked_exact == exact_stage
+            assert stats.pages_read == flat_stats.pages_read == 0
+            # The blocked engine charges the exact stage per visited
+            # candidate; the flat one runs it on the same candidates but
+            # does not charge it, so charge it here under the same model.
+            cost, fixed = tiered._per_candidate_bytes(primary)
+            flat_bytes = flat_stats.bytes_touched + fixed + int(cost[exact_stage].sum())
             # Even when every block opens (this corpus has no ingest
-            # locality), summaries plus opened blocks cost the primary at
-            # most a quarter more than its flat count-matrix scan; real
-            # skipping is asserted on the clustered corpus below.  Only
-            # the primary's quick-bound bytes are compared: the paths
-            # charge the exact stage and the secondaries under different
-            # models, and refine pages depend on which run warmed the pool.
-            flat_bytes = tiered._pruner_bytes(primary, query)
-            assert sum(histogram_bytes) <= 1.25 * flat_bytes
+            # locality), the summary premium stays bounded; real
+            # skipping is asserted on the clustered corpus below.
+            assert stats.bytes_touched <= 1.25 * flat_bytes
 
     def test_summary_bounds_lower_bound_every_member(
         self, corpus, blocked_store
@@ -339,8 +345,16 @@ class TestBlockSkipping:
                 for store, query_histogram, summary in zip(
                     pruner._stores, query_state._query, summaries
                 ):
-                    block_bounds, _ = _summary_block_bounds(
+                    # Attached, not loaded: queries fault only what they read.
+                    assert isinstance(summary["smax"], np.memmap)
+                    block_bounds, touched = _summary_block_bounds(
                         store, query_histogram, summary["smax"], summary["stmin"]
+                    )
+                    # Never more than the count matrix it stands in for.
+                    counts = store._counts
+                    assert touched <= summary["stmin"].nbytes + sum(
+                        part.nbytes
+                        for part in (counts.data, counts.indices, counts.indptr)
                     )
                     member_bounds = store.bulk_quick_bounds(query_histogram)
                     for block_id in range(len(block_bounds)):
