@@ -171,6 +171,10 @@ class _WindowResultList:
         return len(self._items)
 
 
+#: Cap on the alpha-derived window length: past every trajectory length.
+_MAX_WINDOW = float(2**53)
+
+
 def resolve_window_range(
     query_length: int,
     alpha: float = DEFAULT_WINDOW_ALPHA,
@@ -188,17 +192,23 @@ def resolve_window_range(
     """
     if query_length < 1:
         raise ValueError("subtrajectory search requires a non-empty query")
-    if alpha < 0.0:
+    if not alpha >= 0.0:  # NaN too
         raise ValueError("window band alpha must be non-negative")
+    # The float band edges are clamped before rounding: a huge finite
+    # alpha would overflow ``m·(1±α)`` to ±inf or round to an integer
+    # no array index holds.  Per-trajectory bands clamp to the length
+    # anyway, so any alpha past the cap answers alike.
     lo = (
         int(min_window)
         if min_window is not None
-        else max(1, math.ceil(query_length * (1.0 - alpha)))
+        else math.ceil(max(1.0, query_length * (1.0 - alpha)))
     )
     hi = (
         int(max_window)
         if max_window is not None
-        else max(lo, math.floor(query_length * (1.0 + alpha)))
+        else max(
+            lo, math.floor(min(_MAX_WINDOW, query_length * (1.0 + alpha)))
+        )
     )
     if lo < 1:
         raise ValueError("minimum window length must be at least 1")

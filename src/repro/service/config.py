@@ -108,8 +108,6 @@ class ServiceConfig:
     # Micro-batching
     max_batch: int = 16
     max_delay_ms: float = 5.0
-    batch_executor: str = "auto"
-    batch_workers: Optional[int] = None
 
     # Result cache
     cache_size: int = 256

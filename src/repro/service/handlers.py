@@ -1,12 +1,17 @@
 """Request handling for the trajectory query service.
 
-:class:`TrajectoryService` is the transport-independent core of the
-server: it owns the resident database, the warmed pruner chains, the
-micro-batcher, the result cache, the metrics registry, and the single
-dispatch executor.  The HTTP layer (:mod:`repro.service.server`) parses
-requests off the wire and hands ``(method, path, body)`` to
-:meth:`TrajectoryService.handle`, which returns
-``(status, payload, extra_headers)``.
+:class:`QueryEngine` is the one request executor of the service: over
+one database generation it owns the warmed pruner chains, the optional
+resident shard engine, one runner per query route and the payload
+encoders.  :class:`TrajectoryService` is the transport-independent core
+of the server around it: the micro-batcher, the result cache, the
+metrics registry, admission control, and the single dispatch executor
+the engine runs on.  With ``replicas > 1`` every replica process runs
+its own :class:`QueryEngine` (:mod:`repro.service.replicas`), so served
+bytes are the same whichever tier answers.  The HTTP layer
+(:mod:`repro.service.server`) parses requests off the wire and hands
+``(method, path, body)`` to :meth:`TrajectoryService.handle`, which
+returns ``(status, payload, extra_headers)``.
 
 Endpoints
 ---------
@@ -57,15 +62,16 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.batch import knn_batch, warm_pruners
+from ..core.batch import BatchResult, knn_batch, warm_pruners
 from ..core.database import TrajectoryDatabase
 from ..core.kernels import kernel_report
 from ..core.rangequery import range_search
 from ..core.search import Neighbor, Pruner, SearchStats
+from ..core.sharding import ShardedDatabase
 from ..core.subtrajectory import DEFAULT_WINDOW_ALPHA, WindowMatch
 from ..core.trajectory import Trajectory
 from ..distances.base import EPSILON_FUNCTIONS, available_distances, get_distance
@@ -76,9 +82,17 @@ from .metrics import MetricsRegistry
 from .pruning import build_pruners, canonical_pruner_spec
 from .replicas import FleetRejection, FleetSpec, ReplicaFleet
 
-__all__ = ["TrajectoryService", "RequestError"]
+__all__ = ["QueryEngine", "TrajectoryService", "RequestError"]
 
 JSON_HEADERS = {"Content-Type": "application/json"}
+
+#: Query route -> engine op.
+_QUERY_OPS = {
+    "/knn": "knn",
+    "/subknn": "subknn",
+    "/range": "range",
+    "/distance": "distance",
+}
 
 
 class RequestError(Exception):
@@ -91,6 +105,183 @@ class RequestError(Exception):
         self.status = status
         self.message = message
         self.headers = headers or {}
+
+
+class QueryEngine:
+    """The request executor: exact filter-and-refine answers as payloads.
+
+    One engine serves one database generation.  It builds each pruner
+    chain once, holds the resident :class:`ShardedDatabase` when the
+    service shards, and decides per query whether the shard engine
+    answers (answers are the same either way).  Every runner returns the
+    wire payload and tallies its :class:`SearchStats` into ``metrics``.
+    A new generation gets a new engine; its owner calls it from a single
+    thread.
+    """
+
+    def __init__(
+        self,
+        database: TrajectoryDatabase,
+        config: ServiceConfig,
+        metrics: MetricsRegistry,
+        sharded: Optional[ShardedDatabase] = None,
+    ) -> None:
+        self.database = database
+        self.config = config
+        self.metrics = metrics
+        self.sharded = sharded
+        self._chains: Dict[str, List[Pruner]] = {}
+
+    def chain(self, spec: str) -> List[Pruner]:
+        """The built, warmed pruner chain for a canonical spec (cached)."""
+        chain = self._chains.get(spec)
+        if chain is None:
+            chain = build_pruners(
+                self.database, spec, matrix_workers=self.config.matrix_workers
+            )
+            warm_pruners(chain, self.database.trajectories[0])
+            self._chains[spec] = chain
+        return chain
+
+    def attach_shards(self, tiered=None) -> None:
+        """Start the resident shard engine over ``config.shards`` partitions.
+
+        Over a tiered store the shard workers map the store's own files
+        instead of packing artifact copies into shared memory.
+        """
+        refine = self.config.refine_batch_size
+        kwargs = {} if refine is None else {"refine_batch_size": refine}
+        build = (
+            tiered.sharded
+            if tiered is not None
+            else partial(ShardedDatabase, self.database)
+        )
+        self.sharded = build(
+            self.config.shards,
+            specs=[canonical_pruner_spec(self.config.pruners)],
+            mode="process",
+            workers=self.config.shard_workers,
+            **kwargs,
+        )
+
+    def close(self) -> None:
+        if self.sharded is not None:
+            self.sharded.close()
+            self.sharded = None
+
+    # -- runners -------------------------------------------------------
+    def knn(
+        self, queries: Sequence[Trajectory], k: int, spec: str
+    ) -> List[dict]:
+        return [
+            {
+                "neighbors": _neighbors_payload(neighbors),
+                "stats": _stats_payload(stats),
+            }
+            for neighbors, stats in self._batch(queries, k, spec)
+        ]
+
+    def subknn(
+        self, queries: Sequence[Trajectory], k: int, alpha: float, spec: str
+    ) -> List[dict]:
+        return [
+            {
+                "matches": _windows_payload(matches),
+                "stats": _stats_payload(stats),
+            }
+            for matches, stats in self._batch(
+                queries, k, spec, sub=True, alpha=alpha
+            )
+        ]
+
+    def range(self, query: Trajectory, radius: float, spec: str) -> dict:
+        results, stats = range_search(
+            self.database,
+            query,
+            radius,
+            self.chain(spec),
+            early_abandon=self.config.early_abandon,
+            refine_batch_size=self.config.refine_batch_size,
+            edr_kernel=self.config.edr_kernel,
+        )
+        self.metrics.record_search_stats([stats])
+        return {
+            "results": _neighbors_payload(results),
+            "stats": _stats_payload(stats),
+        }
+
+    @staticmethod
+    def distance(
+        first: Trajectory,
+        second: Trajectory,
+        function: str,
+        epsilon: Optional[float],
+    ) -> dict:
+        measure = get_distance(function)
+        if epsilon is None:
+            return {"distance": float(measure(first, second)), "function": function}
+        value = float(measure(first, second, epsilon))
+        return {"distance": value, "function": function, "epsilon": epsilon}
+
+    def execute(self, op: str, payloads: Sequence[dict]) -> List[dict]:
+        """Answer wire payloads of one op (point fields as lists or arrays).
+
+        k-NN and subknn payloads must share every field but ``points``:
+        they run as one batch.
+        """
+        if op in ("knn", "subknn"):
+            params = dict(payloads[0])
+            del params["points"]
+            queries = [Trajectory(payload["points"]) for payload in payloads]
+            return getattr(self, op)(queries, **params)
+        if op == "range":
+            return [
+                self.range(Trajectory(p["points"]), p["radius"], p["spec"])
+                for p in payloads
+            ]
+        if op == "distance":
+            return [
+                self.distance(
+                    Trajectory(p["first"]),
+                    Trajectory(p["second"]),
+                    p["function"],
+                    p.get("epsilon"),
+                )
+                for p in payloads
+            ]
+        raise ValueError(f"unknown query op {op!r}")
+
+    def _batch(
+        self, queries: Sequence[Trajectory], k: int, spec: str, **window
+    ) -> BatchResult:
+        """One ``knn_batch`` call (``window``: subknn's ``sub``, ``alpha``)."""
+        pruners = self.chain(spec)
+        sharded = self.sharded
+        # Window mode ignores the whole-trajectory engine choice (the
+        # banded DP is its own engine), so it runs partition-parallel
+        # whenever the coordinator can price the spec's bounds; whole
+        # trajectories also need a pruned, non-scan engine.
+        if (
+            sharded is not None
+            and (window or (self.config.engine != "scan" and pruners))
+            and sharded.supports(spec)
+        ):
+            window["sharded"] = sharded
+        batch = knn_batch(
+            self.database,
+            queries,
+            k,
+            pruners,
+            engine=self.config.engine,
+            early_abandon=self.config.early_abandon,
+            refine_batch_size=self.config.refine_batch_size,
+            edr_kernel=self.config.edr_kernel,
+            **window,
+        )
+        self.metrics.record_search_stats(
+            batch.stats, seconds=batch.elapsed_seconds
+        )
+        return batch
 
 
 class TrajectoryService:
@@ -134,7 +325,6 @@ class TrajectoryService:
             database = self._mutable.view()
         elif database is None:
             raise ValueError("a database (or config.store) is required")
-        self.database = database
         # Epoch token: part of every result-cache key, so a hot swap can
         # never serve a pre-swap answer even if a stale entry survived
         # the flush.  Static corpora keep a constant token.
@@ -149,6 +339,9 @@ class TrajectoryService:
         self._swap_failures = 0
         self._swap_fault_plan = None  # chaos-suite hook (swap:attach)
         self.metrics = MetricsRegistry(config.latency_window)
+        # The engine of the generation being served.  Only the dispatch
+        # thread replaces it, so every query runs wholly on one engine.
+        self.engine = QueryEngine(database, self.config, self.metrics)
         self.cache = ResultCache(config.cache_size)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-dispatch"
@@ -159,11 +352,14 @@ class TrajectoryService:
             executor=self._executor,
             on_batch=self.metrics.record_batch,
         )
-        self._pruner_chains: Dict[str, List[Pruner]] = {}
-        self._sharded = None  # resident ShardedDatabase when config.shards > 1
         self._fleet: Optional[ReplicaFleet] = None  # when config.replicas > 1
         self._inflight = 0
         self._draining = False
+
+    @property
+    def database(self) -> TrajectoryDatabase:
+        """The database generation being served."""
+        return self.engine.database
 
     # ------------------------------------------------------------------
     # Warm-up and lifecycle
@@ -176,41 +372,18 @@ class TrajectoryService:
         command logs it) can see what startup paid for.
         """
         start = time.perf_counter()
-        spec = canonical_pruner_spec(self.config.pruners)
         report = self._warm_database(self.database)
-        self._pruner_chain(spec)
+        self.engine.chain(canonical_pruner_spec(self.config.pruners))
         report["pruner_chain"] = time.perf_counter() - start - sum(report.values())
         if (
             self.config.shards > 1
-            and self._sharded is None
+            and self.engine.sharded is None
             # In fleet mode each replica runs its own sharded engine;
             # the parent never computes, so it keeps no shard pool.
             and self.config.replicas == 1
         ):
             shard_start = time.perf_counter()
-            refine = self.config.refine_batch_size
-            kwargs = {} if refine is None else {"refine_batch_size": refine}
-            if self._tiered is not None:
-                # Mmap-attach mode: shard workers map the store's own
-                # files instead of packing artifact copies into shm.
-                self._sharded = self._tiered.sharded(
-                    self.config.shards,
-                    specs=[spec],
-                    mode="process",
-                    workers=self.config.shard_workers,
-                    **kwargs,
-                )
-            else:
-                from ..core.sharding import ShardedDatabase
-
-                self._sharded = ShardedDatabase(
-                    self.database,
-                    self.config.shards,
-                    specs=[spec],
-                    mode="process",
-                    workers=self.config.shard_workers,
-                    **kwargs,
-                )
+            self.engine.attach_shards(self._tiered)
             report["sharding"] = time.perf_counter() - shard_start
         if self.config.replicas > 1 and self._fleet is None:
             fleet_start = time.perf_counter()
@@ -245,24 +418,8 @@ class TrajectoryService:
         """The replica fleet, when serving with ``replicas > 1``."""
         return self._fleet
 
-    def _pruner_chain(self, spec: str) -> List[Pruner]:
-        """The built, warmed pruner chain for a canonical spec (cached).
-
-        Called from the dispatch worker (and once from ``warm``); the
-        single-worker executor serializes dispatch, so construction
-        cannot race with itself.
-        """
-        chain = self._pruner_chains.get(spec)
-        if chain is None:
-            chain = build_pruners(
-                self.database, spec, matrix_workers=self.config.matrix_workers
-            )
-            warm_pruners(chain, self.database.trajectories[0])
-            self._pruner_chains[spec] = chain
-        return chain
-
     # ------------------------------------------------------------------
-    # Live ingest: generation hot-swap
+    # New generations: ingest hot swap and fleet deploys
     # ------------------------------------------------------------------
     def reload_if_changed(self):
         """Schedule a hot swap if the ingest root changed on disk.
@@ -280,15 +437,10 @@ class TrajectoryService:
         if self._ingest.state_token() == self._disk_token:
             return None
         self._swap_pending = True
-        if self._fleet is not None:
-            # Fleet mode: a generation change is a rolling deploy — the
-            # fleet swaps replicas one at a time onto the new view, so
-            # capacity never dips and epochs fence per-client answers.
-            return self._executor.submit(self._fleet_redeploy)
         return self._executor.submit(self._hot_swap)
 
-    def _fleet_redeploy(self) -> bool:
-        """Dispatch-thread body: roll the fleet onto the new generation."""
+    def _hot_swap(self) -> bool:
+        """Dispatch-thread body: attach the new generation atomically."""
         try:
             token = self._ingest.state_token()
             if self._swap_fault_plan is not None:
@@ -302,25 +454,27 @@ class TrajectoryService:
                 pool_pages=self.config.store_pool_pages, repair=False
             )
             view = mutable.view()
-            self._warm_database(view)
-            self._fleet.rolling_deploy(
-                FleetSpec(view, self.config, mutable.token)
-            )
+            if self._fleet is not None:
+                # Fleet mode: a generation change is a rolling deploy —
+                # the fleet swaps replicas one at a time onto the new
+                # view, so capacity never dips and epochs fence
+                # per-client answers.
+                self._deploy(FleetSpec(view, self.config, mutable.token))
+            else:
+                engine = QueryEngine(view, self.config, self.metrics)
+                engine.chain(canonical_pruner_spec(self.config.pruners))
+                if self.config.shards > 1:
+                    engine.attach_shards()
+                self._publish(engine, mutable.token)
         except Exception:
             self._swap_failures += 1
             self._swap_pending = False
             raise
-        old_mutable = self._mutable
-        self._mutable = mutable
-        self.database = view
-        self._pruner_chains = {}
-        self._epoch_token = mutable.token
-        self.cache.clear()
+        old_mutable, self._mutable = self._mutable, mutable
         self._disk_token = token
         self._swaps += 1
         self._swap_pending = False
-        if old_mutable is not None:
-            old_mutable.close()
+        old_mutable.close()
         return True
 
     def deploy_database(self, database: TrajectoryDatabase, epoch_token=None):
@@ -338,74 +492,33 @@ class TrajectoryService:
             else f"deploy:{self._fleet.epoch + 1}"
         )
         return self._executor.submit(
-            self._deploy_spec, FleetSpec(database, self.config, token)
+            self._deploy, FleetSpec(database, self.config, token)
         )
 
-    def _deploy_spec(self, spec: FleetSpec) -> int:
+    def _deploy(self, spec: FleetSpec) -> int:
+        """Dispatch-thread body: roll the fleet onto ``spec``, then publish it.
+
+        The database is warmed here, once, so every replica forks the
+        built artifacts copy-on-write.
+        """
         self._warm_database(spec.database)
         self._fleet.rolling_deploy(spec)
-        self.database = spec.database
-        self._pruner_chains = {}
-        self._epoch_token = spec.epoch_token
-        self.cache.clear()
+        self._publish(
+            QueryEngine(spec.database, self.config, self.metrics),
+            spec.epoch_token,
+        )
         return self._fleet.epoch
 
-    def _hot_swap(self) -> bool:
-        """Dispatch-thread body: attach the new generation atomically."""
-        try:
-            token = self._ingest.state_token()
-            if self._swap_fault_plan is not None:
-                from ..core import faults as _faults
+    def _publish(self, engine: QueryEngine, epoch_token: str) -> None:
+        """Serve a new generation: swap in its engine, rekey, close the old.
 
-                _faults.apply(
-                    self._swap_fault_plan.directives("swap:attach", 0),
-                    inline=True,
-                )
-            mutable = self._ingest.open_mutable(
-                pool_pages=self.config.store_pool_pages, repair=False
-            )
-            view = mutable.view()
-            spec = canonical_pruner_spec(self.config.pruners)
-            chain = build_pruners(
-                view, spec, matrix_workers=self.config.matrix_workers
-            )
-            warm_pruners(chain, view.trajectories[0])
-            sharded = None
-            if self.config.shards > 1:
-                from ..core.sharding import ShardedDatabase
-
-                refine = self.config.refine_batch_size
-                kwargs = {} if refine is None else {"refine_batch_size": refine}
-                sharded = ShardedDatabase(
-                    view,
-                    self.config.shards,
-                    specs=[spec],
-                    mode="process",
-                    workers=self.config.shard_workers,
-                    **kwargs,
-                )
-        except Exception:
-            self._swap_failures += 1
-            self._swap_pending = False
-            raise
-        # Publish: plain attribute assignments on the only thread that
-        # reads them during compute, so the swap is atomic with respect
-        # to every query.
-        old_mutable, old_sharded = self._mutable, self._sharded
-        self._mutable = mutable
-        self.database = view
-        self._pruner_chains = {spec: chain}
-        self._sharded = sharded
-        self._epoch_token = mutable.token
+        Plain assignments on the only thread that computes, so the swap
+        is atomic with respect to every query.
+        """
+        old, self.engine = self.engine, engine
+        self._epoch_token = epoch_token
         self.cache.clear()  # stale pre-swap answers must not survive
-        self._disk_token = token
-        self._swaps += 1
-        self._swap_pending = False
-        if old_sharded is not None:
-            old_sharded.close()
-        if old_mutable is not None:
-            old_mutable.close()
-        return True
+        old.close()
 
     def begin_drain(self) -> None:
         """Stop admitting compute requests (healthz/stats keep answering)."""
@@ -431,9 +544,7 @@ class TrajectoryService:
             self._fleet.close()
             self._fleet = None
         self._executor.shutdown(wait=False)
-        if self._sharded is not None:
-            self._sharded.close()
-            self._sharded = None
+        self.engine.close()
         if self._tiered is not None:
             self._tiered.close()
             self._tiered = None
@@ -489,25 +600,18 @@ class TrajectoryService:
                 # search stats — the router itself computes nothing.
                 payload["search"] = fleet_section["fleet"]["search"]
             return 200, payload, {}
-        if route == "/knn":
-            self._require_method(method, "POST")
-            return await self._handle_knn(self._json_body(body))
-        if route == "/subknn":
-            self._require_method(method, "POST")
-            return await self._handle_subknn(self._json_body(body))
-        if route == "/range":
-            self._require_method(method, "POST")
-            return await self._handle_range(self._json_body(body))
-        if route == "/distance":
-            self._require_method(method, "POST")
-            return await self._handle_distance(self._json_body(body))
-        raise RequestError(404, f"unknown path {route!r}")
+        op = _QUERY_OPS.get(route)
+        if op is None:
+            raise RequestError(404, f"unknown path {route!r}")
+        self._require_method(method, "POST")
+        return 200, await self._query(op, self._json_body(body)), {}
 
     # ------------------------------------------------------------------
     # Introspection endpoints
     # ------------------------------------------------------------------
     def _healthz(self) -> dict:
-        degraded = self._sharded is not None and self._sharded.degraded
+        sharded = self.engine.sharded
+        degraded = sharded is not None and sharded.degraded
         fleet_snapshot = (
             self._fleet.snapshot() if self._fleet is not None else None
         )
@@ -541,17 +645,17 @@ class TrajectoryService:
                 "alive": fleet_snapshot["alive"],
                 "epoch": fleet_snapshot["epoch"],
             }
-        if self._sharded is not None:
+        if sharded is not None:
             payload["sharding"] = {
                 "degraded": degraded,
-                "degraded_queries": self._sharded.resilience()["degraded_queries"],
+                "degraded_queries": sharded.resilience()["degraded_queries"],
             }
             if degraded and not self._draining:
                 # Probe/revive off the event loop: the single dispatch
                 # executor serializes the health check with searches, and
                 # a successful check clears the degraded flag so the next
                 # /healthz reports recovery.
-                self._executor.submit(self._sharded.health_check)
+                self._executor.submit(sharded.health_check)
         return payload
 
     def _stats(self) -> dict:
@@ -577,15 +681,16 @@ class TrajectoryService:
         snapshot.setdefault("replicas", {})["enabled"] = (
             self._fleet is not None
         )
+        sharded = self.engine.sharded
         sharding = snapshot.setdefault("sharding", {})
-        sharding["enabled"] = self._sharded is not None
-        if self._sharded is not None:
-            sharding["shards"] = self._sharded.shards
-            sharding["workers"] = self._sharded.workers
-            sharding["mode"] = self._sharded.mode
-            sharding["start_method"] = self._sharded.start_method
-            sharding["boundaries"] = self._sharded.boundaries
-            sharding["resilience"] = self._sharded.resilience()
+        sharding["enabled"] = sharded is not None
+        if sharded is not None:
+            sharding["shards"] = sharded.shards
+            sharding["workers"] = sharded.workers
+            sharding["mode"] = sharded.mode
+            sharding["start_method"] = sharded.start_method
+            sharding["boundaries"] = sharded.boundaries
+            sharding["resilience"] = sharded.resilience()
         storage = snapshot.setdefault("storage", {})
         storage["enabled"] = self._tiered is not None
         if self._tiered is not None:
@@ -610,399 +715,96 @@ class TrajectoryService:
     # ------------------------------------------------------------------
     # Query endpoints
     # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # Fleet dispatch (replicas > 1)
-    # ------------------------------------------------------------------
+    async def _query(self, op: str, request: dict) -> dict:
+        """Answer one query request: through the fleet, or on the engine.
+
+        Locally, ``/knn`` and ``/subknn`` share the cached, micro-batched
+        path, ``/range`` is cached and runs alone, and ``/distance`` is
+        one direct computation with neither.
+        """
+        signature, payload = self._parse(op, request)
+        engine_name = {"knn": self.config.engine, "subknn": "subknn"}.get(op)
+        if self._fleet is not None:
+            result, meta = await self._admitted(
+                partial(
+                    self._fleet.submit,
+                    op,
+                    signature,
+                    payload,
+                    min_epoch=self._min_epoch(request),
+                )
+            )
+            if engine_name is not None:
+                meta = {**meta, "engine": engine_name}
+            return {**result, "meta": meta}
+        if op == "distance":
+            (result,) = await self._admitted(
+                partial(self._on_dispatch, op, [payload])
+            )
+            return result
+        cache_key = (self._epoch_token,) + signature
+        cached = self.cache.get(cache_key)
+        if cached is not None:
+            return {**cached, "meta": {"cached": True}}
+        if engine_name is None:
+            (result,) = await self._admitted(
+                partial(self._on_dispatch, op, [payload])
+            )
+            meta = {"cached": False}
+        else:
+            result, batch = await self._admitted(
+                partial(
+                    self.batcher.submit,
+                    # Every answer-shaping parameter but the query.
+                    key=signature[:1] + signature[2:],
+                    digest=cache_key,
+                    payload=payload,
+                    runner=partial(self._execute, op),
+                )
+            )
+            meta = {
+                "cached": False,
+                "engine": engine_name,
+                "batch_size": batch["batch_size"],
+                "coalesced": batch["coalesced"],
+            }
+        self.cache.put(cache_key, result)
+        return {**result, "meta": meta}
+
+    def _execute(self, op: str, payloads: Sequence[dict]) -> List[dict]:
+        """Dispatch-thread body: the engine being served answers."""
+        return self.engine.execute(op, payloads)
+
+    def _on_dispatch(self, op: str, payloads: Sequence[dict]) -> asyncio.Future:
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, self._execute, op, payloads
+        )
+
     def _min_epoch(self, request: dict) -> int:
         value = request.get("min_epoch", 0)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise RequestError(400, "min_epoch must be a non-negative integer")
         return value
 
-    async def _fleet_submit(
-        self, op: str, signature: Tuple, payload: dict, min_epoch: int
-    ) -> Tuple[dict, dict]:
-        """Route one request through the replica fleet (admission on)."""
-        self._admit()
-        try:
-            result, meta = await asyncio.wait_for(
-                self._fleet.submit(
-                    op, signature, payload, min_epoch=min_epoch
-                ),
-                timeout=self.config.request_timeout_s,
-            )
-        except FleetRejection as rejection:
-            retry_after = str(max(1, math.ceil(self.config.retry_after_s)))
-            raise RequestError(
-                503, rejection.message, {"Retry-After": retry_after}
-            ) from None
-        finally:
-            self._release()
-        return result, meta
-
-    async def _handle_knn(self, request: dict) -> Tuple[int, dict, dict]:
-        query = self._trajectory(request, "query")
-        k = self._positive_int(request.get("k", self.config.k_default), "k")
-        spec = self._spec(request)
-        refine = self.config.refine_batch_size
-        if self._fleet is not None:
-            signature = (
-                "knn",
-                query_digest(query.points),
-                k,
-                spec,
-                self.config.engine,
-                self.config.early_abandon,
-                refine,
-                self.config.edr_kernel,
-            )
-            result, meta = await self._fleet_submit(
-                "knn",
-                signature,
-                {"points": query.points, "k": k, "spec": spec},
-                self._min_epoch(request),
-            )
-            payload = {
-                **result,
-                "meta": {**meta, "engine": self.config.engine},
-            }
-            return 200, payload, {}
-        cache_key = (
-            "knn",
-            self._epoch_token,
-            query_digest(query.points),
-            k,
-            spec,
-            self.config.engine,
-            self.config.early_abandon,
-            refine,
-            self.config.edr_kernel,
-        )
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return 200, {**cached, "meta": {"cached": True}}, {}
-        self._admit()
-        try:
-            result, meta = await asyncio.wait_for(
-                self.batcher.submit(
-                    key=cache_key[3:],  # every answer-shaping parameter
-                    digest=cache_key,
-                    payload=query,
-                    runner=partial(self._run_knn_batch, spec, k),
-                ),
-                timeout=self.config.request_timeout_s,
-            )
-        finally:
-            self._release()
-        self.cache.put(cache_key, result)
-        payload = {
-            **result,
-            "meta": {
-                "cached": False,
-                "engine": self.config.engine,
-                "batch_size": meta["batch_size"],
-                "coalesced": meta["coalesced"],
-            },
-        }
-        return 200, payload, {}
-
-    def _run_knn_batch(
-        self, spec: str, k: int, queries: Sequence[Trajectory]
-    ) -> List[dict]:
-        """Dispatch-thread body: one ``knn_batch`` call for the window."""
-        pruners = self._pruner_chain(spec)
-        sharded = self._sharded
-        if (
-            sharded is not None
-            and self.config.engine != "scan"
-            and pruners
-            and sharded.supports(spec)
-        ):
-            # Intra-query parallelism: the resident shard engine answers
-            # each query across the whole pool (answers unchanged).
-            batch = knn_batch(
-                self.database,
-                queries,
-                k,
-                pruners,
-                engine=self.config.engine,
-                early_abandon=self.config.early_abandon,
-                refine_batch_size=self.config.refine_batch_size,
-                sharded=sharded,
-                edr_kernel=self.config.edr_kernel,
-            )
-        else:
-            batch = knn_batch(
-                self.database,
-                queries,
-                k,
-                pruners,
-                engine=self.config.engine,
-                workers=self.config.batch_workers,
-                executor=self.config.batch_executor,
-                early_abandon=self.config.early_abandon,
-                refine_batch_size=self.config.refine_batch_size,
-                edr_kernel=self.config.edr_kernel,
-            )
-        self.metrics.record_search_stats(
-            batch.stats, seconds=batch.elapsed_seconds
-        )
-        return [
-            {
-                "neighbors": _neighbors_payload(neighbors),
-                "stats": _stats_payload(stats),
-            }
-            for neighbors, stats in batch
-        ]
-
-    async def _handle_subknn(self, request: dict) -> Tuple[int, dict, dict]:
-        query = self._trajectory(request, "query")
-        k = self._positive_int(request.get("k", self.config.k_default), "k")
-        spec = self._spec(request)
-        alpha = self._alpha(request)
-        refine = self.config.refine_batch_size
-        if self._fleet is not None:
-            signature = (
-                "subknn",
-                query_digest(query.points),
-                k,
-                alpha,
-                spec,
-                self.config.early_abandon,
-                refine,
-                self.config.edr_kernel,
-            )
-            result, meta = await self._fleet_submit(
-                "subknn",
-                signature,
-                {"points": query.points, "k": k, "alpha": alpha, "spec": spec},
-                self._min_epoch(request),
-            )
-            payload = {
-                **result,
-                "meta": {**meta, "engine": "subknn"},
-            }
-            return 200, payload, {}
-        cache_key = (
-            "subknn",
-            self._epoch_token,
-            query_digest(query.points),
-            k,
-            alpha,
-            spec,
-            self.config.early_abandon,
-            refine,
-            self.config.edr_kernel,
-        )
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return 200, {**cached, "meta": {"cached": True}}, {}
-        self._admit()
-        try:
-            result, meta = await asyncio.wait_for(
-                self.batcher.submit(
-                    key=cache_key[3:],  # every answer-shaping parameter
-                    digest=cache_key,
-                    payload=query,
-                    runner=partial(self._run_subknn_batch, spec, k, alpha),
-                ),
-                timeout=self.config.request_timeout_s,
-            )
-        finally:
-            self._release()
-        self.cache.put(cache_key, result)
-        payload = {
-            **result,
-            "meta": {
-                "cached": False,
-                "engine": "subknn",
-                "batch_size": meta["batch_size"],
-                "coalesced": meta["coalesced"],
-            },
-        }
-        return 200, payload, {}
-
-    def _run_subknn_batch(
-        self, spec: str, k: int, alpha: float, queries: Sequence[Trajectory]
-    ) -> List[dict]:
-        """Dispatch-thread body: one window-mode ``knn_batch`` call."""
-        pruners = self._pruner_chain(spec)
-        sharded = self._sharded
-        if sharded is not None and sharded.supports(spec):
-            batch = knn_batch(
-                self.database,
-                queries,
-                k,
-                pruners,
-                engine=self.config.engine,
-                early_abandon=self.config.early_abandon,
-                refine_batch_size=self.config.refine_batch_size,
-                sharded=sharded,
-                edr_kernel=self.config.edr_kernel,
-                sub=True,
-                alpha=alpha,
-            )
-        else:
-            batch = knn_batch(
-                self.database,
-                queries,
-                k,
-                pruners,
-                engine=self.config.engine,
-                workers=self.config.batch_workers,
-                executor=self.config.batch_executor,
-                early_abandon=self.config.early_abandon,
-                refine_batch_size=self.config.refine_batch_size,
-                edr_kernel=self.config.edr_kernel,
-                sub=True,
-                alpha=alpha,
-            )
-        self.metrics.record_search_stats(
-            batch.stats, seconds=batch.elapsed_seconds
-        )
-        return [
-            {
-                "matches": _windows_payload(matches),
-                "stats": _stats_payload(stats),
-            }
-            for matches, stats in batch
-        ]
-
-    async def _handle_range(self, request: dict) -> Tuple[int, dict, dict]:
-        query = self._trajectory(request, "query")
-        radius = self._radius(request)
-        spec = self._spec(request)
-        if self._fleet is not None:
-            signature = (
-                "range",
-                query_digest(query.points),
-                radius,
-                spec,
-                self.config.early_abandon,
-                self.config.refine_batch_size,
-                self.config.edr_kernel,
-            )
-            result, meta = await self._fleet_submit(
-                "range",
-                signature,
-                {"points": query.points, "radius": radius, "spec": spec},
-                self._min_epoch(request),
-            )
-            return 200, {**result, "meta": meta}, {}
-        cache_key = (
-            "range",
-            self._epoch_token,
-            query_digest(query.points),
-            radius,
-            spec,
-            self.config.early_abandon,
-            self.config.refine_batch_size,
-            self.config.edr_kernel,
-        )
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return 200, {**cached, "meta": {"cached": True}}, {}
-        self._admit()
-        try:
-            loop = asyncio.get_running_loop()
-            result = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor,
-                    partial(self._run_range, spec, radius, query),
-                ),
-                timeout=self.config.request_timeout_s,
-            )
-        finally:
-            self._release()
-        self.cache.put(cache_key, result)
-        return 200, {**result, "meta": {"cached": False}}, {}
-
-    def _run_range(self, spec: str, radius: float, query: Trajectory) -> dict:
-        pruners = self._pruner_chain(spec)
-        results, stats = range_search(
-            self.database,
-            query,
-            radius,
-            pruners,
-            early_abandon=self.config.early_abandon,
-            refine_batch_size=self.config.refine_batch_size,
-            edr_kernel=self.config.edr_kernel,
-        )
-        self.metrics.record_search_stats([stats])
-        return {
-            "results": _neighbors_payload(results),
-            "stats": _stats_payload(stats),
-        }
-
-    async def _handle_distance(self, request: dict) -> Tuple[int, dict, dict]:
-        first = self._trajectory(request, "first")
-        second = self._trajectory(request, "second")
-        name = str(request.get("function", "edr")).lower()
-        if name not in available_distances():
-            raise RequestError(
-                400,
-                f"unknown distance function {name!r}; "
-                f"known: {', '.join(available_distances())}",
-            )
-        epsilon: Optional[float] = None
-        if name in EPSILON_FUNCTIONS:
-            raw = request.get("epsilon", self.database.epsilon)
-            try:
-                epsilon = float(raw)
-            except (TypeError, ValueError):
-                raise RequestError(400, "epsilon must be a number") from None
-            if epsilon < 0.0 or not math.isfinite(epsilon):
-                raise RequestError(400, "epsilon must be non-negative and finite")
-        if self._fleet is not None:
-            signature = (
-                "distance",
-                query_digest(first.points),
-                query_digest(second.points),
-                name,
-                epsilon,
-            )
-            result, meta = await self._fleet_submit(
-                "distance",
-                signature,
-                {
-                    "first": first.points,
-                    "second": second.points,
-                    "function": name,
-                    "epsilon": epsilon,
-                },
-                self._min_epoch(request),
-            )
-            return 200, {**result, "meta": meta}, {}
-        self._admit()
-        try:
-            loop = asyncio.get_running_loop()
-            value = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor,
-                    partial(_compute_distance, name, first, second, epsilon),
-                ),
-                timeout=self.config.request_timeout_s,
-            )
-        finally:
-            self._release()
-        payload = {"distance": value, "function": name}
-        if epsilon is not None:
-            payload["epsilon"] = epsilon
-        return 200, payload, {}
-
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------
-    def _admit(self) -> None:
+    async def _admitted(self, start: Callable[[], object]):
+        """Await ``start()`` under admission control and the deadline.
+
+        ``start`` is called only once the request is admitted, so a
+        refused request never creates work.
+        """
         retry_after = str(max(1, math.ceil(self.config.retry_after_s)))
+        sharded = self.engine.sharded
         if self._draining:
             raise RequestError(
                 503, "server is draining", {"Retry-After": retry_after}
             )
         if (
             self.config.reject_on_degraded
-            and self._sharded is not None
-            and self._sharded.degraded
+            and sharded is not None
+            and sharded.degraded
         ):
             raise RequestError(
                 503,
@@ -1016,9 +818,16 @@ class TrajectoryService:
                 {"Retry-After": retry_after},
             )
         self._inflight += 1
-
-    def _release(self) -> None:
-        self._inflight -= 1
+        try:
+            return await asyncio.wait_for(
+                start(), timeout=self.config.request_timeout_s
+            )
+        except FleetRejection as rejection:
+            raise RequestError(
+                503, rejection.message, {"Retry-After": retry_after}
+            ) from None
+        finally:
+            self._inflight -= 1
 
     # ------------------------------------------------------------------
     # Request parsing
@@ -1039,6 +848,68 @@ class TrajectoryService:
         if not isinstance(request, dict):
             raise RequestError(400, "request body must be a JSON object")
         return request
+
+    def _parse(self, op: str, request: dict) -> Tuple[Tuple, dict]:
+        """Validate one query request into ``(signature, payload)``.
+
+        The signature is the query digest plus every answer-shaping
+        parameter: it routes the request across the fleet and, behind
+        the epoch token, keys the result cache.  The payload is what
+        :meth:`QueryEngine.execute` answers.
+        """
+        config = self.config
+        refine = (config.early_abandon, config.refine_batch_size, config.edr_kernel)
+        if op == "distance":
+            return self._parse_distance(request)
+        query = self._trajectory(request, "query")
+        digest = query_digest(query.points)
+        if op == "range":
+            radius = self._radius(request)
+            spec = self._spec(request)
+            payload = {"points": query.points, "radius": radius, "spec": spec}
+            return (op, digest, radius, spec) + refine, payload
+        k = self._positive_int(request.get("k", config.k_default), "k")
+        spec = self._spec(request)
+        if op == "knn":
+            payload = {"points": query.points, "k": k, "spec": spec}
+            return (op, digest, k, spec, config.engine) + refine, payload
+        alpha = self._alpha(request)
+        payload = {"points": query.points, "k": k, "alpha": alpha, "spec": spec}
+        return (op, digest, k, alpha, spec) + refine, payload
+
+    def _parse_distance(self, request: dict) -> Tuple[Tuple, dict]:
+        first = self._trajectory(request, "first")
+        second = self._trajectory(request, "second")
+        name = str(request.get("function", "edr")).lower()
+        if name not in available_distances():
+            raise RequestError(
+                400,
+                f"unknown distance function {name!r}; "
+                f"known: {', '.join(available_distances())}",
+            )
+        epsilon: Optional[float] = None
+        if name in EPSILON_FUNCTIONS:
+            raw = request.get("epsilon", self.database.epsilon)
+            try:
+                epsilon = float(raw)
+            except (TypeError, ValueError):
+                raise RequestError(400, "epsilon must be a number") from None
+            if epsilon < 0.0 or not math.isfinite(epsilon):
+                raise RequestError(400, "epsilon must be non-negative and finite")
+        signature = (
+            "distance",
+            query_digest(first.points),
+            query_digest(second.points),
+            name,
+            epsilon,
+        )
+        payload = {
+            "first": first.points,
+            "second": second.points,
+            "function": name,
+            "epsilon": epsilon,
+        }
+        return signature, payload
 
     def _trajectory(self, request: dict, field: str) -> Trajectory:
         value = request.get(field)
@@ -1153,15 +1024,3 @@ def _stats_payload(stats: SearchStats) -> dict:
         payload["pages_read"] = stats.pages_read
         payload["pool_hit_rate"] = round(stats.pool_hit_rate, 6)
     return payload
-
-
-def _compute_distance(
-    name: str,
-    first: Trajectory,
-    second: Trajectory,
-    epsilon: Optional[float],
-) -> float:
-    function = get_distance(name)
-    if epsilon is not None:
-        return float(function(first, second, epsilon))
-    return float(function(first, second))

@@ -86,25 +86,7 @@ class LatencyWindow:
 
     def summary(self) -> dict:
         """Count/mean/percentiles in milliseconds, for ``/stats``."""
-        if not self._window:
-            return {"count": self.count, "window": 0}
-        ordered = sorted(self._window)
-
-        def at(fraction: float) -> float:
-            rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-            return round(ordered[rank] * 1000.0, 3)
-
-        return {
-            "count": self.count,
-            "window": len(ordered),
-            "mean_ms": round(
-                sum(ordered) / len(ordered) * 1000.0, 3
-            ),
-            "p50_ms": at(0.50),
-            "p90_ms": at(0.90),
-            "p99_ms": at(0.99),
-            "max_ms": round(ordered[-1] * 1000.0, 3),
-        }
+        return summarize_samples(self._window, self.count)
 
 
 class MetricsRegistry:
@@ -247,6 +229,18 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def latency_samples(self) -> Dict[str, dict]:
+        """Each route's lifetime count and raw window samples (seconds).
+
+        A replica ships these to the router, which merges them across
+        the fleet with :func:`summarize_samples`.
+        """
+        with self._lock:
+            return {
+                route: {"count": window.count, "samples": window.samples()}
+                for route, window in self._latencies.items()
+            }
+
     @property
     def uptime_seconds(self) -> float:
         return time.monotonic() - self.started_monotonic

@@ -71,18 +71,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core import faults as faults_mod
-from ..core.batch import knn_batch, warm_pruners
 from ..core.database import TrajectoryDatabase
 from ..core.mp import process_context
-from ..core.rangequery import range_search
-from ..core.trajectory import Trajectory
 from .cache import ResultCache, query_digest
 from .config import ServiceConfig
-from .metrics import LatencyWindow, summarize_samples
-from .pruning import build_pruners
+from .metrics import MetricsRegistry, summarize_samples
 
 __all__ = [
     "FLEET_COUNTER_BY_KIND",
@@ -180,69 +174,30 @@ def _signature_hash(signature: Tuple) -> int:
 # ----------------------------------------------------------------------
 # Replica child process
 # ----------------------------------------------------------------------
-class _ReplicaEngine:
-    """The child-side engine: database, pruner chains, cache, metrics."""
+class _Replica:
+    """The child side of one replica: the shared engine, a cache, metrics.
+
+    The engine is the same :class:`~repro.service.handlers.QueryEngine`
+    the single-process service runs, so served bytes are identical
+    whichever tier answers.  The cache needs no epoch in its keys: it
+    dies with the replica, and a new generation is a new replica.
+    """
 
     def __init__(self, spec: FleetSpec, slot: int, epoch: int) -> None:
+        # Imported here: handlers imports this module at load time.
+        from .handlers import QueryEngine
+
         self.spec = spec
         self.slot = slot
         self.epoch = epoch
-        self.database = spec.database
-        self.config = spec.config
-        self.cache = ResultCache(self.config.cache_size)
-        self._chains: Dict[str, list] = {}
-        self._sharded = None
-        if self.config.shards > 1:
-            from ..core.sharding import ShardedDatabase
-            from .pruning import canonical_pruner_spec
-
-            refine = self.config.refine_batch_size
-            kwargs = {} if refine is None else {"refine_batch_size": refine}
-            self._sharded = ShardedDatabase(
-                self.database,
-                self.config.shards,
-                specs=[canonical_pruner_spec(self.config.pruners)],
-                mode="process",
-                workers=self.config.shard_workers,
-                **kwargs,
-            )
+        config = spec.config
+        self.cache = ResultCache(config.cache_size)
         # Engine-side metrics, shipped to the router over the "stats"
-        # RPC: per-op latency rings plus the SearchStats aggregates the
-        # single-process service reports, so fleet /stats can merge
-        # them into the same shape.
-        self._latencies: Dict[str, LatencyWindow] = {}
-        self.search_queries = 0
-        self.search_candidates = 0
-        self.search_true = 0
-        self.search_seconds = 0.0
-        self.pruned_by: Counter = Counter()
-        self.windows_total = 0
-        self.windows_evaluated = 0
-        self.windows_pruned = 0
-        self.windows_abandoned = 0
-        self.rpcs = 0
-
-    def _chain(self, spec: str) -> list:
-        chain = self._chains.get(spec)
-        if chain is None:
-            chain = build_pruners(
-                self.database, spec, matrix_workers=self.config.matrix_workers
-            )
-            warm_pruners(chain, self.database.trajectories[0])
-            self._chains[spec] = chain
-        return chain
-
-    def _record_search(self, stats_list, seconds: float) -> None:
-        for stats in stats_list:
-            self.search_queries += 1
-            self.search_candidates += stats.database_size
-            self.search_true += stats.true_distance_computations
-            self.pruned_by.update(stats.pruned_by)
-            self.windows_total += getattr(stats, "windows_total", 0)
-            self.windows_evaluated += getattr(stats, "windows_evaluated", 0)
-            self.windows_pruned += getattr(stats, "windows_pruned", 0)
-            self.windows_abandoned += getattr(stats, "windows_abandoned", 0)
-        self.search_seconds += seconds
+        # RPC and merged there into the single-process /stats shape.
+        self.metrics = MetricsRegistry(config.latency_window)
+        self.engine = QueryEngine(spec.database, config, self.metrics)
+        if config.shards > 1:
+            self.engine.attach_shards()
 
     def execute(self, op: str, payload: dict) -> Tuple[dict, bool]:
         """Run one RPC; returns ``(result, served_from_cache)``."""
@@ -250,179 +205,33 @@ class _ReplicaEngine:
             return {"pid": os.getpid(), "epoch": self.epoch}, False
         if op == "stats":
             return self.stats_snapshot(), False
-        if op == "knn":
-            return self._knn(payload)
-        if op == "subknn":
-            return self._subknn(payload)
-        if op == "range":
-            return self._range(payload)
         if op == "distance":
-            return self._distance(payload), False
-        raise ValueError(f"unknown replica op {op!r}")
-
-    def _knn(self, payload: dict) -> Tuple[dict, bool]:
-        points = np.asarray(payload["points"], dtype=np.float64)
-        k = int(payload["k"])
-        spec = payload["spec"]
-        key = ("knn", query_digest(points), k, spec)
+            return self.engine.execute(op, [payload])[0], False
+        key = (op,) + tuple(
+            (name, query_digest(value) if name == "points" else value)
+            for name, value in sorted(payload.items())
+        )
         cached = self.cache.get(key)
         if cached is not None:
             return cached, True
-        chain = self._chain(spec)
-        sharded = self._sharded
-        kwargs = {}
-        if (
-            sharded is not None
-            and self.config.engine != "scan"
-            and chain
-            and sharded.supports(spec)
-        ):
-            kwargs["sharded"] = sharded
-        batch = knn_batch(
-            self.database,
-            [Trajectory(points)],
-            k,
-            chain,
-            engine=self.config.engine,
-            early_abandon=self.config.early_abandon,
-            refine_batch_size=self.config.refine_batch_size,
-            edr_kernel=self.config.edr_kernel,
-            **kwargs,
-        )
-        ((neighbors, stats),) = list(batch)
-        result = {
-            "neighbors": _neighbors_payload(neighbors),
-            "stats": _stats_payload(stats),
-        }
-        self._record_search(batch.stats, batch.elapsed_seconds)
+        (result,) = self.engine.execute(op, [payload])
         self.cache.put(key, result)
         return result, False
-
-    def _subknn(self, payload: dict) -> Tuple[dict, bool]:
-        points = np.asarray(payload["points"], dtype=np.float64)
-        k = int(payload["k"])
-        alpha = float(payload["alpha"])
-        spec = payload["spec"]
-        key = ("subknn", query_digest(points), k, alpha, spec)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached, True
-        chain = self._chain(spec)
-        sharded = self._sharded
-        kwargs = {}
-        # Window mode ignores the whole-trajectory engine choice (the
-        # banded DP is its own engine), so the sharded gate matches the
-        # single-process handlers: partition-parallel whenever the
-        # coordinator can price the spec's window bounds.
-        if sharded is not None and sharded.supports(spec):
-            kwargs["sharded"] = sharded
-        batch = knn_batch(
-            self.database,
-            [Trajectory(points)],
-            k,
-            chain,
-            engine=self.config.engine,
-            early_abandon=self.config.early_abandon,
-            refine_batch_size=self.config.refine_batch_size,
-            edr_kernel=self.config.edr_kernel,
-            sub=True,
-            alpha=alpha,
-            **kwargs,
-        )
-        ((matches, stats),) = list(batch)
-        result = {
-            "matches": _windows_payload(matches),
-            "stats": _stats_payload(stats),
-        }
-        self._record_search(batch.stats, batch.elapsed_seconds)
-        self.cache.put(key, result)
-        return result, False
-
-    def _range(self, payload: dict) -> Tuple[dict, bool]:
-        points = np.asarray(payload["points"], dtype=np.float64)
-        radius = float(payload["radius"])
-        spec = payload["spec"]
-        key = ("range", query_digest(points), radius, spec)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached, True
-        started = time.perf_counter()
-        results, stats = range_search(
-            self.database,
-            Trajectory(points),
-            radius,
-            self._chain(spec),
-            early_abandon=self.config.early_abandon,
-            refine_batch_size=self.config.refine_batch_size,
-            edr_kernel=self.config.edr_kernel,
-        )
-        result = {
-            "results": _neighbors_payload(results),
-            "stats": _stats_payload(stats),
-        }
-        self._record_search([stats], time.perf_counter() - started)
-        self.cache.put(key, result)
-        return result, False
-
-    def _distance(self, payload: dict) -> dict:
-        from ..distances.base import get_distance
-
-        function = get_distance(payload["function"])
-        first = Trajectory(np.asarray(payload["first"], dtype=np.float64))
-        second = Trajectory(np.asarray(payload["second"], dtype=np.float64))
-        epsilon = payload.get("epsilon")
-        if epsilon is not None:
-            value = float(function(first, second, float(epsilon)))
-        else:
-            value = float(function(first, second))
-        result = {"distance": value, "function": payload["function"]}
-        if epsilon is not None:
-            result["epsilon"] = float(epsilon)
-        return result
-
-    def observe(self, op: str, seconds: float) -> None:
-        self.rpcs += 1
-        window = self._latencies.get(op)
-        if window is None:
-            window = self._latencies[op] = LatencyWindow(
-                self.config.latency_window
-            )
-        window.observe(seconds)
 
     def stats_snapshot(self) -> dict:
+        snapshot = self.metrics.snapshot()
+        search = snapshot["search"]
+        del search["pruning_power"]  # the router derives it fleet-wide
         return {
             "pid": os.getpid(),
             "epoch": self.epoch,
             "slot": self.slot,
             "epoch_token": self.spec.epoch_token,
-            "rpcs": self.rpcs,
+            "rpcs": sum(snapshot["responses"].values()),
             "cache": self.cache.snapshot(),
-            "search": {
-                "queries": self.search_queries,
-                "candidates": self.search_candidates,
-                "true_distance_computations": self.search_true,
-                "pruned_by": dict(self.pruned_by),
-                "engine_seconds": round(self.search_seconds, 6),
-                "windows": {
-                    "total": self.windows_total,
-                    "evaluated": self.windows_evaluated,
-                    "pruned": self.windows_pruned,
-                    "abandoned": self.windows_abandoned,
-                },
-            },
-            "latency": {
-                op: {
-                    "count": window.count,
-                    "samples": window.samples(),
-                }
-                for op, window in self._latencies.items()
-            },
+            "search": search,
+            "latency": self.metrics.latency_samples(),
         }
-
-    def close(self) -> None:
-        if self._sharded is not None:
-            self._sharded.close()
-            self._sharded = None
 
 
 def _replica_main(conn, spec: FleetSpec, slot: int, epoch: int) -> None:
@@ -438,7 +247,7 @@ def _replica_main(conn, spec: FleetSpec, slot: int, epoch: int) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    engine = _ReplicaEngine(spec, slot, epoch)
+    replica = _Replica(spec, slot, epoch)
     try:
         conn.send(("ready", os.getpid()))
         while True:
@@ -450,9 +259,10 @@ def _replica_main(conn, spec: FleetSpec, slot: int, epoch: int) -> None:
                 break
             _, seq, op, payload, directives = message
             started = time.perf_counter()
+            status = 200
             try:
                 faults_mod.apply(directives, inline=False)
-                result, cached = engine.execute(op, payload)
+                result, cached = replica.execute(op, payload)
                 body, digest = faults_mod.wrap_result(result, directives)
                 info = {
                     "cached": cached,
@@ -460,14 +270,17 @@ def _replica_main(conn, spec: FleetSpec, slot: int, epoch: int) -> None:
                 }
                 conn.send(("ok", seq, body, digest, info))
             except Exception as error:  # noqa: BLE001 - reported to router
+                status = 500
                 try:
                     conn.send(("err", seq, type(error).__name__, str(error)))
                 except OSError:
                     break
             if op not in ("ping", "stats"):
-                engine.observe(op, time.perf_counter() - started)
+                replica.metrics.record_response(
+                    op, status, time.perf_counter() - started
+                )
     finally:
-        engine.close()
+        replica.engine.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover
@@ -1171,44 +984,3 @@ class ReplicaFleet:
 
 class _Retry(Exception):
     """Internal: this attempt failed a verification, try a sibling."""
-
-
-# Payload shaping is shared with the single-process handlers so served
-# bytes are identical whichever tier answers.
-def _neighbors_payload(neighbors) -> List[dict]:
-    return [
-        {"index": int(neighbor.index), "distance": float(neighbor.distance)}
-        for neighbor in neighbors
-    ]
-
-
-def _windows_payload(matches) -> List[dict]:
-    return [
-        {
-            "index": int(match.index),
-            "start": int(match.start),
-            "end": int(match.end),
-            "distance": float(match.distance),
-        }
-        for match in matches
-    ]
-
-
-def _stats_payload(stats) -> dict:
-    payload = {
-        "database_size": stats.database_size,
-        "true_distance_computations": stats.true_distance_computations,
-        "pruning_power": round(stats.pruning_power, 6),
-        "pruned_by": dict(stats.pruned_by),
-        "elapsed_seconds": round(stats.elapsed_seconds, 6),
-    }
-    if stats.windows_total:
-        payload["windows_total"] = stats.windows_total
-        payload["windows_evaluated"] = stats.windows_evaluated
-        payload["windows_pruned"] = stats.windows_pruned
-        payload["windows_abandoned"] = stats.windows_abandoned
-    if stats.bytes_touched or stats.pages_read:
-        payload["bytes_touched"] = stats.bytes_touched
-        payload["pages_read"] = stats.pages_read
-        payload["pool_hit_rate"] = round(stats.pool_hit_rate, 6)
-    return payload

@@ -490,7 +490,7 @@ class TestServiceDegradedSignals:
         # budget on the first query (config.shards stays 1 so warm-up
         # does not build a competing process-mode engine).
         plan = FaultPlan([FaultRule("filter", "crash", count=3)])
-        service._sharded = ShardedDatabase(
+        service.engine.sharded = ShardedDatabase(
             database, 2, specs=[SPEC], mode="inline",
             fault_plan=plan, max_retries=2, retry_backoff_s=0.0,
         )
@@ -505,7 +505,7 @@ class TestServiceDegradedSignals:
             )
             got = [(n["index"], n["distance"]) for n in payload["neighbors"]]
             assert got == [(n.index, float(n.distance)) for n in want]
-            assert service._sharded.degraded
+            assert service.engine.sharded.degraded
 
             # Degraded admission: compute requests are shed with 503.
             status, error, headers = await service.handle(
@@ -538,7 +538,7 @@ class TestServiceDegradedSignals:
                     break
                 await asyncio.sleep(0.02)
             assert health["status"] == "ok"
-            assert not service._sharded.degraded
+            assert not service.engine.sharded.degraded
 
             # Admission and sharded serving are back (plan is spent).
             status, payload, _ = await service.handle("POST", "/knn", body)

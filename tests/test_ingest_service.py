@@ -66,7 +66,12 @@ def root(tmp_path):
 
 
 @pytest.fixture()
-def server(root):
+def shards():
+    return 1
+
+
+@pytest.fixture()
+def server(root, shards):
     config = ServiceConfig(
         port=0,
         ingest_root=str(root.root),
@@ -75,13 +80,17 @@ def server(root):
         cache_size=64,
         max_batch=4,
         max_delay_ms=2.0,
+        shards=shards,
     )
     with ServerHandle.start(None, config) as handle:
         yield handle
 
 
 class TestStaleCacheRegression:
-    def test_swap_flushes_cache_and_rekeys_epoch(self, root, server):
+    @pytest.mark.parametrize(
+        "shards", [1, pytest.param(2, marks=pytest.mark.process)]
+    )
+    def test_swap_flushes_cache_and_rekeys_epoch(self, root, server, shards):
         rng = np.random.default_rng(82)
         query = _walk(rng, 20)
         with ServiceClient(server.host, server.port) as client:
@@ -99,8 +108,18 @@ class TestStaleCacheRegression:
             compact(root)
 
             token_before = server.service._epoch_token
+            sharded_before = server.service.engine.sharded
+            assert (sharded_before is not None) == (shards > 1)
             assert server.service.reload_if_changed().result(timeout=60)
             assert server.service._epoch_token != token_before
+            if shards > 1:
+                # The new generation got its own shard engine; the old
+                # one was closed when the swap published.
+                sharded_after = server.service.engine.sharded
+                assert sharded_after is not None
+                assert sharded_after is not sharded_before
+                assert sharded_after.shards == shards
+                assert sharded_before._closed
 
             # The regression: without epoch keys + flush-on-swap this
             # would be a cache hit serving the pre-swap answer.

@@ -539,6 +539,27 @@ def replicated_server(fleet_database):
         yield handle
 
 
+@pytest.fixture(scope="module")
+def single_server(fleet_database):
+    config = ServiceConfig(
+        port=0, replicas=1, cache_size=16, pruners=SPEC, replica_retries=3
+    )
+    with ServerHandle.start(fleet_database, config) as handle:
+        yield handle
+
+
+def _comparable(body):
+    """A served body without its tier-specific meta and its timing."""
+    body = {name: value for name, value in body.items() if name != "meta"}
+    if "stats" in body:
+        body["stats"] = {
+            name: value
+            for name, value in body["stats"].items()
+            if name != "elapsed_seconds"
+        }
+    return body
+
+
 @pytest.mark.process
 class TestReplicatedHTTP:
     def test_served_knn_is_exact(self, replicated_server, fleet_database):
@@ -571,6 +592,41 @@ class TestReplicatedHTTP:
             assert replicas["enabled"]
             assert len(replicas["per_replica"]) == 2
             assert stats["search"] == replicas["fleet"]["search"]
+
+    @pytest.mark.parametrize(
+        "route", ["/knn", "/subknn", "/range", "/distance"]
+    )
+    def test_one_and_two_replicas_serve_the_same_bodies(
+        self, single_server, replicated_server, fleet_database, route
+    ):
+        """Both tiers run one engine: the same bodies but for meta."""
+        inline = fleet_database.trajectories[9].points[::2].tolist()
+        requests = {
+            "/knn": [{"query": 4, "k": 5}, {"query": inline, "k": 3}],
+            "/subknn": [
+                {"query": 4, "k": 3},
+                {"query": inline, "k": 2, "alpha": 0.5},
+            ],
+            "/range": [
+                {"query": 4, "radius": 18.0},
+                {"query": inline, "radius": 14.0},
+            ],
+            "/distance": [
+                {"first": 4, "second": 17},
+                {"first": inline, "second": 2, "function": "lcss"},
+            ],
+        }[route]
+        bodies = []
+        for server in (single_server, replicated_server):
+            with ServiceClient(server.host, server.port) as client:
+                bodies.append(
+                    [
+                        _comparable(client._request("POST", route, request))
+                        for request in requests
+                    ]
+                )
+        assert bodies[0] == bodies[1]
+        assert all(bodies[0])
 
     def test_client_epoch_rides_through_a_deploy(
         self, replicated_server, fleet_database

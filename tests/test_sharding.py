@@ -372,7 +372,7 @@ class TestShardedService:
         service = TrajectoryService(database, config)
         report = service.warm()
         assert "sharding" in report
-        assert service._sharded is not None
+        assert service.engine.sharded is not None
 
         async def run():
             for index in (0, 19, 41):

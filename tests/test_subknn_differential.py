@@ -195,3 +195,17 @@ class TestServiceDifferential:
                         stats["windows_pruned"],
                         stats["windows_abandoned"],
                     ) == _counters(want_stats)
+
+    def test_huge_finite_alpha_answers_like_a_million(self, workload):
+        """Any finite alpha is a defined band: 200, same as alpha=1e6."""
+        database, queries = workload
+        config = ServiceConfig(port=0, cache_size=0, pruners="histogram,qgram")
+        with ServerHandle.start(database, config) as server:
+            with ServiceClient(server.host, server.port) as client:
+                for query in queries[:2]:
+                    want = client.subknn(query, k=K, alpha=1e6)
+                    for alpha in (1e19, 1e300, 1e308):
+                        served = client.subknn(query, k=K, alpha=alpha)
+                        assert served["matches"] == want["matches"]
+                        for name in ("windows_total", "windows_evaluated"):
+                            assert served["stats"][name] == want["stats"][name]

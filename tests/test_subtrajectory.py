@@ -80,8 +80,9 @@ class TestWindowRange:
         assert lo == 1 and hi >= 1
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_window_range(10, alpha=-0.1)
+        for alpha in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                resolve_window_range(10, alpha=alpha)
 
     def test_inverted_overrides_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +214,7 @@ class TestOracleByteEquality:
         for kwargs in (
             {"alpha": 0.0},
             {"alpha": 0.6},
+            {"alpha": 1e19},
             {"min_window": 2, "max_window": 8},
         ):
             matches, _ = subknn_search(database, query, 4, (), **kwargs)
