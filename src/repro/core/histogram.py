@@ -26,7 +26,7 @@ these — callers choose the bin size and the projection.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import product
+from itertools import chain, product
 from operator import add
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -432,6 +432,73 @@ def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums
 
 
+_KEY_MAX = np.iinfo(np.int64).max
+_KEY_MIN = np.iinfo(np.int64).min
+
+
+def _flatten_histograms(
+    histograms: Sequence[TrajectoryHistogram], ndim: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dict histograms as ``(keys, counts, indptr)`` arrays, in dict order."""
+    indptr = np.zeros(len(histograms) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, histograms), dtype=np.int64, count=len(histograms)),
+        out=indptr[1:],
+    )
+    nnz = int(indptr[-1])
+    keys = np.fromiter(
+        chain.from_iterable(chain.from_iterable(histograms)),
+        dtype=np.int64,
+        count=nnz * ndim,
+    ).reshape(nnz, ndim)
+    data = np.fromiter(
+        chain.from_iterable(histogram.values() for histogram in histograms),
+        dtype=np.int64,
+        count=nnz,
+    )
+    return keys, data, indptr
+
+
+def _row_key_bounds(
+    keys: np.ndarray, indptr: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row smallest and largest bin key of CSR-ordered ``keys``.
+
+    An empty row keeps the identities of min and max, so it never moves
+    a grid derived from the bounds.
+    """
+    rows, ndim = len(indptr) - 1, keys.shape[1]
+    key_lo = np.full((rows, ndim), _KEY_MAX, dtype=np.int64)
+    key_hi = np.full((rows, ndim), _KEY_MIN, dtype=np.int64)
+    filled = np.flatnonzero(np.diff(indptr))
+    if len(filled):
+        key_lo[filled] = np.minimum.reduceat(keys, indptr[filled], axis=0)
+        key_hi[filled] = np.maximum.reduceat(keys, indptr[filled], axis=0)
+    return key_lo, key_hi
+
+
+class _Rows(NamedTuple):
+    """Rows of a count matrix: CSR arrays raveled on the grid ``(lo, shape)``,
+    row totals, and per-row bin-key bounds."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    totals: np.ndarray
+    key_lo: np.ndarray
+    key_hi: np.ndarray
+    lo: np.ndarray
+    shape: np.ndarray
+
+    @classmethod
+    def empty(cls, ndim: int) -> "_Rows":
+        empty = np.empty(0, dtype=np.int64)
+        bounds = np.empty((0, ndim), dtype=np.int64)
+        grid = np.zeros(ndim, dtype=np.int64)
+        indptr = np.zeros(1, dtype=np.int64)
+        return cls(empty, empty, indptr, empty, bounds, bounds, grid, grid)
+
+
 class QueryProbe(NamedTuple):
     """A query histogram's 3^d neighbourhood on one store's grid.
 
@@ -495,34 +562,101 @@ class HistogramArrayStore:
     def __init__(
         self, histograms: Sequence[TrajectoryHistogram], ndim: int
     ) -> None:
-        self.ndim = int(ndim)
-        self.count = len(histograms)
-        lengths = [len(histogram) for histogram in histograms]
-        indptr = np.zeros(self.count + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        nnz = int(indptr[-1])
-        keys = np.asarray(
-            [key for histogram in histograms for key in histogram], dtype=np.int64
-        ).reshape(nnz, self.ndim)
-        data = np.fromiter(
-            (value for histogram in histograms for value in histogram.values()),
-            dtype=np.int64,
-            count=nnz,
-        )
-        if not nnz:
+        # A cold build is the empty store extended by every histogram.
+        self._extend(_Rows.empty(int(ndim)), histograms)
+
+    def derive(
+        self, keep: np.ndarray, histograms: Sequence[TrajectoryHistogram]
+    ) -> "HistogramArrayStore":
+        """The store of this store's rows ``keep`` followed by ``histograms``.
+
+        ``keep`` is a boolean row mask and ``histograms`` must be binned on
+        the same grid origin as this store's rows.  The kept rows are
+        selected as CSR slices and only the new rows are binned; their
+        columns are re-raveled only when the padded grid grows or
+        shrinks.  The result is byte-identical (``data``, ``indices``,
+        ``indptr``, ``totals``, grid) to a cold build over the kept
+        histograms followed by the new ones.
+        """
+        store = HistogramArrayStore.__new__(HistogramArrayStore)
+        store._extend(self._select(keep), histograms)
+        return store
+
+    def _extend(
+        self, rows: "_Rows", histograms: Sequence[TrajectoryHistogram]
+    ) -> None:
+        """Fill this store with ``rows`` followed by ``histograms``."""
+        ndim = rows.key_lo.shape[1]
+        keys, data, indptr = _flatten_histograms(histograms, ndim)
+        key_lo, key_hi = _row_key_bounds(keys, indptr)
+        key_lo = np.concatenate([rows.key_lo, key_lo])
+        key_hi = np.concatenate([rows.key_hi, key_hi])
+
+        self.ndim = ndim
+        self.count = len(key_lo)
+        if not len(rows.data) and not len(data):
             # Degenerate (all-empty) histograms: keep a 1-cell grid.
-            self._lo = np.zeros(self.ndim, dtype=np.int64)
-            self._shape = np.ones(self.ndim, dtype=np.int64)
+            self._lo = np.zeros(ndim, dtype=np.int64)
+            self._shape = np.ones(ndim, dtype=np.int64)
         else:
-            self._lo = keys.min(axis=0) - 1
-            self._shape = keys.max(axis=0) + 1 - self._lo + 1
+            self._lo = key_lo.min(axis=0) - 1
+            self._shape = key_hi.max(axis=0) + 1 - self._lo + 1
         self.cells = int(np.prod(self._shape))
-        self.totals = _row_sums(data, indptr)
+        self._bounds = (key_lo, key_hi)
+
+        kept_columns = rows.indices
+        if len(kept_columns) and not (
+            np.array_equal(rows.lo, self._lo)
+            and np.array_equal(rows.shape, self._shape)
+        ):
+            # Raveling is monotone in the bin key, so a row's columns
+            # stay sorted on the new grid.
+            kept_keys = np.column_stack(
+                np.unravel_index(kept_columns, tuple(rows.shape))
+            ) + rows.lo
+            kept_columns = self._ravel(kept_keys)
         columns = self._ravel(keys)
-        order = np.lexsort((columns, np.repeat(np.arange(self.count), lengths)))
+        lengths = np.diff(indptr)
+        order = np.lexsort((columns, np.repeat(np.arange(len(lengths)), lengths)))
+        self.totals = np.concatenate([rows.totals, _row_sums(data, indptr)])
         self._counts = sparse.csr_matrix(
-            (data[order], columns[order], indptr), shape=(self.count, self.cells)
+            (
+                np.concatenate([rows.data, data[order]]),
+                np.concatenate([kept_columns, columns[order]]),
+                np.concatenate([rows.indptr, rows.indptr[-1] + indptr[1:]]),
+            ),
+            shape=(self.count, self.cells),
         )
+
+    def _select(self, keep: np.ndarray) -> "_Rows":
+        """Rows ``keep`` of this store, as CSR arrays on this store's grid."""
+        keep = np.asarray(keep, dtype=bool)
+        counts = self._counts
+        lengths = np.diff(counts.indptr)
+        entries = np.repeat(keep, lengths)
+        indptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int64)
+        np.cumsum(lengths[keep], out=indptr[1:])
+        key_lo, key_hi = self._key_bounds()
+        return _Rows(
+            counts.data[entries].astype(np.int64, copy=False),
+            counts.indices[entries],
+            indptr,
+            self.totals[keep],
+            key_lo[keep],
+            key_hi[keep],
+            self._lo,
+            self._shape,
+        )
+
+    def _key_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row smallest and largest bin key (cached; derived from the
+        CSR columns for stores rebuilt by :meth:`from_state`)."""
+        if self._bounds is None:
+            keys = np.column_stack(
+                np.unravel_index(self._counts.indices, tuple(self._shape))
+            ) + self._lo
+            self._bounds = _row_key_bounds(keys, self._counts.indptr)
+        return self._bounds
 
     @classmethod
     def from_state(
@@ -550,6 +684,7 @@ class HistogramArrayStore:
         store.totals = np.asarray(totals, dtype=np.int64)
         store.count = len(store.totals)
         store._counts = sparse.csr_matrix(counts, shape=(store.count, store.cells))
+        store._bounds = None
         return store
 
     def _ravel(self, keys: np.ndarray) -> np.ndarray:

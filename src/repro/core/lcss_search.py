@@ -40,7 +40,7 @@ from ..index.mergejoin import (
 )
 from .database import TrajectoryDatabase
 from .histogram import HistogramMatcher
-from .qgram import mean_value_qgrams
+from .qgram import mean_rounding_magnitude, mean_value_qgrams, qgram_match_tolerance
 from .search import SearchStats
 from .trajectory import Trajectory
 
@@ -105,6 +105,9 @@ class LcssQgramBound(LcssUpperBound):
         self._candidates = database.sorted_qgram_means(q)
         self._query_sorted = None
         self._query_length = 0
+        self._magnitude = (
+            0.0 if q == 1 else mean_rounding_magnitude(database.trajectories)
+        )
 
     def for_query(self, query: Trajectory) -> "LcssQgramBound":
         bound = LcssQgramBound.__new__(LcssQgramBound)
@@ -114,12 +117,17 @@ class LcssQgramBound(LcssUpperBound):
         bound._candidates = self._candidates
         bound._query_sorted = sort_means_2d(mean_value_qgrams(query, self._q))
         bound._query_length = len(query)
+        bound._tolerance = qgram_match_tolerance(
+            self._database.epsilon,
+            self._q,
+            max(self._magnitude, mean_rounding_magnitude([query])),
+        )
         return bound
 
     def upper_bound(self, candidate_index: int) -> float:
         candidate = self._candidates[candidate_index]
         common = count_common_sorted_2d(
-            self._query_sorted, candidate, self._database.epsilon
+            self._query_sorted, candidate, self._tolerance
         )
         m = self._query_length
         n = int(self._database.lengths[candidate_index])

@@ -30,6 +30,8 @@ __all__ = [
     "qgram_windows",
     "mean_value_qgrams",
     "count_common_qgrams",
+    "mean_rounding_magnitude",
+    "qgram_match_tolerance",
     "common_qgram_lower_bound",
     "can_prune_by_qgrams",
 ]
@@ -86,6 +88,48 @@ def mean_value_qgrams(
         return np.array(points, dtype=np.float64)
     cumulative = np.vstack([np.zeros((1, d)), np.cumsum(points, axis=0)])
     return (cumulative[q:] - cumulative[:-q]) / q
+
+
+def mean_rounding_magnitude(trajectories) -> float:
+    """Scale of the rounding error in the trajectories' Q-gram means.
+
+    :func:`mean_value_qgrams` differences a running sum, whose rounding
+    error grows with the partial sums: every computed mean is within
+    ``2 u · n · S`` of the exact one (``u`` the unit roundoff, ``n`` the
+    length, ``S`` the largest per-axis sum of absolute coordinates).
+    Returns the largest ``n · S`` over ``trajectories``; see
+    :func:`qgram_match_tolerance`.
+    """
+    magnitude = 0.0
+    for trajectory in trajectories:
+        points = _points(trajectory)
+        if len(points):
+            magnitude = max(
+                magnitude, float(len(points) * np.abs(points).sum(axis=0).max())
+            )
+    return magnitude
+
+
+def qgram_match_tolerance(epsilon: float, q: int, magnitude: float) -> float:
+    """The threshold at which mean-value Q-grams must be compared.
+
+    Theorem 2 (matching Q-grams have matching means) holds in exact
+    arithmetic; in float64 two Q-grams whose elements all pass the
+    ``|a - b| <= eps`` predicate can have computed means a few ulps
+    more than ε apart, and a missed mean match makes the Q-gram bound
+    exceed EDR.  Comparing at this widened threshold instead keeps every
+    such match.  It only ever adds matches, which keeps the count an
+    upper bound.
+
+    ``magnitude`` must bound :func:`mean_rounding_magnitude` of both
+    sides.  With ``u·x <= spacing(x)``, both means' rounding errors
+    (``4 u · magnitude``) plus the predicate's own rounding of ε
+    (``3 u · ε``) stay below the added terms.  For ``q = 1`` the means
+    are the points themselves, so the threshold is exactly ε.
+    """
+    if q == 1:
+        return float(epsilon)
+    return float(epsilon + 4 * np.spacing(epsilon) + 5 * np.spacing(magnitude))
 
 
 def count_common_qgrams(

@@ -43,7 +43,7 @@ from .edr_bitparallel import edr_bitparallel
 from .histogram import HistogramMatcher
 from .kernels import KernelPlan, length_bucket, resolve_kernel_plan, run_kernel
 from .neartriangle import NearTrianglePruner as _NearTriangleState
-from .qgram import mean_value_qgrams
+from .qgram import mean_rounding_magnitude, mean_value_qgrams, qgram_match_tolerance
 from .trajectory import Trajectory
 
 __all__ = [
@@ -593,6 +593,16 @@ class QgramMergeJoinPruner(Pruner):
             self.name = f"qgram-ps1(q={q})"
             self._candidates = database.sorted_qgram_means_1d(q, axis)
             self._flat_pool = database.flat_qgram_means_1d(q, axis)
+        # q = 1 compares at exactly epsilon, so skip the corpus pass.
+        self._magnitude = (
+            0.0 if q == 1 else mean_rounding_magnitude(database.trajectories)
+        )
+
+    def match_tolerance(self, query: Trajectory) -> float:
+        """The threshold this query's means are compared at (see
+        :func:`~repro.core.qgram.qgram_match_tolerance`)."""
+        magnitude = max(self._magnitude, mean_rounding_magnitude([query]))
+        return qgram_match_tolerance(self._database.epsilon, self._q, magnitude)
 
     def for_query(self, query: Trajectory) -> QueryPruner:
         if self._two_dimensional:
@@ -608,7 +618,7 @@ class QgramMergeJoinPruner(Pruner):
             len(query),
             self._database.lengths,
             self._q,
-            self._database.epsilon,
+            self.match_tolerance(query),
             self._two_dimensional,
             self._flat_pool,
         )

@@ -8,16 +8,17 @@ run against :meth:`MutableDatabase.view` — a
 merged logical corpus whose artifact accessors assemble the pruning
 artifacts *incrementally*:
 
-* **Q-gram stores** — per-trajectory sorted mean arrays are reused from
-  the base generation for surviving members and computed once per
-  inserted trajectory (cached across view rebuilds); the pooled flat
-  arrays rebuild deterministically from that merged list, exactly as a
-  cold build would.
-* **Histogram count matrices** — per-trajectory histogram dicts are
-  reused whenever the merged corpus' grid origin equals the base's, and
-  recomputed (then cached per origin) when an insert or delete moves
-  the corpus minimum — the one case where the cold build's grid anchor
-  shifts.
+* **Q-gram stores** — each view derives its per-trajectory sorted
+  means and pooled flat arrays from the previous view's (seeded from
+  the base generation): deleted rows are masked out and only inserted
+  trajectories are computed and merged into the pool.
+* **Histogram count matrices** — each view derives its dict histograms
+  and CSR store from the previous view's while the grid origin (the
+  corpus minimum) stays put: kept rows are sliced out of the CSR and
+  only inserted rows are binned.  When an insert or delete moves the
+  origin, every row is binned afresh — the one case where the cold
+  build's grid anchor shifts — unless the origin is back on the base
+  generation's, whose rows and store are then the starting point.
 * **NTI reference columns** — EDR columns are maintained as a
   uid-keyed symmetric distance cache seeded from the base generation's
   column store; a view's column materializes from cache entries plus
@@ -32,21 +33,69 @@ tests assert across engines, compaction boundaries, and shard counts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import compress
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.database import TrajectoryDatabase
 from ..core.edr_batch import edr_many_bucketed
-from ..core.histogram import HistogramSpace
+from ..core.histogram import HistogramArrayStore, HistogramSpace
 from ..core.qgram import mean_value_qgrams
 from ..core.trajectory import Trajectory
-from ..index.mergejoin import sort_means_1d, sort_means_2d
+from ..index.mergejoin import (
+    extend_sorted_means,
+    flatten_sorted_means,
+    sort_means_1d,
+    sort_means_2d,
+)
 from .wal import DeltaLog
 
 __all__ = ["MutableDatabase"]
 
-_EMPTY = object()  # sentinel for "empty trajectory" in the minima cache
+
+class _HistogramState(NamedTuple):
+    """One histogram variant of the last view that built it."""
+
+    origin: bytes  # the grid origin every row is binned on
+    uids: np.ndarray  # row order
+    rows: Sequence[dict]  # per-row dict histograms
+    store: HistogramArrayStore
+
+
+class _QgramState(NamedTuple):
+    """One Q-gram variant of the last view that built it."""
+
+    uids: np.ndarray  # row order
+    rows: Sequence[np.ndarray]  # per-row sorted means
+    pool: Optional[Tuple[np.ndarray, np.ndarray]]  # pooled (values, owners)
+
+
+def _survivors(previous: np.ndarray, uids: np.ndarray) -> Optional[np.ndarray]:
+    """Mask of the ``previous`` rows that survive into ``uids``.
+
+    A view lists the kept base rows in base order, then the inserts in
+    insert order, so from one view to the next the survivors keep their
+    relative order and new uids only append.  Returns ``None`` when
+    ``uids`` does not start with exactly the survivors, in order — then
+    nothing can be carried over.
+    """
+    keep = np.isin(previous, uids)
+    kept = int(np.count_nonzero(keep))
+    if not np.array_equal(previous[keep], uids[:kept]):
+        return None
+    return keep
+
+
+def _carried(states, uids: np.ndarray):
+    """The first of ``states`` whose rows carry over into ``uids``, with
+    its survivor mask; ``(None, None)`` when none does."""
+    for state in states:
+        if state is not None:
+            keep = _survivors(state.uids, uids)
+            if keep is not None:
+                return state, keep
+    return None, None
 
 
 class _MergedTrajectoryList:
@@ -111,33 +160,49 @@ class _MergedView(TrajectoryDatabase):
     """A database over the merged corpus with incremental artifacts.
 
     Instances are built only through :meth:`MutableDatabase.view`; the
-    overridden accessors delegate per-trajectory artifact work to the
-    owning :class:`MutableDatabase`'s uid-keyed caches.  Derived
-    artifacts (flat Q-gram pools, histogram array stores, trees, kernel
-    tables) inherit the stock lazy builders, which consume the
-    overridden accessors — the same code path a cold build runs.
+    overridden Q-gram and histogram accessors take their artifacts from
+    the owning :class:`MutableDatabase`, which derives them from the
+    previous view's.  The other artifacts (trees, kernel tables) inherit
+    the stock lazy builders, which consume the overridden accessors —
+    the same code path a cold build runs.
     """
 
     _owner: "MutableDatabase"
     _uids: List[int]
+    _uid_array: np.ndarray
 
     # -- Q-gram artifacts ----------------------------------------------
     def sorted_qgram_means(self, q: int) -> List[np.ndarray]:
         if q not in self._sorted_means_2d:
-            self._sorted_means_2d[q] = [
-                self._owner._qgram_row(q, None, uid, self.trajectories[pos])
-                for pos, uid in enumerate(self._uids)
-            ]
+            self._sorted_means_2d[q] = self._owner._qgram_state(
+                self, q, None, pooled=False
+            ).rows
         return self._sorted_means_2d[q]
 
     def sorted_qgram_means_1d(self, q: int, axis: int = 0) -> List[np.ndarray]:
         key = (q, axis)
         if key not in self._sorted_means_1d:
-            self._sorted_means_1d[key] = [
-                self._owner._qgram_row(q, axis, uid, self.trajectories[pos])
-                for pos, uid in enumerate(self._uids)
-            ]
+            self._sorted_means_1d[key] = self._owner._qgram_state(
+                self, q, axis, pooled=False
+            ).rows
         return self._sorted_means_1d[key]
+
+    def flat_qgram_means(self, q: int) -> Tuple[np.ndarray, np.ndarray]:
+        if q not in self._flat_means_2d:
+            self._flat_means_2d[q] = self._owner._qgram_state(
+                self, q, None, pooled=True
+            ).pool
+        return self._flat_means_2d[q]
+
+    def flat_qgram_means_1d(
+        self, q: int, axis: int = 0
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        key = (q, axis)
+        if key not in self._flat_means_1d:
+            self._flat_means_1d[key] = self._owner._qgram_state(
+                self, q, axis, pooled=True
+            ).pool
+        return self._flat_means_1d[key]
 
     # -- Histogram artifacts -------------------------------------------
     def histograms(self, delta: float = 1.0, axis: Optional[int] = None):
@@ -153,14 +218,16 @@ class _MergedView(TrajectoryDatabase):
             minima = self._owner._merged_minima(self)
             origin = minima if axis is None else minima[axis : axis + 1]
             space = HistogramSpace(origin, bin_size)
-            built = [
-                self._owner._histogram_row(
-                    float(delta), axis, space, uid, self.trajectories[pos]
-                )
-                for pos, uid in enumerate(self._uids)
-            ]
-            self._histograms[key] = (space, built)
+            state = self._owner._histogram_state(self, key, space)
+            self._histograms[key] = (space, state.rows)
+            self._histogram_arrays[key] = state.store
         return self._histograms[key]
+
+    def histogram_arrays(
+        self, delta: float = 1.0, axis: Optional[int] = None
+    ) -> HistogramArrayStore:
+        self.histograms(delta=delta, axis=axis)
+        return self._histogram_arrays[(float(delta), axis)]
 
     # -- Near-triangle artifacts ---------------------------------------
     def reference_columns(
@@ -253,17 +320,21 @@ class MutableDatabase:
         self.applied_seq = 0
         self.mutations = 0
         self._view: Optional[_MergedView] = None
-        # Per-trajectory incremental artifact caches, all keyed by uid —
-        # stable across deletes, compactions, and view rebuilds.  Histogram
-        # rows also depend on the grid origin, so each (delta, axis) keeps
-        # the rows of its current origin only.
-        self._qgram_cache: Dict[Tuple[int, Optional[int]], Dict[int, np.ndarray]] = {}
-        self._hist_cache: Dict[
-            Tuple[float, Optional[int]], Tuple[bytes, Dict[int, dict]]
-        ] = {}
+        self._base_uid_array = np.asarray(uids, dtype=np.int64)
+        # The artifacts of the last view that built them, row-aligned
+        # with that view's uids; the next view derives its own from them.
+        # Histogram rows also depend on the grid origin, so each
+        # (delta, axis) holds the rows and store of one origin only.
+        # States are immutable tuples replaced whole and checked against
+        # the view's uids before use, so views built out of order cost a
+        # rebuild, never a wrong row.
+        self._qgram_cache: Dict[Tuple[int, Optional[int]], _QgramState] = {}
+        self._hist_cache: Dict[Tuple[float, Optional[int]], _HistogramState] = {}
+        self._minima: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # NTI distances, keyed by uid pair — stable across deletes,
+        # compactions, and view rebuilds.
         self._nti_cache: Dict[int, Dict[int, float]] = {}
         self._nti_seeded: set = set()
-        self._minima_cache: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -401,6 +472,7 @@ class MutableDatabase:
             )
             view._owner = self
             view._uids = uids
+            view._uid_array = np.asarray(uids, dtype=np.int64)
             self._view = view
         return self._view
 
@@ -416,89 +488,138 @@ class MutableDatabase:
             self._base_handle = None
 
     # ------------------------------------------------------------------
-    # Incremental artifact rows (uid-keyed, reused across views)
+    # Derived artifacts (each view starts from the previous view's)
     # ------------------------------------------------------------------
-    def _qgram_row(
-        self, q: int, axis: Optional[int], uid: int, trajectory: Trajectory
-    ) -> np.ndarray:
-        cache = self._qgram_cache.setdefault((q, axis), {})
-        row = cache.get(uid)
-        if row is None:
-            base_pos = self._base_pos.get(uid)
-            if base_pos is not None and self._base_has_qgrams(q, axis):
-                if axis is None:
-                    row = self.base.sorted_qgram_means(q)[base_pos]
-                else:
-                    row = self.base.sorted_qgram_means_1d(q, axis)[base_pos]
-            elif axis is None:
-                row = sort_means_2d(mean_value_qgrams(trajectory, q))
+    def _qgram_state(
+        self, view: _MergedView, q: int, axis: Optional[int], *, pooled: bool
+    ) -> _QgramState:
+        """The view's sorted Q-gram means, and with ``pooled`` its pool.
+
+        Rows surviving from the previous view (or, failing that, from
+        the base generation) are reused; only rows new to this view are
+        computed.  The pool is carried along whenever that source had
+        one, with deleted owners dropped and the new rows merged in.
+        """
+        key = (q, axis)
+        uids = view._uid_array
+        state = self._qgram_cache.get(key)
+        if state is None or state.uids is not uids:
+            state, keep = _carried(
+                (state, self._base_qgram_state(q, axis)), uids
+            )
+            if state is None:
+                rows, pool = [], None
             else:
-                row = sort_means_1d(
+                rows, pool = list(compress(state.rows, keep.tolist())), state.pool
+            fresh = [
+                sort_means_2d(mean_value_qgrams(trajectory, q))
+                if axis is None
+                else sort_means_1d(
                     mean_value_qgrams(trajectory.projection(axis), q)
                 )
-            cache[uid] = row
-        return row
+                for trajectory in view.trajectories[len(rows) :]
+            ]
+            if pool is not None:
+                pool = extend_sorted_means(pool, keep, fresh)
+            state = _QgramState(uids, rows + fresh, pool)
+        if pooled and state.pool is None:
+            state = state._replace(pool=flatten_sorted_means(state.rows))
+        self._qgram_cache[key] = state
+        return state
 
-    def _base_has_qgrams(self, q: int, axis: Optional[int]) -> bool:
+    def _base_qgram_state(
+        self, q: int, axis: Optional[int]
+    ) -> Optional[_QgramState]:
+        """The base generation's Q-gram artifacts, when it has built them."""
         if axis is None:
-            return q in self.base._sorted_means_2d
-        return (q, axis) in self.base._sorted_means_1d
+            rows = self.base._sorted_means_2d.get(q)
+            pool = self.base._flat_means_2d.get(q)
+        else:
+            rows = self.base._sorted_means_1d.get((q, axis))
+            pool = self.base._flat_means_1d.get((q, axis))
+        if rows is None:
+            return None
+        return _QgramState(self._base_uid_array, rows, pool)
 
-    def _histogram_row(
+    def _histogram_state(
         self,
-        delta: float,
-        axis: Optional[int],
+        view: _MergedView,
+        key: Tuple[float, Optional[int]],
         space: HistogramSpace,
-        uid: int,
-        trajectory: Trajectory,
-    ) -> dict:
-        origin = space.origin.tobytes()
-        cached_origin, cache = self._hist_cache.get((delta, axis), (None, None))
-        if cached_origin != origin:
-            # An insert or delete moved the corpus minimum: rows binned on
-            # the old origin would otherwise be kept for the process life.
-            cache = {}
-            self._hist_cache[(delta, axis)] = (origin, cache)
-        row = cache.get(uid)
-        if row is None:
-            base_pos = self._base_pos.get(uid)
-            base_row = None
-            if base_pos is not None:
-                built = self.base._histograms.get((delta, axis))
-                if built is not None:
-                    base_space, base_rows = built
-                    if (
-                        base_space.bin_size == space.bin_size
-                        and np.array_equal(base_space.origin, space.origin)
-                    ):
-                        base_row = dict(base_rows[base_pos])
-            if base_row is not None:
-                row = base_row
-            else:
-                row = space.histogram(
-                    trajectory if axis is None else trajectory.projection(axis)
-                )
-            cache[uid] = row
-        return row
+    ) -> _HistogramState:
+        """The view's dict histograms and CSR store on ``space``.
 
-    def _minimum_of(self, uid: int, trajectory: Trajectory):
-        cached = self._minima_cache.get(uid)
-        if cached is None:
-            cached = (
-                trajectory.bounds()[0] if len(trajectory) > 0 else _EMPTY
+        While the grid origin stays put, rows surviving from the previous
+        view (or from the base generation, when the origin is back on
+        the base's) are reused and sliced out of its store, and only rows
+        new to this view are binned.  When the origin moved elsewhere,
+        every row is binned on the new one.
+        """
+        axis = key[1]
+        origin = space.origin.tobytes()
+        uids = view._uid_array
+        state, keep = _carried(
+            (
+                candidate
+                for candidate in (
+                    self._hist_cache.get(key),
+                    self._base_histogram_state(key),
+                )
+                if candidate is not None and candidate.origin == origin
+            ),
+            uids,
+        )
+        rows = [] if state is None else list(compress(state.rows, keep.tolist()))
+        fresh = [
+            space.histogram(
+                trajectory if axis is None else trajectory.projection(axis)
             )
-            self._minima_cache[uid] = cached
-        return None if cached is _EMPTY else cached
+            for trajectory in view.trajectories[len(rows) :]
+        ]
+        if state is None:
+            store = HistogramArrayStore(fresh, space.ndim)
+        else:
+            store = state.store.derive(keep, fresh)
+        state = _HistogramState(origin, uids, rows + fresh, store)
+        self._hist_cache[key] = state
+        return state
+
+    def _base_histogram_state(
+        self, key: Tuple[float, Optional[int]]
+    ) -> Optional[_HistogramState]:
+        """The base generation's histogram artifacts, when it has built them."""
+        built = self.base._histograms.get(key)
+        store = self.base._histogram_arrays.get(key)
+        if built is None or store is None:
+            return None
+        space, rows = built
+        return _HistogramState(
+            space.origin.tobytes(), self._base_uid_array, rows, store
+        )
 
     def _merged_minima(self, view: _MergedView) -> np.ndarray:
-        rows = []
-        for pos, uid in enumerate(view._uids):
-            minimum = self._minimum_of(uid, view.trajectories[pos])
-            if minimum is not None:
-                rows.append(minimum)
-        if not rows:
+        """The view's per-axis corpus minimum (the histogram grid origin),
+        from per-row minima carried over from the previous view."""
+        uids = view._uid_array
+        if self._minima is None or self._minima[0] is not uids:
+            keep = None if self._minima is None else _survivors(self._minima[0], uids)
+            kept = (
+                np.empty((0, self.ndim)) if keep is None else self._minima[1][keep]
+            )
+            fresh = [
+                trajectory.bounds()[0]
+                if len(trajectory) > 0
+                else np.full(self.ndim, np.inf)
+                for trajectory in view.trajectories[len(kept) :]
+            ]
+            self._minima = (
+                uids,
+                np.concatenate([kept, np.reshape(fresh, (-1, self.ndim))]),
+            )
+        occupied = np.asarray(view.lengths) > 0
+        if not occupied.any():
             raise ValueError("need at least one trajectory to anchor the space")
-        return np.min(rows, axis=0)
+        return self._minima[1][occupied].min(axis=0)
 
     def _reference_column(
         self, view: _MergedView, reference_position: int

@@ -1178,7 +1178,7 @@ class TieredDatabase:
                 return 0
             key = pool_values if pool_values.ndim == 1 else pool_values[:, 0]
             starts, ends = _windows(
-                np.asarray(query_sorted)[:, 0], key, self.epsilon
+                np.asarray(query_sorted)[:, 0], key, pruner.match_tolerance(query)
             )
             row_bytes = pool_values.itemsize * (
                 1 if pool_values.ndim == 1 else pool_values.shape[1]

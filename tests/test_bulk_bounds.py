@@ -9,6 +9,7 @@ check the engines end to end against the sequential scan.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -178,6 +179,29 @@ class TestMergeJoinKernel:
             assert bulk[index] == count_common_sorted_1d(
                 query_sorted, candidate, database.epsilon
             )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_size_never_changes_counts(self, monkeypatch, chunk):
+        from repro.core.qgram import mean_value_qgrams
+        from repro.index import mergejoin
+
+        rng = np.random.default_rng(chunk)
+        per_candidate = [
+            sort_means_2d(np.cumsum(rng.normal(size=(int(rng.integers(5, 30)), 2)), axis=0))
+            for _ in range(40)
+        ]
+        pool_values, pool_owners = flatten_sorted_means(per_candidate)
+        query = sort_means_2d(
+            mean_value_qgrams(np.cumsum(rng.normal(size=(25, 2)), axis=0), 1)
+        )
+        whole = bulk_count_common(query, pool_values, pool_owners, 40, 0.8)
+        monkeypatch.setattr(mergejoin, "_BULK_CHUNK", chunk)
+        chunked = bulk_count_common(query, pool_values, pool_owners, 40, 0.8)
+        assert chunked.tolist() == whole.tolist()
+        assert whole.tolist() == [
+            count_common_sorted_2d(query, candidate, 0.8) for candidate in per_candidate
+        ]
+        assert whole.any()
 
     def test_empty_query_and_empty_pool(self):
         empty_values, empty_owners = flatten_sorted_means([])

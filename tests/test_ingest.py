@@ -10,7 +10,6 @@ assembles byte-identical pruning artifacts incrementally.
 import gc
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +86,33 @@ def assert_engines_match(view, cold, queries, spec):
             )
             assert _answers(got) == _answers(want)
             assert _counters(gstats) == _counters(wstats)
+
+
+def _assert_same_array(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_artifacts_equal(view, cold):
+    """The view's bulk pruning artifacts are byte-identical to ``cold``'s."""
+    for axis in (None,) + tuple(range(view.ndim)):
+        got = view.histogram_arrays(axis=axis)
+        want = cold.histogram_arrays(axis=axis)
+        assert (got.ndim, got.count, got.cells) == (want.ndim, want.count, want.cells)
+        for name in ("_lo", "_shape", "totals"):
+            _assert_same_array(getattr(got, name), getattr(want, name))
+        for name in ("data", "indices", "indptr"):
+            _assert_same_array(getattr(got._counts, name), getattr(want._counts, name))
+        assert got._counts.shape == want._counts.shape
+        assert view.histograms(axis=axis)[1] == cold.histograms(axis=axis)[1]
+    pools = [(view.flat_qgram_means(1), cold.flat_qgram_means(1))] + [
+        (view.flat_qgram_means_1d(1, axis), cold.flat_qgram_means_1d(1, axis))
+        for axis in range(view.ndim)
+    ]
+    for got, want in pools:
+        _assert_same_array(got[0], want[0])
+        _assert_same_array(got[1], want[1])
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +255,100 @@ class TestMutableExactness:
         finally:
             mutable.close()
 
+    @pytest.mark.parametrize("kind", ["warm", "store"])
+    def test_derived_artifacts_byte_equal_cold_build_every_step(
+        self, tmp_path, kind, monkeypatch
+    ):
+        # Each view derives its histogram CSR stores and pooled Q-gram
+        # means from the previous view's.  After every step of a seeded
+        # interleaving they must be byte-identical, dtypes included, to
+        # a cold build over the same logical corpus.
+        from repro.core.histogram import HistogramArrayStore
+        from repro.ingest import mutable as mutable_module
+
+        derived = {"store": 0, "pool": 0}
+        derive = HistogramArrayStore.derive
+        extend = mutable_module.extend_sorted_means
+
+        def counting_derive(store, *args):
+            derived["store"] += 1
+            return derive(store, *args)
+
+        def counting_extend(*args):
+            derived["pool"] += 1
+            return extend(*args)
+
+        monkeypatch.setattr(HistogramArrayStore, "derive", counting_derive)
+        monkeypatch.setattr(mutable_module, "extend_sorted_means", counting_extend)
+
+        rng = np.random.default_rng(505)
+        corpus = _corpus(15, count=20)
+        if kind == "warm":
+            base = TrajectoryDatabase(corpus, EPSILON)
+            base.warm(q=1, histogram_bins=1.0)
+            mutable = MutableDatabase(base)
+        else:
+            root = IngestRoot.init(tmp_path / "root", corpus, EPSILON, kind="store")
+            mutable = root.open_mutable()
+        inserted = []
+        grids = []  # (origin bytes, padded shape) of the 2-D store per step
+        try:
+            for step in range(30):
+                live = mutable.live_uids()
+                if step == 4:  # below the corpus minimum: the origin moves
+                    low = mutable.insert(_walk(rng, 14, offset=-300.0))
+                    inserted.append(low)
+                elif step == 8:  # ... and moves back
+                    mutable.delete(low)
+                    inserted.remove(low)
+                elif step == 11:  # above the maximum: the padded grid grows
+                    high = mutable.insert(_walk(rng, 14, offset=300.0))
+                    inserted.append(high)
+                elif step == 15:  # the max-key holder leaves: it shrinks
+                    mutable.delete(high)
+                    inserted.remove(high)
+                elif step == 17:  # the base's max-key holder leaves too
+                    view = mutable.view()
+                    tops = [t.points[:, 0].max() for t in view.trajectories]
+                    mutable.delete(view._uids[int(np.argmax(tops))])
+                elif step in (6, 22):  # an exact duplicate: pooled-key ties
+                    twin = mutable.view().trajectories[int(rng.integers(len(live)))]
+                    inserted.append(mutable.insert(Trajectory(twin.points.copy())))
+                elif step in (20, 26) and inserted:
+                    mutable.delete(inserted.pop(int(rng.integers(len(inserted)))))
+                elif rng.random() < 0.6 or len(live) < 6:
+                    inserted.append(
+                        mutable.insert(
+                            _walk(
+                                rng,
+                                int(rng.integers(6, 30)),
+                                offset=float(rng.normal(scale=3.0)),
+                            )
+                        )
+                    )
+                else:
+                    mutable.delete(int(live[rng.integers(len(live))]))
+                view = mutable.view()
+                cold = _cold_oracle(mutable)
+                # Alternate which accessor builds first.
+                if step % 2:
+                    view.flat_qgram_means(1)
+                    view.histogram_arrays()
+                _assert_artifacts_equal(view, cold)
+                store = view.histogram_arrays()
+                grids.append((view.histograms()[0].origin.tobytes(), tuple(store._shape)))
+        finally:
+            mutable.close()
+        moved = sum(a[0] != b[0] for a, b in zip(grids, grids[1:]))
+        resized = [
+            (np.prod(b[1]) > np.prod(a[1]))
+            for a, b in zip(grids, grids[1:])
+            if a[0] == b[0] and a[1] != b[1]
+        ]
+        assert moved >= 2
+        assert True in resized and False in resized  # grown and shrunk
+        assert derived["store"] > 0 and derived["pool"] > 0
+
     def test_origin_shifts_keep_one_histogram_cache(self, tmp_path):
         # Each insert below the corpus minimum moves the grid origin;
         # rows binned on an old origin must not pile up across views.
@@ -239,11 +359,16 @@ class TestMutableExactness:
             for step in range(4):
                 mutable.insert(_walk(rng, 12, offset=-100.0 * (step + 1)))
                 view = mutable.view()
-                space, _ = view.histograms()
+                space, rows = view.histograms()
                 assert list(mutable._hist_cache) == [(1.0, None)]
-                origin, rows = mutable._hist_cache[(1.0, None)]
-                assert origin == space.origin.tobytes()
-                assert len(rows) == len(view)
+                state = mutable._hist_cache[(1.0, None)]
+                # Only the current origin's rows and store are held, and
+                # they cover exactly the view's uids.
+                assert state.origin == space.origin.tobytes()
+                assert state.uids.tolist() == view._uids
+                assert state.rows is rows and len(rows) == len(view)
+                assert state.store is view.histogram_arrays()
+                assert state.store.count == len(view)
             assert_engines_match(
                 mutable.view(), _cold_oracle(mutable), [_walk(rng, 18)],
                 "histogram,qgram",

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import edr, mean_value_qgrams
@@ -145,6 +145,38 @@ class TestTheoremBounds:
             epsilon,
         )
         assert common >= common_qgram_lower_bound(len(a), len(b), q, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=2, max_size=8),
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=2, max_size=8),
+        st.sampled_from([0.0, -0.1, 1234.5, -3.1e7]),
+        st.sampled_from([0.1, 0.05, 0.3]),
+        st.integers(min_value=2, max_value=3),
+    )
+    @example(  # means 0.10000000000000002 apart at eps = 0.1, EDR 0
+        [(-2, -2), (-3, -4)], [(-4, 0), (-3, -2)], 0.0, 0.1, 2
+    )
+    def test_merge_join_bounds_stay_below_edr_on_an_epsilon_lattice(
+        self, a, b, offset, epsilon, q
+    ):
+        """Half-ε lattice points put many element pairs exactly on the
+        match boundary, where the running-sum means round apart; the
+        scalar and bulk merge-join bounds must still not exceed EDR."""
+        from repro import QgramMergeJoinPruner, Trajectory, TrajectoryDatabase
+
+        def lattice(steps):
+            return Trajectory(offset + np.array(steps, dtype=np.float64) * epsilon / 2)
+
+        database = TrajectoryDatabase([lattice(b)], epsilon)
+        query = lattice(a)
+        distance = edr(query, database.trajectories[0], epsilon)
+        for two_dimensional in (True, False):
+            prepared = QgramMergeJoinPruner(
+                database, q=q, two_dimensional=two_dimensional
+            ).for_query(query)
+            assert prepared.lower_bound(0) <= distance
+            assert prepared.bulk_lower_bounds()[0] <= distance
 
     def test_can_prune_logic(self):
         # max(10, 10) - 1 + 1 - best*1 = 10 - best; common=4 prunes best=5.

@@ -164,6 +164,35 @@ class TestQgramEpsilonBoundary:
         )
 
 
+class TestQgramMeanRounding:
+    """For q>1 the means are running-sum differences, so two 2-grams
+    whose elements all ε-match could have means 0.10000000000000002
+    apart at ε=0.1: the Q-gram bound said 0.5 where EDR is 0, on the
+    scalar and the bulk path alike.  Means are now compared at a
+    threshold widened by their rounding budget."""
+
+    QUERY = [(-0.1, -0.1), (-0.15000000000000002, -0.2)]
+    CANDIDATE = [(-0.2, 0.0), (-0.15000000000000002, -0.1)]
+
+    def test_q2_bound_never_exceeds_edr(self):
+        database = TrajectoryDatabase(
+            [Trajectory(np.array(self.CANDIDATE))], epsilon=0.1
+        )
+        query = Trajectory(np.array(self.QUERY))
+        assert edr(query, database.trajectories[0], 0.1) == 0.0
+        prepared = QgramMergeJoinPruner(database, q=2).for_query(query)
+        assert prepared.lower_bound(0) == 0.0
+        assert prepared.bulk_lower_bounds()[0] == 0.0
+        assert prepared.window_lower_bound(0) == 0.0
+        assert prepared.bulk_window_lower_bounds()[0] == 0.0
+
+    def test_q1_compares_at_exactly_epsilon(self):
+        from repro.core.qgram import qgram_match_tolerance
+
+        assert qgram_match_tolerance(0.1, 1, 1e300) == 0.1
+        assert qgram_match_tolerance(0.1, 2, 0.7) > 0.1
+
+
 class TestHistogramChainSoundness:
     """The paper's net-first CompHisDist overshoots EDR on chained
     matches; the flow form must not (this was a real false-dismissal
