@@ -2,9 +2,10 @@
 
 Starts the query service twice over the same synthetic database — once
 unsharded, once with ``shards=2`` (the shared-memory intra-query
-engine) — and asserts over real HTTP that every ``/knn`` answer is
-byte-for-byte identical, and that the sharded server's ``/stats``
-reports the shard topology.  Exits non-zero on any divergence, so CI
+engine) — and asserts over real HTTP that every ``/knn``, ``/range``
+and ``/subknn`` answer is byte-for-byte identical, and that the sharded
+server's ``/stats`` reports the shard topology.  ``/subknn`` runs the
+sharded best-window route in worker processes.  Exits non-zero on any divergence, so CI
 and ``scripts/run_all.sh`` can gate on it.
 
     PYTHONPATH=src python scripts/shard_smoke.py
@@ -28,6 +29,9 @@ from repro.service import (
 )
 
 
+RADIUS = 12.0
+
+
 def _database(count: int = 160, seed: int = 4) -> TrajectoryDatabase:
     rng = np.random.default_rng(seed)
     trajectories = [
@@ -45,12 +49,14 @@ def _serve_answers(database, shards: int, query_indices, k: int, port: int = 0):
     )
     with ServerHandle.start(database, config) as handle:
         with ServiceClient(handle.host, handle.port) as client:
-            answers = {
-                index: client.knn(database.trajectories[index], k=k)[
-                    "neighbors"
-                ]
-                for index in query_indices
-            }
+            answers = {}
+            for index in query_indices:
+                query = database.trajectories[index]
+                answers["/knn", index] = client.knn(query, k=k)["neighbors"]
+                answers["/range", index] = client.range_query(
+                    query, radius=RADIUS
+                )["results"]
+                answers["/subknn", index] = client.subknn(query, k=k)["matches"]
             stats = client.stats()
     return answers, stats
 
@@ -78,27 +84,31 @@ def main() -> int:
         print(f"FAIL: {error}", file=sys.stderr)
         return 2
 
-    for index in query_indices:
-        if sharded[index] != unsharded[index]:
+    for (route, index), want in unsharded.items():
+        if sharded[route, index] != want:
             print(
-                f"FAIL: /knn diverged on query {index}: "
-                f"{sharded[index]} != {unsharded[index]}"
+                f"FAIL: {route} diverged on query {index}: "
+                f"{sharded[route, index]} != {want}"
             )
             return 1
+    if not any(unsharded["/range", index] for index in query_indices):
+        print(f"FAIL: /range radius {RADIUS} found no hits; the check is vacuous")
+        return 1
 
     sharding = stats.get("sharding", {})
     if not sharding.get("enabled"):
         print(f"FAIL: sharded server /stats reports sharding {sharding}")
         return 1
-    if sharding.get("shards") != 2 or sharding.get("queries") != len(
+    # /knn and /subknn run sharded; /range runs the serial engine.
+    if sharding.get("shards") != 2 or sharding.get("queries") != 2 * len(
         query_indices
     ):
         print(f"FAIL: unexpected shard topology in /stats: {sharding}")
         return 1
 
     print(
-        f"shard smoke ok: {len(query_indices)} queries identical across "
-        f"1 and 2 shards (start method "
+        f"shard smoke ok: {len(query_indices)} queries x /knn, /range, "
+        f"/subknn identical across 1 and 2 shards (start method "
         f"{sharding.get('start_method')!r}, per-shard stats for "
         f"{len(sharding.get('per_shard', []))} shard(s))"
     )

@@ -168,13 +168,18 @@ class _ResultList:
     Exactness is unaffected: engines prune on ``bound > best_so_far``
     (strictly), so an equal-distance candidate that could displace a
     larger-index member is never pruned away.
+
+    Each entry stores the caller's ``item`` — a :class:`Neighbor` by
+    default, a :class:`~repro.core.subtrajectory.WindowMatch` for the
+    best-window search, where each trajectory offers at most its one
+    best window, so the index still disambiguates distance ties.
     """
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
-        self._items: List[Neighbor] = []
+        self._items: list = []
         self._keys: List[Tuple[float, int]] = []  # parallel bisect keys
 
     @property
@@ -184,19 +189,21 @@ class _ResultList:
             return float("inf")
         return self._keys[-1][0]
 
-    def offer(self, index: int, distance: float) -> None:
+    def offer(self, index: int, distance: float, item=None) -> None:
         if not np.isfinite(distance):
             return
         key = (distance, index)
         if len(self._items) >= self.k and key >= self._keys[-1]:
             return
         position = bisect_right(self._keys, key)
-        self._items.insert(position, Neighbor(index, distance))
+        self._items.insert(
+            position, Neighbor(index, distance) if item is None else item
+        )
         self._keys.insert(position, key)
         del self._items[self.k :]
         del self._keys[self.k :]
 
-    def neighbors(self) -> List[Neighbor]:
+    def neighbors(self) -> list:
         return list(self._items)
 
     def __len__(self) -> int:
@@ -571,6 +578,21 @@ class _QgramMergeJoinQuery(QueryPruner):
         )
 
 
+def _corpus_rounding_magnitude(database: TrajectoryDatabase, q: int) -> float:
+    """The corpus side of a Q-gram pruner's mean-rounding magnitude."""
+    # q = 1 compares at exactly epsilon, so skip the corpus pass.
+    return 0.0 if q == 1 else mean_rounding_magnitude(database.trajectories)
+
+
+def _query_match_tolerance(
+    epsilon: float, q: int, corpus_magnitude: float, query: Trajectory
+) -> float:
+    """The threshold a query's means are matched at: ε widened by the
+    rounding budget of both sides (exactly ε at ``q = 1``)."""
+    magnitude = max(corpus_magnitude, mean_rounding_magnitude([query]))
+    return qgram_match_tolerance(epsilon, q, magnitude)
+
+
 class QgramMergeJoinPruner(Pruner):
     """Mean-value Q-gram pruning via merge join — PS2 (2-D) / PS1 (1-D)."""
 
@@ -593,16 +615,14 @@ class QgramMergeJoinPruner(Pruner):
             self.name = f"qgram-ps1(q={q})"
             self._candidates = database.sorted_qgram_means_1d(q, axis)
             self._flat_pool = database.flat_qgram_means_1d(q, axis)
-        # q = 1 compares at exactly epsilon, so skip the corpus pass.
-        self._magnitude = (
-            0.0 if q == 1 else mean_rounding_magnitude(database.trajectories)
-        )
+        self._magnitude = _corpus_rounding_magnitude(database, q)
 
     def match_tolerance(self, query: Trajectory) -> float:
         """The threshold this query's means are compared at (see
         :func:`~repro.core.qgram.qgram_match_tolerance`)."""
-        magnitude = max(self._magnitude, mean_rounding_magnitude([query]))
-        return qgram_match_tolerance(self._database.epsilon, self._q, magnitude)
+        return _query_match_tolerance(
+            self._database.epsilon, self._q, self._magnitude, query
+        )
 
     def for_query(self, query: Trajectory) -> QueryPruner:
         if self._two_dimensional:
@@ -701,9 +721,14 @@ class QgramIndexPruner(Pruner):
             self._index = database.qgram_rtree(q)
         else:
             self._index = database.qgram_bptree(q, axis)
+        self._magnitude = _corpus_rounding_magnitude(database, q)
 
     def for_query(self, query: Trajectory) -> QueryPruner:
-        epsilon = self._database.epsilon
+        # Probe at the merge-join family's float-sound tolerance, so the
+        # index finds every mean a rounding error pushed past ε.
+        epsilon = _query_match_tolerance(
+            self._database.epsilon, self._q, self._magnitude, query
+        )
         if self._structure == "rtree":
             means = mean_value_qgrams(query, self._q)
 

@@ -23,7 +23,9 @@ shards instead.  The layout:
   batched EDR kernel.  Because every decision is a pure function of
   ``(candidate, B)`` and the sequence of ``B`` values is derived from
   the global order alone, both the answers *and* the per-pruner
-  counters are independent of the shard count.
+  counters are independent of the shard count.  The best-window search
+  runs the same loop as another route: its window-sound bounds are
+  priced by the coordinator and its workers run the windowed DP.
 
 * **Cooperative bound tightening.**  Shards additionally share the
   running k-th-best bound through a ``multiprocessing.Value``: the
@@ -50,8 +52,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +71,7 @@ from .faults import (
 from .histogram import HistogramArrayStore, HistogramSpace
 from .kernels import LEGACY_KERNEL, length_bucket, resolve_kernel_plan, run_kernel
 from .mp import process_context, terminate_pool
+from .rangequery import range_search
 from .search import (
     HistogramPruner,
     NearTrianglePruning,
@@ -85,7 +88,6 @@ from .subtrajectory import (
     DEFAULT_WINDOW_ALPHA,
     WINDOW_KERNEL,
     WindowMatch,
-    _WindowResultList,
     edr_windows_many,
     resolve_window_range,
     window_counts,
@@ -299,9 +301,16 @@ _QUERY_CACHE_LIMIT = 8
 
 
 class _ShardRuntime:
-    """One attached shard: database view, injected artifacts, query cache."""
+    """One attached shard: database view, injected artifacts, query cache.
 
-    def __init__(self, manifest: Dict[str, object], meta: Dict[str, object]) -> None:
+    ``shared_value`` is the cooperative k-th-best bound (``None`` when
+    the start method cannot share it); :meth:`refine` re-reads it.
+    """
+
+    def __init__(
+        self, manifest: Dict[str, object], meta: Dict[str, object], shared_value
+    ) -> None:
+        self.shared_value = shared_value
         file_mode = manifest.get("kind") == "file"
         if file_mode:
             # Mmap-attach mode: the shard maps row slices of a tiered
@@ -470,16 +479,15 @@ class _ShardRuntime:
 
     def refine(
         self,
+        members: List[int],
+        threshold: float,
         spec: str,
         digest: str,
         query_points: np.ndarray,
-        members: List[int],
-        threshold: float,
         early_abandon: bool,
         exact_positions: List[int],
         batch_size: int,
         kernel_spec,
-        shared_value,
     ) -> List[Tuple[str, float]]:
         """Staged exact bounds + batched EDR for one round's shard group.
 
@@ -534,8 +542,8 @@ class _ShardRuntime:
                 bound = None
                 if early_abandon:
                     limit = threshold
-                    if shared_value is not None:
-                        limit = min(limit, float(shared_value.value))
+                    if self.shared_value is not None:
+                        limit = min(limit, float(self.shared_value.value))
                     bound = limit if np.isfinite(limit) else None
                 indices = [survivors[int(position)] for position in bucket]
                 candidates = [self.database.trajectories[i] for i in indices]
@@ -561,31 +569,32 @@ class _ShardRuntime:
                     outcomes[survivor_slots[int(position)]] = ("d", float(distance))
         return outcomes  # type: ignore[return-value]
 
-    def subknn(
+    def refine_windows(
         self,
-        query_points: np.ndarray,
         members: List[int],
-        bound: float,
+        threshold: float,
+        query_points: np.ndarray,
         lo: int,
         hi: int,
         batch_size: int,
+        early_abandon: bool,
     ) -> List[Tuple[float, int, int, int, int]]:
         """Best banded window of each member, against the shard view.
 
         No pruner state is involved — the coordinator evaluates the
         (single-stage, static) window bounds itself, so the task needs
-        only the corpus rows.  ``bound`` is the frozen round threshold
-        folded with the early-abandon flag (non-finite disables row
-        abandoning); there is deliberately no cooperative mid-round
-        tightening, which is what keeps the window counters byte-equal
-        to the serial engine's.  Outcomes align with ``members``:
-        ``(distance, start, end, evaluated, abandoned)`` per member,
-        with ``inf`` distance when every window was abandoned.
+        only the corpus rows.  With ``early_abandon`` rows abandon
+        against the frozen round ``threshold``; there is deliberately no
+        cooperative mid-round tightening, which is what keeps the window
+        counters byte-equal to the serial engine's.  Outcomes align with
+        ``members``: ``(distance, start, end, evaluated, abandoned)``
+        per member, with ``inf`` distance when every window was
+        abandoned.
         """
         outcomes: List[Optional[Tuple[float, int, int, int, int]]] = (
             [None] * len(members)
         )
-        limit = float(bound) if np.isfinite(bound) else None
+        limit = float(threshold) if early_abandon and np.isfinite(threshold) else None
         lengths = self.database.lengths[members]
         for bucket in iter_length_buckets(lengths, batch_size):
             indices = [members[int(position)] for position in bucket]
@@ -620,7 +629,9 @@ class _WorkerState:
         if shard_id not in self._runtimes:
             shard = self._payload["shards"][shard_id]
             try:
-                runtime = _ShardRuntime(shard["manifest"], shard["meta"])
+                runtime = _ShardRuntime(
+                    shard["manifest"], shard["meta"], self.shared_value
+                )
             except (FileNotFoundError, ValueError) as error:
                 # The segment vanished or its manifest no longer matches
                 # — surface as the attach-failure class so the
@@ -652,39 +663,17 @@ def _pool_initializer(payload: Dict[str, object], shared_value) -> None:
     _POOL_STATE = _WorkerState(payload, shared_value)
 
 
-def _pool_filter(shard_id, spec, digest, query_points, directives=()):
-    _faults.apply(
-        directives, inline=False, drop=lambda: _POOL_STATE.drop(shard_id)
-    )
-    payload = _POOL_STATE.runtime(shard_id).filter(spec, digest, query_points)
+def _run_task(state: _WorkerState, inline: bool, shard_id: int, task, directives):
+    """Run one shard task — a runtime method name, then its arguments —
+    against ``state``'s runtime, honouring the fault directives."""
+    _faults.apply(directives, inline=inline, drop=lambda: state.drop(shard_id))
+    method, *args = task
+    payload = getattr(state.runtime(shard_id), method)(*args)
     return _faults.wrap_result(payload, directives)
 
 
-def _pool_refine(
-    shard_id, spec, digest, query_points, members, threshold,
-    early_abandon, exact_positions, batch_size, kernel_spec, directives=(),
-):
-    _faults.apply(
-        directives, inline=False, drop=lambda: _POOL_STATE.drop(shard_id)
-    )
-    payload = _POOL_STATE.runtime(shard_id).refine(
-        spec, digest, query_points, members, threshold,
-        early_abandon, exact_positions, batch_size, kernel_spec,
-        _POOL_STATE.shared_value,
-    )
-    return _faults.wrap_result(payload, directives)
-
-
-def _pool_subknn(
-    shard_id, query_points, members, bound, lo, hi, batch_size, directives=(),
-):
-    _faults.apply(
-        directives, inline=False, drop=lambda: _POOL_STATE.drop(shard_id)
-    )
-    payload = _POOL_STATE.runtime(shard_id).subknn(
-        query_points, members, bound, lo, hi, batch_size
-    )
-    return _faults.wrap_result(payload, directives)
+def _pool_task(shard_id, task, directives=()):
+    return _run_task(_POOL_STATE, False, shard_id, task, directives)
 
 
 def _pool_ping():
@@ -730,6 +719,111 @@ class _InlineValue:
 
     def __init__(self, value: float = float("inf")) -> None:
         self.value = value
+
+
+# ----------------------------------------------------------------------
+# Query routes through the one round loop
+# ----------------------------------------------------------------------
+@dataclass
+class _Route:
+    """The whole-trajectory route (k-NN or range) through the rounds.
+
+    :meth:`ShardedDatabase._rounds` is one loop for every route; a route
+    holds only what differs between them: the visit order and the
+    per-position bounds (``None`` asks a dynamic pruner itself), the
+    windows each pruned trajectory retires (``weights``), the refine
+    wave's runtime method and its fixed arguments, the result offer,
+    the per-outcome stats, and whether a merge republishes the
+    cooperative bound.
+    """
+
+    method: ClassVar[str] = "refine"
+    republish: ClassVar[bool] = True
+
+    query_pruners: List[QueryPruner]
+    bounds: List[Optional[np.ndarray]]
+    order_keys: np.ndarray
+    result: Optional[_ResultList]
+    args: tuple
+    radius: Optional[float] = None
+    weights: Optional[np.ndarray] = None
+    kernel: Optional[str] = None
+    kernel_buckets: Dict[str, str] = field(default_factory=dict)
+    hits: List[Neighbor] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.names = [query_pruner.name for query_pruner in self.query_pruners]
+
+    def threshold(self) -> float:
+        """The current k-th best distance, or the range radius."""
+        return self.radius if self.result is None else self.result.best_so_far
+
+    def pruned_at(self, candidate: int, threshold: float) -> Optional[int]:
+        """The first chain position whose bound exceeds ``threshold``."""
+        for position, bounds in enumerate(self.bounds):
+            if bounds is None:
+                bound = self.query_pruners[position].lower_bound(candidate, threshold)
+            else:
+                bound = bounds[candidate]
+            if bound > threshold:
+                return position
+        return None
+
+    def offer(self, candidate: int, outcome) -> None:
+        """Merge one verified outcome into the result (commutative)."""
+        if self.result is not None and outcome[0] == "d":
+            self.result.offer(candidate, float(outcome[1]))
+
+    def note(self, stats: SearchStats, candidate: int, outcome) -> None:
+        """Account one outcome; called in global chunk order."""
+        kind, payload = outcome
+        if kind == "p":
+            stats.credit(self.names[int(payload)])
+            return
+        stats.true_distance_computations += 1
+        distance = float(payload)
+        if np.isfinite(distance):
+            for query_pruner in self.query_pruners:
+                query_pruner.record(candidate, distance)
+            if self.radius is not None and distance <= self.radius:
+                self.hits.append(Neighbor(candidate, distance))
+
+    def answer(self) -> list:
+        if self.result is None:
+            return sorted(self.hits, key=lambda neighbor: neighbor.index)
+        return self.result.neighbors()
+
+
+class _WindowRoute(_Route):
+    """The best-window route: a window task prices each member's banded
+    windows in one ``edr_windows_many`` pass.  Merges never republish
+    the cooperative bound, so workers abandon rows against the frozen
+    round threshold only — which keeps ``windows_abandoned`` byte-equal
+    to the serial engine's."""
+
+    method = "refine_windows"
+    republish = False
+
+    def offer(self, candidate: int, outcome) -> None:
+        distance, start, end = outcome[:3]
+        self.result.offer(
+            candidate, distance, WindowMatch(candidate, start, end, distance)
+        )
+
+    def note(self, stats: SearchStats, candidate: int, outcome) -> None:
+        stats.true_distance_computations += 1
+        stats.windows_evaluated += outcome[3]
+        stats.windows_abandoned += outcome[4]
+
+
+#: Counters the coordinator sums over ``per_shard``.
+_SUMMED_FIELDS = (
+    "true_distance_computations",
+    "windows_total",
+    "windows_evaluated",
+    "windows_pruned",
+    "windows_abandoned",
+)
 
 
 # ----------------------------------------------------------------------
@@ -1023,10 +1117,9 @@ class ShardedDatabase:
         edr_kernel: Optional[str] = None,
     ) -> Tuple[List[Neighbor], ShardedSearchStats]:
         """Exact k-NN, byte-for-byte equal to the serial ``knn_search``."""
-        return self._run(
-            query, spec, k=k, radius=None,
-            early_abandon=early_abandon, refine_batch_size=refine_batch_size,
-            edr_kernel=edr_kernel,
+        return self._execute(
+            knn_search, self._whole_route, query, spec, refine_batch_size,
+            edr_kernel, k=k, early_abandon=early_abandon,
         )
 
     def knn_sorted_search(
@@ -1059,10 +1152,9 @@ class ShardedDatabase:
         """Exact range query; answers equal the serial ``range_search``."""
         if radius < 0.0:
             raise ValueError("radius must be non-negative")
-        return self._run(
-            query, spec, k=None, radius=float(radius),
-            early_abandon=early_abandon, refine_batch_size=refine_batch_size,
-            edr_kernel=edr_kernel,
+        return self._execute(
+            range_search, self._whole_route, query, spec, refine_batch_size,
+            edr_kernel, radius=float(radius), early_abandon=early_abandon,
         )
 
     def subknn_search(
@@ -1081,52 +1173,32 @@ class ShardedDatabase:
         :func:`repro.core.subtrajectory.subknn_search` — answers and the
         window counters alike (the round engine never tightens a
         worker's bound mid-round, so abandonment decisions match)."""
-        start_time = time.perf_counter()
-        self._ensure_ready()
-        spec = canonical_pruner_spec(spec if spec is not None else self.specs[0])
-        if not self.supports(spec):
-            raise ValueError(
-                f"spec {spec!r} needs artifact families outside the packed set "
-                f"{self._packed_parts}"
-            )
-        round_size = (
-            self._round_size
-            if refine_batch_size is None
-            else max(2, int(refine_batch_size))
+        return self._execute(
+            _serial_subknn_search, self._window_route, query, spec,
+            refine_batch_size, edr_kernel, k=k, alpha=alpha,
+            min_window=min_window, max_window=max_window,
+            early_abandon=early_abandon,
         )
-        recovery = {name: 0 for name in RECOVERY_FIELDS}
-        try:
-            answer, stats = self._run_subknn(
-                query, spec, k, alpha, min_window, max_window,
-                early_abandon, round_size, recovery, edr_kernel,
-            )
-            self._degraded = False
-        except _ShardFailure:
-            answer, stats = self._degrade_subknn(
-                query, spec, k, alpha, min_window, max_window,
-                early_abandon, round_size, edr_kernel,
-            )
-        for name in RECOVERY_FIELDS:
-            setattr(stats, name, recovery[name])
-            self._lifetime[name] += recovery[name]
-        if stats.degraded:
-            self._lifetime["degraded_queries"] += 1
-        stats.elapsed_seconds = time.perf_counter() - start_time
-        return answer, stats
 
     # ------------------------------------------------------------------
     # The frozen-bound round engine
     # ------------------------------------------------------------------
-    def _run(
+    def _execute(
         self,
+        serial: Callable,
+        build_route: Callable[..., _Route],
         query: Trajectory,
         spec: Optional[str],
-        k: Optional[int],
-        radius: Optional[float],
-        early_abandon: bool,
         refine_batch_size: Optional[int],
-        edr_kernel: Optional[str] = None,
-    ) -> Tuple[List[Neighbor], ShardedSearchStats]:
+        edr_kernel: Optional[str],
+        **params,
+    ) -> Tuple[list, ShardedSearchStats]:
+        """One query through the rounds, or through its serial engine.
+
+        ``build_route`` prices the query's bounds into a :class:`_Route`;
+        ``serial`` is the route's serial engine, rerun when a shard
+        exhausts its retry budget.  Both take the route's ``params``.
+        """
         start_time = time.perf_counter()
         self._ensure_ready()
         spec = canonical_pruner_spec(spec if spec is not None else self.specs[0])
@@ -1142,14 +1214,14 @@ class ShardedDatabase:
         )
         recovery = {name: 0 for name in RECOVERY_FIELDS}
         try:
-            answer, stats = self._run_sharded(
-                query, spec, k, radius, early_abandon, round_size, recovery,
-                edr_kernel,
+            route = build_route(
+                query, spec, round_size, recovery, edr_kernel, **params
             )
+            answer, stats = self._rounds(route, round_size, recovery)
             self._degraded = False
         except _ShardFailure:
             answer, stats = self._degrade(
-                query, spec, k, radius, early_abandon, round_size, edr_kernel
+                serial, query, spec, round_size, edr_kernel, **params
             )
         for name in RECOVERY_FIELDS:
             setattr(stats, name, recovery[name])
@@ -1161,109 +1233,47 @@ class ShardedDatabase:
 
     def _degrade(
         self,
+        serial: Callable,
         query: Trajectory,
         spec: str,
-        k: Optional[int],
-        radius: Optional[float],
-        early_abandon: bool,
         round_size: int,
-        edr_kernel: Optional[str] = None,
-    ) -> Tuple[List[Neighbor], ShardedSearchStats]:
+        edr_kernel: Optional[str],
+        **params,
+    ) -> Tuple[list, ShardedSearchStats]:
         """Last resort: rerun the whole query on the serial engine.
 
         The serial engines are pure functions of the database and the
         query, so the answer is exact regardless of what the sharded
         attempt got through before failing; its partial per-shard
-        tallies are discarded and the returned stats are the serial
-        engine's own (marked ``degraded``).
+        tallies are discarded and every :class:`SearchStats` field of
+        the returned stats is the serial engine's own (marked
+        ``degraded``).
         """
-        chain = self._parent_chain(spec)
-        if radius is None:
-            answer, serial = knn_search(
-                self._database, query, k, chain,
-                early_abandon=early_abandon, refine_batch_size=round_size,
-                edr_kernel=edr_kernel,
-            )
-        else:
-            from .rangequery import range_search
-
-            answer, serial = range_search(
-                self._database, query, radius, chain,
-                early_abandon=early_abandon, refine_batch_size=round_size,
-                edr_kernel=edr_kernel,
-            )
-        self._degraded = True
-        stats = ShardedSearchStats(
-            database_size=serial.database_size,
-            true_distance_computations=serial.true_distance_computations,
-            pruned_by=dict(serial.pruned_by),
-            per_shard=[],
-            rounds=0,
-            shards=self.shards,
-            start_method=self._start_method if self.mode == "process" else None,
-            degraded=True,
+        answer, serial_stats = serial(
+            self._database, query, pruners=self._parent_chain(spec),
+            refine_batch_size=round_size, edr_kernel=edr_kernel, **params
         )
-        stats.kernel = serial.kernel
-        stats.kernel_buckets = dict(serial.kernel_buckets)
-        stats.kernel_cells = dict(serial.kernel_cells)
-        stats.kernel_seconds = dict(serial.kernel_seconds)
-        return answer, stats
+        self._degraded = True
+        copied = {f.name: getattr(serial_stats, f.name) for f in fields(SearchStats)}
+        copied["start_method"] = self._start_method
+        return answer, ShardedSearchStats(
+            **copied, shards=self.shards, degraded=True
+        )
 
-    def _degrade_subknn(
+    def _whole_route(
         self,
         query: Trajectory,
         spec: str,
-        k: int,
-        alpha: float,
-        min_window: Optional[int],
-        max_window: Optional[int],
-        early_abandon: bool,
-        round_size: int,
-        edr_kernel: Optional[str] = None,
-    ) -> Tuple[List[WindowMatch], ShardedSearchStats]:
-        """Serial rerun of a failed sharded window query (see
-        :meth:`_degrade`); the window counters carry over verbatim."""
-        chain = self._parent_chain(spec)
-        answer, serial = _serial_subknn_search(
-            self._database, query, k, chain, alpha=alpha,
-            min_window=min_window, max_window=max_window,
-            early_abandon=early_abandon, refine_batch_size=round_size,
-            edr_kernel=edr_kernel,
-        )
-        self._degraded = True
-        stats = ShardedSearchStats(
-            database_size=serial.database_size,
-            true_distance_computations=serial.true_distance_computations,
-            pruned_by=dict(serial.pruned_by),
-            per_shard=[],
-            rounds=0,
-            shards=self.shards,
-            start_method=self._start_method if self.mode == "process" else None,
-            degraded=True,
-        )
-        stats.kernel = serial.kernel
-        stats.kernel_buckets = dict(serial.kernel_buckets)
-        stats.kernel_cells = dict(serial.kernel_cells)
-        stats.kernel_seconds = dict(serial.kernel_seconds)
-        stats.windows_total = serial.windows_total
-        stats.windows_evaluated = serial.windows_evaluated
-        stats.windows_pruned = serial.windows_pruned
-        stats.windows_abandoned = serial.windows_abandoned
-        return answer, stats
-
-    def _run_sharded(
-        self,
-        query: Trajectory,
-        spec: str,
-        k: Optional[int],
-        radius: Optional[float],
-        early_abandon: bool,
         round_size: int,
         recovery: Dict[str, int],
-        edr_kernel: Optional[str] = None,
-    ) -> Tuple[List[Neighbor], ShardedSearchStats]:
-        knn = radius is None
-        result = _ResultList(k) if knn else None
+        edr_kernel: Optional[str],
+        early_abandon: bool,
+        k: Optional[int] = None,
+        radius: Optional[float] = None,
+    ) -> _Route:
+        """The k-NN (``k``) or range (``radius``) route.  A filter wave
+        gathers every static pruner's bulk quick bounds shard-parallel."""
+        result = None if k is None else _ResultList(k)
         # Kernel routing is resolved once, coordinator-side ("auto"
         # autotunes against the parent database; forked workers inherit
         # nothing — they receive the concrete table in the task tuple).
@@ -1272,34 +1282,28 @@ class ShardedDatabase:
             kernel_spec = None
         else:
             kernel_spec = (plan.default, tuple(sorted(plan.table.items())))
-        range_hits: List[Neighbor] = []
-        total = len(self._database)
-        per_shard = [
-            SearchStats(database_size=int(self._starts[s + 1] - self._starts[s]))
-            for s in range(self.shards)
+        query_pruners = [
+            pruner.for_query(query) for pruner in self._parent_chain(spec)
         ]
-
-        chain = self._parent_chain(spec)
-        query_pruners = [pruner.for_query(query) for pruner in chain]
-        names = [query_pruner.name for query_pruner in query_pruners]
         query_points = np.ascontiguousarray(query.points)
         digest = hashlib.sha1(query_points.tobytes()).hexdigest()
 
-        if self._value is not None:
-            self._value.value = radius if not knn else float("inf")
-
-        # ---- filter phase: shard-parallel bulk quick bounds ----------
-        shard_quick = self._dispatch_filter(spec, digest, query_points, recovery)
-        quick: List[Optional[np.ndarray]] = []
-        for position, query_pruner in enumerate(query_pruners):
-            if query_pruner.dynamic:
-                quick.append(None)
-            else:
-                quick.append(
-                    np.concatenate(
-                        [shard_quick[s][position] for s in range(self.shards)]
-                    )
-                )
+        shard_quick = self._dispatch(
+            "filter",
+            {
+                shard_id: ("filter", spec, digest, query_points)
+                for shard_id in range(self.shards)
+            },
+            recovery,
+        )
+        quick: List[Optional[np.ndarray]] = [
+            None
+            if query_pruner.dynamic
+            else np.concatenate(
+                [shard_quick[s][position] for s in range(self.shards)]
+            )
+            for position, query_pruner in enumerate(query_pruners)
+        ]
         if quick and quick[0] is not None:
             order_keys = quick[0]
         elif query_pruners:
@@ -1309,9 +1313,7 @@ class ShardedDatabase:
                 query_pruners[0].bulk_quick_lower_bounds(), dtype=np.float64
             )
         else:
-            order_keys = np.zeros(total, dtype=np.float64)
-        order = np.argsort(order_keys, kind="stable")
-
+            order_keys = np.zeros(len(self._database), dtype=np.float64)
         exact_positions = [
             position
             for position, query_pruner in enumerate(query_pruners)
@@ -1322,199 +1324,123 @@ class ShardedDatabase:
                 or (self._exact_stage == "auto" and query_pruner.exact_stage_cheap)
             )
         ]
-
-        # ---- frozen-bound rounds -------------------------------------
-        position_in_order = 0
-        rounds = 0
-        while position_in_order < total:
-            threshold = result.best_so_far if knn else radius
-            finite = np.isfinite(threshold)
-            chunk: List[int] = []
-            while position_in_order < total and len(chunk) < round_size:
-                candidate = int(order[position_in_order])
-                if finite and query_pruners:
-                    if order_keys[candidate] > threshold:
-                        # Sorted break: every remaining ordered bound
-                        # also exceeds the frozen threshold.
-                        remaining = order[position_in_order:]
-                        counts = np.bincount(
-                            self._shard_ids[remaining], minlength=self.shards
-                        )
-                        for shard_id, count in enumerate(counts.tolist()):
-                            if count:
-                                per_shard[shard_id].pruned_by[names[0]] = (
-                                    per_shard[shard_id].pruned_by.get(names[0], 0)
-                                    + count
-                                )
-                        position_in_order = total
-                        break
-                    pruned = False
-                    for p, query_pruner in enumerate(query_pruners):
-                        if quick[p] is None:
-                            prunes = query_pruner.lower_bound(candidate, threshold) > threshold
-                        else:
-                            prunes = quick[p][candidate] > threshold
-                        if prunes:
-                            per_shard[int(self._shard_ids[candidate])].credit(names[p])
-                            pruned = True
-                            break
-                    if pruned:
-                        position_in_order += 1
-                        continue
-                chunk.append(candidate)
-                position_in_order += 1
-            if not chunk:
-                continue
-            rounds += 1
-
-            groups: Dict[int, List[int]] = {}
-            for candidate in chunk:
-                groups.setdefault(int(self._shard_ids[candidate]), []).append(candidate)
-            outcomes = self._dispatch_refine(
-                groups, spec, digest, query_points, threshold,
-                early_abandon, exact_positions, round_size, kernel_spec,
-                result, recovery,
-            )
-            # Deterministic merge pass in global chunk order: stats,
-            # range hits, and dynamic-pruner records all follow the
-            # partition-independent order, not completion order.
-            cursors = {shard_id: 0 for shard_id in groups}
-            for candidate in chunk:
-                shard_id = int(self._shard_ids[candidate])
-                outcome = outcomes[shard_id][cursors[shard_id]]
-                cursors[shard_id] += 1
-                kind, payload = outcome
-                if kind == "p":
-                    per_shard[shard_id].credit(names[int(payload)])
-                    continue
-                per_shard[shard_id].true_distance_computations += 1
-                distance = float(payload)
-                if np.isfinite(distance):
-                    for query_pruner in query_pruners:
-                        query_pruner.record(candidate, distance)
-                    if not knn and distance <= radius:
-                        range_hits.append(Neighbor(candidate, distance))
-
-        stats = ShardedSearchStats(
-            database_size=total,
-            per_shard=per_shard,
-            rounds=rounds,
-            shards=self.shards,
-            start_method=self._start_method if self.mode == "process" else None,
+        return _Route(
+            query_pruners,
+            quick,
+            order_keys,
+            result,
+            (
+                spec, digest, query_points, early_abandon, exact_positions,
+                round_size, kernel_spec,
+            ),
+            radius=radius,
+            kernel=plan.requested,
+            kernel_buckets={
+                str(bucket): name for bucket, name in sorted(plan.table.items())
+            },
         )
-        stats.kernel = plan.requested
-        stats.kernel_buckets = {
-            str(bucket): name for bucket, name in sorted(plan.table.items())
-        }
-        for shard_stats in per_shard:
-            shard_stats.start_method = stats.start_method
-            stats.true_distance_computations += shard_stats.true_distance_computations
-            for name, count in shard_stats.pruned_by.items():
-                stats.pruned_by[name] = stats.pruned_by.get(name, 0) + count
-        if knn:
-            return result.neighbors(), stats
-        range_hits.sort(key=lambda neighbor: neighbor.index)
-        return range_hits, stats
 
-    def _run_subknn(
+    def _window_route(
         self,
         query: Trajectory,
         spec: str,
+        round_size: int,
+        recovery: Dict[str, int],
+        edr_kernel: Optional[str],
         k: int,
         alpha: float,
         min_window: Optional[int],
         max_window: Optional[int],
         early_abandon: bool,
-        round_size: int,
-        recovery: Dict[str, int],
-        edr_kernel: Optional[str] = None,
-    ) -> Tuple[List[WindowMatch], ShardedSearchStats]:
-        result = _WindowResultList(k)
+    ) -> _Route:
+        """The best-window route.  Window bounds are single-stage static
+        arrays, so the coordinator prices them against the parent chain
+        itself: no filter wave, and window tasks ship no pruner state."""
+        result = _ResultList(k)
         if edr_kernel is not None:
             # Validation only — the windowed DP has a single batched
             # implementation (see the serial engine's note).
             resolve_kernel_plan(self._database, edr_kernel)
-        total = len(self._database)
         query_points = np.ascontiguousarray(query.points)
         lo, hi = resolve_window_range(
             int(query_points.shape[0]), alpha, min_window, max_window
         )
-        lengths = np.asarray(self._database.lengths, dtype=np.int64)
-        counts = window_counts(lengths, lo, hi)
-        per_shard: List[SearchStats] = []
-        for s in range(self.shards):
-            shard_stats = SearchStats(
-                database_size=int(self._starts[s + 1] - self._starts[s])
-            )
-            shard_stats.windows_total = int(
-                counts[self._starts[s]:self._starts[s + 1]].sum()
-            )
-            shard_stats.kernel = WINDOW_KERNEL
-            per_shard.append(shard_stats)
-
-        # The window bounds are single-stage static arrays, so the
-        # coordinator prices them against the parent chain directly —
-        # no filter wave, and the subknn task ships no pruner state.
-        chain = self._parent_chain(spec)
-        query_pruners = [pruner.for_query(query) for pruner in chain]
-        names = [query_pruner.name for query_pruner in query_pruners]
-        window_bounds = [
-            np.asarray(
-                query_pruner.bulk_window_lower_bounds(), dtype=np.float64
-            )
+        query_pruners = [
+            pruner.for_query(query) for pruner in self._parent_chain(spec)
+        ]
+        bounds = [
+            np.asarray(query_pruner.bulk_window_lower_bounds(), dtype=np.float64)
             for query_pruner in query_pruners
         ]
-        order_keys = (
-            window_bounds[0] if window_bounds else np.zeros(total, dtype=np.float64)
+        return _WindowRoute(
+            query_pruners,
+            bounds,
+            bounds[0] if bounds else np.zeros(len(self._database), dtype=np.float64),
+            result,
+            (query_points, lo, hi, round_size, early_abandon),
+            weights=window_counts(
+                np.asarray(self._database.lengths, dtype=np.int64), lo, hi
+            ),
+            kernel=WINDOW_KERNEL,
         )
-        order = np.argsort(order_keys, kind="stable")
+
+    def _rounds(
+        self, route: _Route, round_size: int, recovery: Dict[str, int]
+    ) -> Tuple[list, ShardedSearchStats]:
+        """Walk ``route``'s visit order in frozen-threshold rounds."""
+        total = len(self._database)
+        names = route.names
+        weights = route.weights
+        per_shard: List[SearchStats] = []
+        for shard_id in range(self.shards):
+            start, stop = int(self._starts[shard_id]), int(self._starts[shard_id + 1])
+            shard_stats = SearchStats(database_size=stop - start)
+            if weights is not None:
+                shard_stats.windows_total = int(weights[start:stop].sum())
+                shard_stats.kernel = route.kernel
+            per_shard.append(shard_stats)
+        if self._value is not None:
+            self._value.value = route.threshold()
+        order = np.argsort(route.order_keys, kind="stable")
 
         position_in_order = 0
         rounds = 0
         while position_in_order < total:
-            threshold = result.best_so_far
+            threshold = route.threshold()
             finite = np.isfinite(threshold)
             chunk: List[int] = []
             while position_in_order < total and len(chunk) < round_size:
                 candidate = int(order[position_in_order])
-                if finite and query_pruners:
-                    if order_keys[candidate] > threshold:
-                        # Sorted break: the primary window bound only
-                        # grows from here, retiring every remaining
-                        # candidate — and all of their windows.
+                if finite and names:
+                    if route.order_keys[candidate] > threshold:
+                        # Sorted break: every remaining ordered bound
+                        # also exceeds the frozen threshold, retiring
+                        # the remaining candidates and all their windows.
                         remaining = order[position_in_order:]
-                        trajectory_tallies = np.bincount(
-                            self._shard_ids[remaining], minlength=self.shards
-                        )
-                        window_tallies = np.bincount(
-                            self._shard_ids[remaining],
-                            weights=counts[remaining].astype(np.float64),
-                            minlength=self.shards,
-                        )
-                        for shard_id, count in enumerate(
-                            trajectory_tallies.tolist()
-                        ):
+                        owners = self._shard_ids[remaining]
+                        counts = np.bincount(owners, minlength=self.shards)
+                        if weights is not None:
+                            windows = np.bincount(
+                                owners,
+                                weights=weights[remaining].astype(np.float64),
+                                minlength=self.shards,
+                            )
+                        for shard_id, count in enumerate(counts.tolist()):
                             if count:
-                                per_shard[shard_id].pruned_by[names[0]] = (
-                                    per_shard[shard_id].pruned_by.get(names[0], 0)
-                                    + count
+                                shard_stats = per_shard[shard_id]
+                                shard_stats.pruned_by[names[0]] = (
+                                    shard_stats.pruned_by.get(names[0], 0) + count
                                 )
-                                per_shard[shard_id].windows_pruned += int(
-                                    window_tallies[shard_id]
-                                )
+                                if weights is not None:
+                                    shard_stats.windows_pruned += int(windows[shard_id])
                         position_in_order = total
                         break
-                    pruned = False
-                    for p in range(1, len(query_pruners)):
-                        if window_bounds[p][candidate] > threshold:
-                            shard_id = int(self._shard_ids[candidate])
-                            per_shard[shard_id].credit(names[p])
-                            per_shard[shard_id].windows_pruned += int(
-                                counts[candidate]
-                            )
-                            pruned = True
-                            break
-                    if pruned:
+                    pruned_at = route.pruned_at(candidate, threshold)
+                    if pruned_at is not None:
+                        shard_stats = per_shard[int(self._shard_ids[candidate])]
+                        shard_stats.credit(names[pruned_at])
+                        if weights is not None:
+                            shard_stats.windows_pruned += int(weights[candidate])
                         position_in_order += 1
                         continue
                 chunk.append(candidate)
@@ -1522,43 +1448,39 @@ class ShardedDatabase:
             if not chunk:
                 continue
             rounds += 1
-            bound = float(threshold) if (early_abandon and finite) else float("inf")
 
             groups: Dict[int, List[int]] = {}
             for candidate in chunk:
                 groups.setdefault(int(self._shard_ids[candidate]), []).append(candidate)
-            outcomes = self._dispatch_subknn(
-                groups, query_points, bound, lo, hi, round_size, result, recovery,
-            )
-            cursors = {shard_id: 0 for shard_id in groups}
+            outcomes = {
+                shard_id: iter(shard_outcomes)
+                for shard_id, shard_outcomes in self._dispatch_round(
+                    route, groups, threshold, recovery
+                ).items()
+            }
+            # Deterministic pass in global chunk order: stats, range
+            # hits, and dynamic-pruner records all follow the
+            # partition-independent order, not completion order.
             for candidate in chunk:
                 shard_id = int(self._shard_ids[candidate])
-                outcome = outcomes[shard_id][cursors[shard_id]]
-                cursors[shard_id] += 1
-                per_shard[shard_id].true_distance_computations += 1
-                per_shard[shard_id].windows_evaluated += int(outcome[3])
-                per_shard[shard_id].windows_abandoned += int(outcome[4])
+                route.note(per_shard[shard_id], candidate, next(outcomes[shard_id]))
 
         stats = ShardedSearchStats(
             database_size=total,
             per_shard=per_shard,
             rounds=rounds,
             shards=self.shards,
-            start_method=self._start_method if self.mode == "process" else None,
+            start_method=self._start_method,
+            kernel=route.kernel,
+            kernel_buckets=route.kernel_buckets,
         )
-        stats.kernel = WINDOW_KERNEL
-        stats.windows_total = int(counts.sum())
         for shard_stats in per_shard:
             shard_stats.start_method = stats.start_method
-            stats.true_distance_computations += (
-                shard_stats.true_distance_computations
-            )
-            stats.windows_evaluated += shard_stats.windows_evaluated
-            stats.windows_pruned += shard_stats.windows_pruned
-            stats.windows_abandoned += shard_stats.windows_abandoned
+            for name in _SUMMED_FIELDS:
+                setattr(stats, name, getattr(stats, name) + getattr(shard_stats, name))
             for name, count in shard_stats.pruned_by.items():
                 stats.pruned_by[name] = stats.pruned_by.get(name, 0) + count
-        return result.matches(), stats
+        return route.answer(), stats
 
     # ------------------------------------------------------------------
     # Dispatch (process pool or inline), with bounded recovery
@@ -1568,17 +1490,10 @@ class ShardedDatabase:
             return ()
         return self.fault_plan.directives(point, shard_id)
 
-    def _submit(self, point: str, shard_id: int, args: tuple, directives):
-        fn = {
-            "filter": _pool_filter,
-            "refine": _pool_refine,
-            "subknn": _pool_subknn,
-        }[point]
-        return self._pool_for(shard_id).submit(fn, shard_id, *args, directives)
+    def _submit(self, shard_id: int, task: tuple, directives):
+        return self._pool_for(shard_id).submit(_pool_task, shard_id, task, directives)
 
-    def _inline_execute(
-        self, point: str, shard_id: int, args: tuple, directives
-    ):
+    def _inline_execute(self, point: str, shard_id: int, task: tuple, directives):
         # Inline mode cannot interrupt a synchronous call, so a slow
         # directive that would blow the round deadline becomes a
         # deterministic pre-execution timeout instead of a sleep —
@@ -1590,24 +1505,13 @@ class ShardedDatabase:
                     f"shard {shard_id} {point} task exceeded the "
                     f"{self.round_timeout_s}s round deadline"
                 )
-        state = self._inline_state
-        _faults.apply(
-            directives, inline=True, drop=lambda: state.drop(shard_id)
-        )
-        runtime = state.runtime(shard_id)
-        if point == "filter":
-            payload = runtime.filter(*args)
-        elif point == "subknn":
-            payload = runtime.subknn(*args)
-        else:
-            payload = runtime.refine(*args, self._value)
-        return _faults.wrap_result(payload, directives)
+        return _run_task(self._inline_state, True, shard_id, task, directives)
 
     def _attempt(
         self,
         point: str,
         shard_id: int,
-        args: tuple,
+        task: tuple,
         future=None,
         deadline: Optional[float] = None,
     ):
@@ -1615,9 +1519,9 @@ class ShardedDatabase:
         if future is None:
             directives = self._directives_for(point, shard_id)
             if self.mode == "inline":
-                wrapped = self._inline_execute(point, shard_id, args, directives)
+                wrapped = self._inline_execute(point, shard_id, task, directives)
             else:
-                wrapped = self._submit(point, shard_id, args, directives).result(
+                wrapped = self._submit(shard_id, task, directives).result(
                     timeout=self.round_timeout_s
                 )
         else:
@@ -1655,7 +1559,7 @@ class ShardedDatabase:
         self,
         point: str,
         shard_id: int,
-        args: tuple,
+        task: tuple,
         recovery: Dict[str, int],
         future=None,
         deadline: Optional[float] = None,
@@ -1671,7 +1575,7 @@ class ShardedDatabase:
         while True:
             try:
                 return self._attempt(
-                    point, shard_id, args, future=future, deadline=deadline
+                    point, shard_id, task, future=future, deadline=deadline
                 )
             except Exception as error:
                 counter = _classify(error)
@@ -1711,7 +1615,7 @@ class ShardedDatabase:
             for shard_id in sorted(tasks):
                 directives = self._directives_for(point, shard_id)
                 pending[shard_id] = self._submit(
-                    point, shard_id, tasks[shard_id], directives
+                    shard_id, tasks[shard_id], directives
                 )
             if self.round_timeout_s is not None:
                 deadline = time.monotonic() + self.round_timeout_s
@@ -1729,115 +1633,41 @@ class ShardedDatabase:
                 merge(shard_id, payload)
         return results
 
-    def _dispatch_filter(
+    def _dispatch_round(
         self,
-        spec: str,
-        digest: str,
-        query_points: np.ndarray,
-        recovery: Dict[str, int],
-    ) -> Dict[int, Dict[int, np.ndarray]]:
-        tasks = {
-            shard_id: (spec, digest, query_points)
-            for shard_id in range(self.shards)
-        }
-        return self._dispatch("filter", tasks, recovery)
-
-    def _dispatch_refine(
-        self,
+        route: _Route,
         groups: Dict[int, List[int]],
-        spec: str,
-        digest: str,
-        query_points: np.ndarray,
         threshold: float,
-        early_abandon: bool,
-        exact_positions: List[int],
-        batch_size: int,
-        kernel_spec,
-        result: Optional[_ResultList],
         recovery: Dict[str, int],
-    ) -> Dict[int, List[Tuple[str, float]]]:
-        """Run one round's shard groups; merge k-NN offers eagerly.
+    ) -> Dict[int, list]:
+        """Run one round's shard groups as the ``refine`` wave.
 
         Offers into the canonical result list are commutative, so they
-        happen as each shard's verified payload lands — and the shared
-        bound is republished immediately, tightening still-running
-        shards' early-abandon budget mid-round.  Everything
-        order-sensitive (stats, records) waits for the caller's
-        deterministic pass.
+        happen as each shard's verified payload lands — and a
+        republishing route then tightens the shared bound at once,
+        shrinking still-running shards' early-abandon budget mid-round.
+        Everything order-sensitive (stats, records) waits for the
+        caller's deterministic pass.
         """
-        local_groups = {
-            shard_id: [c - int(self._starts[shard_id]) for c in members]
-            for shard_id, members in groups.items()
-        }
 
         def merge(shard_id: int, shard_outcomes) -> None:
-            if result is None:
-                return
-            base = int(self._starts[shard_id])
-            for local_index, (kind, payload) in zip(
-                local_groups[shard_id], shard_outcomes
-            ):
-                if kind == "d":
-                    result.offer(base + local_index, float(payload))
-            if self._value is not None:
-                best = result.best_so_far
+            for candidate, outcome in zip(groups[shard_id], shard_outcomes):
+                route.offer(candidate, outcome)
+            if route.republish and self._value is not None:
+                best = route.threshold()
                 if best < self._value.value:
                     self._value.value = best
 
         tasks = {
             shard_id: (
-                spec, digest, query_points, members, threshold,
-                early_abandon, exact_positions, batch_size, kernel_spec,
+                route.method,
+                [c - int(self._starts[shard_id]) for c in members],
+                threshold,
             )
-            for shard_id, members in local_groups.items()
-        }
-        return self._dispatch("refine", tasks, recovery, merge=merge)
-
-    def _dispatch_subknn(
-        self,
-        groups: Dict[int, List[int]],
-        query_points: np.ndarray,
-        bound: float,
-        lo: int,
-        hi: int,
-        batch_size: int,
-        result: _WindowResultList,
-        recovery: Dict[str, int],
-    ) -> Dict[int, List[Tuple[float, int, int, int, int]]]:
-        """Run one round's shard window groups; merge offers eagerly.
-
-        Offers into the window result list are commutative, so they
-        land as each shard's verified payload arrives.  Unlike
-        :meth:`_dispatch_refine` there is deliberately no shared-bound
-        republish: workers abandon against the frozen round threshold
-        only, which is what keeps ``windows_abandoned`` byte-equal to
-        the serial engine's.  Stats wait for the caller's deterministic
-        pass in global chunk order.
-        """
-        local_groups = {
-            shard_id: [c - int(self._starts[shard_id]) for c in members]
+            + route.args
             for shard_id, members in groups.items()
         }
-
-        def merge(shard_id: int, shard_outcomes) -> None:
-            base = int(self._starts[shard_id])
-            for local_index, outcome in zip(
-                local_groups[shard_id], shard_outcomes
-            ):
-                distance = float(outcome[0])
-                if np.isfinite(distance):
-                    result.offer(
-                        base + local_index,
-                        int(outcome[1]),
-                        int(outcome[2]),
-                        distance,
-                    )
-
-        tasks = {
-            shard_id: (query_points, members, bound, lo, hi, batch_size)
-            for shard_id, members in local_groups.items()
-        }
-        return self._dispatch("subknn", tasks, recovery, merge=merge)
+        return self._dispatch("refine", tasks, recovery, merge=merge)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,7 +62,7 @@ from .database import TrajectoryDatabase
 from .edr import _points
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE, TrajectoryLike, iter_length_buckets
 from .kernels import length_bucket, resolve_kernel_plan
-from .search import Pruner, SearchStats
+from .search import Pruner, SearchStats, _ResultList
 from .trajectory import Trajectory
 
 __all__ = [
@@ -124,51 +123,6 @@ class WindowMatch:
 
 
 WindowSearchResult = Tuple[List[WindowMatch], SearchStats]
-
-
-class _WindowResultList:
-    """The k best windows, keyed canonically on ``(distance, index)``.
-
-    Mirrors the engines' ``_ResultList``: each trajectory contributes at
-    most one (its best) window, so the database index disambiguates
-    distance ties and offers are commutative — any arrival order yields
-    the same contents, which is what lets the sharded merge pass offer
-    eagerly.  The per-trajectory tie among equally distant windows is
-    already resolved inside the DP kernel (smallest start, then smallest
-    end), so ``start``/``end`` never participate in the ordering.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        self.k = k
-        self._keys: List[Tuple[float, int]] = []
-        self._items: List[WindowMatch] = []
-
-    @property
-    def best_so_far(self) -> float:
-        """The current k-th window distance — infinite until k exist."""
-        if len(self._items) < self.k:
-            return float("inf")
-        return self._keys[-1][0]
-
-    def offer(self, index: int, start: int, end: int, distance: float) -> None:
-        if not np.isfinite(distance):
-            return
-        key = (float(distance), int(index))
-        if len(self._items) >= self.k and key >= self._keys[-1]:
-            return
-        position = bisect_right(self._keys, key)
-        self._keys.insert(position, key)
-        self._items.insert(position, WindowMatch(index, start, end, distance))
-        del self._keys[self.k :]
-        del self._items[self.k :]
-
-    def matches(self) -> List[WindowMatch]:
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 #: Cap on the alpha-derived window length: past every trajectory length.
@@ -539,7 +493,7 @@ def subknn_search(
         # Validation (and, for "auto", the shared tuning table) only:
         # the windowed DP itself has a single batched implementation.
         resolve_kernel_plan(database, edr_kernel)
-    result = _WindowResultList(k)
+    result = _ResultList(k)
     if refine_batch_size is None:
         refine_batch_size = DEFAULT_REFINE_BATCH_SIZE
     round_size = max(2, int(refine_batch_size))
@@ -613,12 +567,12 @@ def subknn_search(
                 stats.true_distance_computations += 1
                 stats.windows_evaluated += int(evaluated[slot])
                 stats.windows_abandoned += int(abandoned[slot])
+                distance = float(distances[slot])
                 result.offer(
                     member,
-                    int(starts_[slot]),
-                    int(ends_[slot]),
-                    float(distances[slot]),
+                    distance,
+                    WindowMatch(member, starts_[slot], ends_[slot], distance),
                 )
 
     stats.elapsed_seconds = time.perf_counter() - started
-    return result.matches(), stats
+    return result.neighbors(), stats

@@ -423,7 +423,10 @@ class MutableDatabase:
         op = record["op"]
         uid = int(record["uid"])
         if op == "insert":
-            points = np.asarray(record["points"], dtype=np.float64)
+            # The reshape keeps an empty insert's arity ("points": []).
+            points = np.asarray(record["points"], dtype=np.float64).reshape(
+                -1, self.ndim
+            )
             self._inserts[uid] = Trajectory(
                 points, label=record.get("label"), trajectory_id=uid
             )

@@ -28,9 +28,12 @@ from repro.core.faults import (
 )
 from repro.core.rangequery import range_search
 from repro.core.sharding import RECOVERY_FIELDS, _classify
+from repro.core.subtrajectory import subknn_search
 from repro.service.config import ServiceConfig
 from repro.service.handlers import TrajectoryService
 from repro.service.pruning import build_pruners
+
+from .oracles import window_answers
 
 SPEC = "histogram,qgram"
 SHARDS = 3
@@ -46,6 +49,21 @@ def _counters(stats):
         stats.true_distance_computations,
         dict(stats.pruned_by),
         stats.rounds,
+    )
+
+
+def _windows(stats):
+    return (
+        stats.windows_total,
+        stats.windows_evaluated,
+        stats.windows_pruned,
+        stats.windows_abandoned,
+    )
+
+
+def _serial_windows(database, query):
+    return subknn_search(
+        database, query, K, build_pruners(database, SPEC), early_abandon=True
     )
 
 
@@ -230,6 +248,30 @@ class TestInlineChaos:
         assert not stats.degraded
         assert not engine.degraded
 
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_window_refine_fault_recovers_byte_for_byte(
+        self, workload, engine_factory, kind
+    ):
+        # Window tasks are the window route's refine wave.
+        database, queries = workload
+        plan = FaultPlan([FaultRule("refine", kind, delay_s=0.2)])
+        engine = engine_factory(fault_plan=plan)
+        got, stats = engine.subknn_search(
+            queries[0], K, spec=SPEC, early_abandon=True
+        )
+        want, serial = _serial_windows(database, queries[0])
+
+        assert window_answers(got) == window_answers(want)
+        assert _windows(stats) == _windows(serial)
+        assert dict(stats.pruned_by) == dict(serial.pruned_by)
+        assert [(point, fired) for point, _, fired in plan.fired] == [
+            ("refine", kind)
+        ]
+        assert getattr(stats, COUNTER_BY_KIND[kind]) == 1
+        assert _recovery_total(stats) == 1
+        assert stats.retries == 1
+        assert not stats.degraded
+
     def test_fault_on_every_shard_same_round(
         self, workload, engine_factory, baseline
     ):
@@ -352,6 +394,23 @@ class TestDegradation:
         assert _answers(got) == _answers(want)
         assert stats.degraded
         assert stats.attach_failures == 2
+
+    def test_window_degradation_matches_serial(
+        self, workload, engine_factory
+    ):
+        database, queries = workload
+        plan = FaultPlan([FaultRule("refine", "crash", count=3)])
+        engine = engine_factory(fault_plan=plan, max_retries=2)
+        got, stats = engine.subknn_search(
+            queries[2], K, spec=SPEC, early_abandon=True
+        )
+        want, serial = _serial_windows(database, queries[2])
+        assert window_answers(got) == window_answers(want)
+        assert dict(stats.pruned_by) == dict(serial.pruned_by)
+        assert _windows(stats) == _windows(serial)
+        assert stats.degraded and engine.degraded
+        assert stats.worker_crashes == 3
+        assert engine.resilience()["degraded_queries"] == 1
 
     def test_lifetime_counters_accumulate(self, workload, engine_factory):
         _, queries = workload

@@ -468,6 +468,26 @@ class TestMutableExactness:
         finally:
             mutable.close()
 
+    def test_empty_insert_keeps_its_arity(self, tmp_path):
+        # The WAL record of an empty trajectory is "points": [], which
+        # once came back as shape (0, 1) on a 2-D corpus.
+        base = TrajectoryDatabase(_corpus(18, count=5), EPSILON)
+        base.warm(q=1, histogram_bins=1.0)
+        path = tmp_path / "wal.jsonl"
+        mutable = MutableDatabase(base, log=DeltaLog(path))
+        uid = mutable.insert(Trajectory(np.empty((0, 2))))
+        view = mutable.view()
+        assert view.trajectories[len(view) - 1].points.shape == (0, 2)
+        query = _walk(np.random.default_rng(19), 12)
+        for spec in ("histogram,qgram", "histogram-1d"):
+            assert_engines_match(view, _cold_oracle(mutable), [query], spec)
+
+        records, torn = DeltaLog.read(path)
+        assert not torn and [int(r["uid"]) for r in records] == [uid]
+        replayed = MutableDatabase(base)
+        assert replayed.apply_record(records[0])
+        assert replayed.snapshot()[0][-1].points.shape == (0, 2)
+
 
 # ----------------------------------------------------------------------
 # Generations and compaction chaos

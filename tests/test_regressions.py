@@ -24,6 +24,7 @@ from repro import (
     mean_value_qgrams,
 )
 from repro.core.edr import edr_reference
+from repro.core.search import QgramIndexPruner
 from repro.data import load_csv, save_csv
 from repro.data.synthetic import make_class_curve
 from repro.distances.dtw import dtw_reference
@@ -185,6 +186,20 @@ class TestQgramMeanRounding:
         assert prepared.bulk_lower_bounds()[0] == 0.0
         assert prepared.window_lower_bound(0) == 0.0
         assert prepared.bulk_window_lower_bounds()[0] == 0.0
+
+    @pytest.mark.parametrize("structure, axis", [("rtree", 0), ("bptree", 1)])
+    def test_q2_index_probes_never_exceed_edr(self, structure, axis):
+        # At plain ε the R-tree and the axis-1 B+-tree probe missed the
+        # match and gave 0.5.
+        database = TrajectoryDatabase(
+            [Trajectory(np.array(self.CANDIDATE))], epsilon=0.1
+        )
+        query = Trajectory(np.array(self.QUERY))
+        prepared = QgramIndexPruner(
+            database, q=2, structure=structure, axis=axis
+        ).for_query(query)
+        assert prepared.lower_bound(0) == 0.0
+        assert prepared.bulk_lower_bounds()[0] == 0.0
 
     def test_q1_compares_at_exactly_epsilon(self):
         from repro.core.qgram import qgram_match_tolerance

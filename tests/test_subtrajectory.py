@@ -21,13 +21,13 @@ from repro.core.subtrajectory import (
     DEFAULT_WINDOW_ALPHA,
     WINDOW_KERNEL,
     WindowMatch,
-    _WindowResultList,
     edr_windows,
     edr_windows_many,
     resolve_window_range,
     window_counts,
 )
 from repro.core.batch import warm_pruners
+from repro.core.search import _ResultList
 from repro.service.pruning import build_pruners
 
 from .conftest import random_walk_trajectories
@@ -105,30 +105,36 @@ class TestWindowRange:
 
 
 class TestWindowResultList:
+    """The canonical result list holding best windows as its items."""
+
+    @staticmethod
+    def _offer(result, index, start, end, distance):
+        result.offer(index, distance, WindowMatch(index, start, end, distance))
+
     def test_keeps_k_smallest_on_distance_then_index(self):
-        result = _WindowResultList(2)
-        result.offer(3, 0, 5, 2.0)
-        result.offer(1, 2, 7, 2.0)
-        result.offer(9, 0, 4, 1.0)
-        assert window_answers(result.matches()) == [
+        result = _ResultList(2)
+        self._offer(result, 3, 0, 5, 2.0)
+        self._offer(result, 1, 2, 7, 2.0)
+        self._offer(result, 9, 0, 4, 1.0)
+        assert window_answers(result.neighbors()) == [
             (9, 0, 4, 1.0),
             (1, 2, 7, 2.0),
         ]
 
     def test_offers_are_commutative(self):
         offers = [(4, 0, 3, 2.5), (2, 1, 6, 1.5), (7, 2, 8, 2.5), (0, 0, 9, 3.5)]
-        forward = _WindowResultList(3)
-        backward = _WindowResultList(3)
+        forward = _ResultList(3)
+        backward = _ResultList(3)
         for offer in offers:
-            forward.offer(*offer)
+            self._offer(forward, *offer)
         for offer in reversed(offers):
-            backward.offer(*offer)
-        assert forward.matches() == backward.matches()
+            self._offer(backward, *offer)
+        assert forward.neighbors() == backward.neighbors()
 
     def test_infinite_distances_ignored(self):
-        result = _WindowResultList(1)
-        result.offer(0, 0, 1, float("inf"))
-        assert result.matches() == []
+        result = _ResultList(1)
+        self._offer(result, 0, 0, 1, float("inf"))
+        assert result.neighbors() == []
 
 
 # ----------------------------------------------------------------------
