@@ -4,7 +4,7 @@ Measures, on a synthetic random-walk database:
 
 * the *refine phase* of exact k-NN — every candidate verified through
   true EDR with early abandoning — under ``edr_kernel="batched"``
-  (:func:`repro.edr_many`, the legacy default) versus
+  (:func:`repro.edr_many`, the legacy kernel) versus
   ``edr_kernel="bitparallel"``
   (:func:`repro.edr_many_bitparallel`, 64 DP cells per machine word);
 * the raw kernels head to head over the whole database with no bounds,

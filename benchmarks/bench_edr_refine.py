@@ -76,6 +76,8 @@ def bench_refine(database, query, k: int, repeats: int, batch_size: int) -> dict
     oracle, _ = knn_scan(database, query, k)
 
     def run(pruners, refine_batch_size):
+        # Pinned to the batched kernel: this bench times ``edr_many``
+        # against the scalar path, whatever ``edr_kernel=None`` runs.
         return knn_search(
             database,
             query,
@@ -83,6 +85,7 @@ def bench_refine(database, query, k: int, repeats: int, batch_size: int) -> dict
             pruners,
             early_abandon=True,
             refine_batch_size=refine_batch_size,
+            edr_kernel="batched",
         )
 
     pruned = [HistogramPruner(database)]

@@ -31,7 +31,7 @@ from .core.batch import BATCH_ENGINES, knn_batch
 from .core.database import TrajectoryDatabase
 from .core.edr_batch import DEFAULT_REFINE_BATCH_SIZE
 from .core.join import similarity_join
-from .core.kernels import KERNEL_CHOICES
+from .core.kernels import DEFAULT_KERNEL, KERNEL_CHOICES
 from .core.rangequery import range_search
 from .core.search import Pruner, knn_search
 from .core.subtrajectory import DEFAULT_WINDOW_ALPHA, subknn_search
@@ -170,7 +170,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def _kernel_note(stats) -> str:
     """Human-readable echo of the requested kernel and per-bucket picks."""
-    note = stats.kernel or "batched"
+    note = stats.kernel or DEFAULT_KERNEL
     if stats.kernel_buckets:
         picks = ",".join(
             f"{bucket}:{name}"

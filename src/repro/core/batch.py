@@ -237,7 +237,7 @@ def knn_batch(
         per-candidate verification.
     edr_kernel:
         Refine kernel selection (see :mod:`repro.core.kernels`):
-        ``None`` keeps the legacy batched kernel, ``"auto"`` resolves
+        ``None`` runs the bit-parallel kernel, ``"auto"`` resolves
         the database's autotuned per-bucket table (built once, in the
         parent, before queries fan out), a concrete name pins that
         kernel.  Answers are byte-identical for every choice.

@@ -281,7 +281,9 @@ def edr_many_bucketed(
 
     ``kernel`` picks the batch kernel by name (see
     :mod:`repro.core.kernels`); ``None`` or ``"batched"`` keeps
-    :func:`edr_many`.  Every kernel returns identical results.
+    :func:`edr_many`, the batched kernel, while the search engines'
+    ``edr_kernel=None`` resolves to ``"bitparallel"``.  Every kernel
+    returns identical results.
     """
     count = len(candidates)
     results = np.empty(count, dtype=np.float64)

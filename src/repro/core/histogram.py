@@ -517,12 +517,16 @@ class QueryProbe(NamedTuple):
 
         ``upper_query[i]     = sum_u min(A[u], NS[i, u])``
         ``upper_candidate[i] = sum_v min(counts[i, v], QN[v])``
+
+    ``own`` maps each column to the query bin it is the own bin of, or
+    to -1; :meth:`ceilings` reads it.
     """
 
     amounts: np.ndarray
     columns: np.ndarray
     indicator: sparse.csr_matrix
     neighborhood: np.ndarray
+    own: np.ndarray
 
     def query_cap(self, near: sparse.csr_matrix) -> np.ndarray:
         """``upper_query`` of every row of ``near``."""
@@ -538,6 +542,22 @@ class QueryProbe(NamedTuple):
         )
         upper = np.minimum(self.query_cap(near), upper_candidate)
         return np.maximum(int(self.amounts.sum()), totals) - upper
+
+    def ceilings(self, near: sparse.csr_matrix, totals: np.ndarray) -> np.ndarray:
+        """``max(m_query, totals[i]) - sum_u min(A[u], counts[i, u])``.
+
+        Pairing elements only within the same bin is a feasible matching,
+        so the pairs counted here are at most HD's ``M``, and each value
+        is an integer ceiling of the exact HD: when it is <= a threshold,
+        the exact stage cannot prune.
+        """
+        own = self.own[near.indices]
+        paired = np.where(
+            own >= 0, np.minimum(near.data, self.amounts.take(own, mode="clip")), 0
+        )
+        return np.maximum(int(self.amounts.sum()), totals) - _row_sums(
+            paired, near.indptr
+        )
 
 
 class HistogramArrayStore:
@@ -721,7 +741,13 @@ class HistogramArrayStore:
             (np.ones(len(pair_bins), dtype=np.int64), (column_slot, pair_bins)),
             shape=(len(columns), len(query_keys)),
         )
-        return QueryProbe(amounts, columns, indicator, indicator @ amounts)
+        # The zero offset sits in the middle of the 3^d offsets.
+        own_pairs = (np.arange(len(in_grid)) % len(offsets) == len(offsets) // 2)[
+            in_grid
+        ]
+        own = np.full(len(columns), -1, dtype=np.int64)
+        own[column_slot[own_pairs]] = pair_bins[own_pairs]
+        return QueryProbe(amounts, columns, indicator, indicator @ amounts, own)
 
     def bulk_quick_bounds(self, query_histogram: TrajectoryHistogram) -> np.ndarray:
         """``histogram_distance_quick(query, ·)`` against every database row.
@@ -734,6 +760,18 @@ class HistogramArrayStore:
         """
         probe = self.query_probe(query_histogram)
         return probe.quick_bounds(self._counts[:, probe.columns], self.totals)
+
+    def probe_rows(
+        self, probe: QueryProbe, rows: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Quick bounds and exact-stage ceilings (:meth:`QueryProbe.ceilings`)
+        of ``rows`` (every row by default), equal to the full arrays'
+        entries bit for bit."""
+        counts, totals = self._counts, self.totals
+        if rows is not None:
+            counts, totals = counts[rows], totals[rows]
+        near = counts[:, probe.columns]
+        return probe.quick_bounds(near, totals), probe.ceilings(near, totals)
 
     def bulk_window_bounds(
         self, query_histogram: TrajectoryHistogram

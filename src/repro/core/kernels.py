@@ -13,13 +13,13 @@ answers or pruner counters:
     unbatched path it is plain :func:`~repro.core.edr.edr`.
 ``batched``
     :func:`~repro.core.edr_batch.edr_many`, the padded row-DP over a
-    whole candidate batch.  This is the legacy default: callers that do
-    not opt in get exactly the pre-kernel-selection behavior.
+    whole candidate batch: the legacy kernel, which the autotuner's
+    ties still favour.
 ``bitparallel``
     :func:`~repro.core.edr_bitparallel.edr_many_bitparallel`, the
-    Myers/Hyyrö bit-vector kernel (64 DP cells per machine word).
-    Banded calls delegate to ``batched`` internally, so the choice is
-    moot under a Sakoe-Chiba band.
+    Myers/Hyyrö bit-vector kernel (64 DP cells per machine word), and
+    what ``edr_kernel=None`` runs.  Banded calls delegate to ``batched``
+    internally, so the choice is moot under a Sakoe-Chiba band.
 
 ``auto`` resolves through a per-length-bucket autotune table: the
 database races the kernels on small deterministic samples of its own
@@ -52,6 +52,7 @@ from .edr_bitparallel import edr_bitparallel, edr_many_bitparallel
 
 __all__ = [
     "FORCE_ENV",
+    "DEFAULT_KERNEL",
     "KERNEL_CHOICES",
     "LEGACY_KERNEL",
     "TIMED_KERNELS",
@@ -71,10 +72,15 @@ KERNEL_CHOICES = ("auto", "scalar", "batched", "bitparallel")
 #: Kernels the autotuner races (everything but the meta-choice "auto").
 TIMED_KERNELS = ("scalar", "batched", "bitparallel")
 
-#: What ``edr_kernel=None`` means: the behavior before kernel selection
-#: existed.  Internal callers default to this so nothing changes under
-#: them; the CLI and the service default to "auto" instead.
+#: The kernel before kernel selection existed.  The autotuner breaks
+#: ties toward it, and ``"auto"`` without a database resolves to it.
 LEGACY_KERNEL = "batched"
+
+#: What ``edr_kernel=None`` means.  It returns the legacy kernel's
+#: distances and sentinels bit for bit, and the autotuner picks it for
+#: every length bucket of the perfbench corpus.  The CLI and the
+#: service default to "auto" instead.
+DEFAULT_KERNEL = "bitparallel"
 
 #: The autotuner drops a kernel from a bucket's race once its best time
 #: exceeds this multiple of the leader's.
@@ -220,8 +226,8 @@ def forced_kernel() -> Optional[str]:
 def resolve_kernel_plan(database=None, kernel: Optional[str] = None) -> KernelPlan:
     """Resolve an ``edr_kernel`` knob into a concrete per-bucket plan.
 
-    ``None`` means the legacy batched kernel (internal default — nothing
-    changes for callers that never opted in).  ``"auto"`` consults the
+    ``None`` means :data:`DEFAULT_KERNEL`, the bit-parallel kernel.
+    ``"auto"`` consults the
     database's cached autotune table, running the autotuner on first use;
     without a database it degrades to the legacy kernel.  The
     ``REPRO_KERNEL_FORCE`` environment variable overrides everything,
@@ -231,7 +237,7 @@ def resolve_kernel_plan(database=None, kernel: Optional[str] = None) -> KernelPl
     if forced is not None:
         return KernelPlan(requested=kernel or forced, source="forced", default=forced)
     if kernel is None:
-        kernel = LEGACY_KERNEL
+        kernel = DEFAULT_KERNEL
     if kernel not in KERNEL_CHOICES:
         raise ValueError(
             f"unknown EDR kernel {kernel!r}; choose from {', '.join(KERNEL_CHOICES)}"

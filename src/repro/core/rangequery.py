@@ -27,10 +27,9 @@ from .search import (
     Neighbor,
     Pruner,
     SearchStats,
+    _Chain,
     _PendingBatches,
     _normalized_batch_size,
-    _prunes_candidate,
-    _quick_bound_arrays,
 )
 from .trajectory import Trajectory
 
@@ -79,10 +78,11 @@ def range_search(
     itself stops once the radius is unreachable (the partial computation
     still counts as a true-distance computation in the stats).
 
-    Static pruners are evaluated through their bulk quick-bound kernels
-    (one vectorized pass per pruner, computed up front since the radius
-    is fixed); dynamic pruners keep the scalar per-candidate path so the
-    bounds reflect distances recorded earlier in this same query.
+    Static pruners are evaluated through their bulk quick-bound kernels:
+    the first for every row, each later one (the radius being fixed)
+    once, for the rows every earlier quick bound let through.  Dynamic
+    pruners keep the scalar per-candidate path so the bounds reflect
+    distances recorded earlier in this same query.
 
     ``refine_batch_size`` batches the verification of surviving
     candidates through the batched EDR kernel in length-bucketed groups
@@ -100,7 +100,7 @@ def range_search(
     plan = resolve_kernel_plan(database, edr_kernel)
     stats.kernel = plan.requested
     query_pruners = [pruner.for_query(query) for pruner in pruners]
-    quick_arrays = _quick_bound_arrays(query_pruners)
+    chain = _Chain(query_pruners, len(database), len(database))
     results: List[Neighbor] = []
     batch_size = _normalized_batch_size(refine_batch_size)
     pending = _PendingBatches(batch_size) if batch_size is not None else None
@@ -130,13 +130,9 @@ def range_search(
                     results.append(Neighbor(candidate_index, distance))
 
     for index in range(len(database)):
-        pruned = False
-        for query_pruner, quick_array in zip(query_pruners, quick_arrays):
-            if _prunes_candidate(query_pruner, quick_array, index, radius):
-                stats.credit(query_pruner.name)
-                pruned = True
-                break
-        if pruned:
+        pruner = chain.pruner_for(index, index, radius)
+        if pruner is not None:
+            stats.credit(pruner.name)
             continue
         if pending is None:
             stats.true_distance_computations += 1

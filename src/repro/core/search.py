@@ -233,6 +233,10 @@ class QueryPruner:
         more expensive) than :meth:`quick_lower_bound`; engines consult
         the quick bound first and pay the exact bound only when the
         quick bound fails to prune.
+    ``subset_bounds``
+        True when :meth:`bulk_quick_lower_bounds` takes ``rows`` and
+        costs in proportion to them, so engines may fill the array only
+        for the rows that can still consult it.
     ``exact_stage_cheap``
         Cost class of :meth:`exact_lower_bound` relative to one batched
         EDR verification.  False marks exact stages that cost about as
@@ -248,6 +252,7 @@ class QueryPruner:
     database_size: int = 0
     dynamic: bool = False
     two_stage: bool = False
+    subset_bounds: bool = False
     exact_stage_cheap: bool = True
 
     def lower_bound(
@@ -279,17 +284,26 @@ class QueryPruner:
         """The pruner's strongest bound, with no threshold short-cut."""
         return self.lower_bound(candidate_index)
 
-    def bulk_quick_lower_bounds(self) -> np.ndarray:
+    def exact_ceiling(self, candidate_index: int) -> float:
+        """An upper bound of :meth:`exact_lower_bound`, or +inf if none is
+        known.  Where it is <= the threshold the exact stage cannot
+        prune, so engines skip it."""
+        return float("inf")
+
+    def bulk_quick_lower_bounds(
+        self, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """:meth:`quick_lower_bound` for every candidate, vectorized.
 
+        With ``rows`` (an index array) only those candidates, in that
+        order, bit for bit the same as ``bulk_quick_lower_bounds()[rows]``.
         The default loops the scalar method, so third-party pruners keep
         working; the built-in families override it with array kernels.
         """
+        if rows is None:
+            rows = range(self.database_size)
         return np.array(
-            [
-                self.quick_lower_bound(candidate_index)
-                for candidate_index in range(self.database_size)
-            ],
+            [self.quick_lower_bound(int(candidate)) for candidate in rows],
             dtype=np.float64,
         )
 
@@ -350,6 +364,7 @@ class Pruner:
 
 class _HistogramQuery(QueryPruner):
     two_stage = True
+    subset_bounds = True
 
     def __init__(
         self,
@@ -363,7 +378,11 @@ class _HistogramQuery(QueryPruner):
         self._matchers = [HistogramMatcher(h) for h in query_histograms]
         self._database = database_histograms
         self._stores = array_stores
+        self._probes: Optional[List] = None
         self.database_size = len(database_histograms[0])
+        # Ceilings of the exact bound, known for the rows a bulk quick
+        # pass has covered (+inf elsewhere: no ceiling known).
+        self._ceilings = np.full(self.database_size, np.inf)
         # 1-D bins take the exact line greedy; d-D bins run the
         # matcher's augmenting paths, about one batched EDR row each.
         self.exact_stage_cheap = all(
@@ -401,12 +420,27 @@ class _HistogramQuery(QueryPruner):
             )
         )
 
-    def bulk_quick_lower_bounds(self) -> np.ndarray:
+    def exact_ceiling(self, candidate_index: int) -> float:
+        return self._ceilings[candidate_index]
+
+    def bulk_quick_lower_bounds(
+        self, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         if self._stores is None:
-            return super().bulk_quick_lower_bounds()
-        quick = self._stores[0].bulk_quick_bounds(self._query[0])
-        for query_histogram, store in zip(self._query[1:], self._stores[1:]):
-            np.maximum(quick, store.bulk_quick_bounds(query_histogram), out=quick)
+            return super().bulk_quick_lower_bounds(rows)
+        if self._probes is None:
+            self._probes = [
+                store.query_probe(query_histogram)
+                for query_histogram, store in zip(self._query, self._stores)
+            ]
+        # Per-axis HDs combine by max, so do their quick bounds and
+        # their ceilings.
+        quick, ceilings = self._stores[0].probe_rows(self._probes[0], rows)
+        for probe, store in zip(self._probes[1:], self._stores[1:]):
+            axis_quick, axis_ceilings = store.probe_rows(probe, rows)
+            np.maximum(quick, axis_quick, out=quick)
+            np.maximum(ceilings, axis_ceilings, out=ceilings)
+        self._ceilings[slice(None) if rows is None else rows] = ceilings
         return quick.astype(np.float64)
 
     def bulk_lower_bounds(self, threshold: float = float("inf")) -> np.ndarray:
@@ -487,6 +521,8 @@ class HistogramPruner(Pruner):
 
 
 class _QgramMergeJoinQuery(QueryPruner):
+    subset_bounds = True
+
     def __init__(
         self,
         name: str,
@@ -543,6 +579,23 @@ class _QgramMergeJoinQuery(QueryPruner):
             )
         return self._bulk_common
 
+    def _subset_common_counts(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`_common_counts` of ``rows`` (distinct), from the pool
+        entries those rows own: the same windows, bit for bit."""
+        pool_values, pool_owners = self._flat_pool
+        wanted = np.zeros(self.database_size, dtype=bool)
+        wanted[rows] = True
+        entries = np.flatnonzero(wanted.take(pool_owners))
+        slots = np.empty(self.database_size, dtype=np.int64)
+        slots[rows] = np.arange(len(rows))
+        return bulk_count_common(
+            self._query_sorted,
+            pool_values.take(entries, axis=0),
+            slots.take(pool_owners.take(entries)),
+            len(rows),
+            self._epsilon,
+        )
+
     def bulk_lower_bounds(self, threshold: float = float("inf")) -> np.ndarray:
         if self._bulk_bounds is not None:
             return self._bulk_bounds.copy()
@@ -550,14 +603,23 @@ class _QgramMergeJoinQuery(QueryPruner):
             bounds = super().bulk_lower_bounds(threshold)
             self._bulk_bounds = bounds.copy()
             return bounds
-        common = self._common_counts()
-        longest = np.maximum(self._query_length, self._lengths.astype(np.int64))
-        bounds = np.maximum(0.0, (longest - self._q + 1 - common) / self._q)
+        bounds = self._theorem_1(self._common_counts(), self._lengths)
         self._bulk_bounds = bounds
         return bounds.copy()
 
-    def bulk_quick_lower_bounds(self) -> np.ndarray:
-        return self.bulk_lower_bounds()
+    def _theorem_1(self, common: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Theorem 1 vectorized: ``(max(m, n) - q + 1 - common) / q``, >= 0."""
+        longest = np.maximum(self._query_length, lengths.astype(np.int64))
+        return np.maximum(0.0, (longest - self._q + 1 - common) / self._q)
+
+    def bulk_quick_lower_bounds(
+        self, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if rows is None:
+            return self.bulk_lower_bounds()
+        if self._flat_pool is None:
+            return super().bulk_quick_lower_bounds(rows)
+        return self._theorem_1(self._subset_common_counts(rows), self._lengths[rows])
 
     def window_lower_bound(self, candidate_index: int) -> float:
         # A window's Q-grams are a sub-multiset of its trajectory's, so
@@ -813,42 +875,112 @@ class NearTrianglePruning(Pruner):
 # ----------------------------------------------------------------------
 # Engines
 # ----------------------------------------------------------------------
-def _quick_bound_arrays(
-    query_pruners: Sequence[QueryPruner],
-) -> List[Optional[np.ndarray]]:
-    """One bulk quick-bound array per *static* pruner (None for dynamic).
+class _Chain:
+    """Figure 6's pruner chain for one query, paying each filter stage
+    only where it can still change a decision.
 
-    This is the array-native filter phase: every static pruner's quick
-    bound for the whole database is materialized in one vectorized call,
-    so the per-candidate pruning test becomes an array lookup instead of
-    a Python call into dictionary / merge-join code.
+    :meth:`pruner_for` names the first pruner, in chain order, that
+    proves a candidate farther than the threshold: a dynamic pruner
+    through ``lower_bound`` at its current state, a static one through
+    its quick bound and then, if two-stage, its exact stage.  That is
+    the decision of asking each pruner's scalar ``lower_bound``; only
+    the cost differs.
+
+    The first static pruner's quick bounds are computed for every row
+    in one bulk call (``first`` supplies them when the caller already
+    has them).  A later static pruner with ``subset_bounds`` is filled
+    on demand: when a candidate first reads an unfilled row, the chain
+    fills the next ``window`` rows of the visit ``order`` whose earlier
+    static quick bounds are <= the threshold in force, stage by stage.
+    A k-NN threshold only falls, so every row consulted later is among
+    them; any other unfilled row is computed when it is read.  Other
+    pruners get one bulk call over every row.
     """
-    return [
-        None if query_pruner.dynamic else query_pruner.bulk_quick_lower_bounds()
-        for query_pruner in query_pruners
-    ]
 
+    def __init__(
+        self,
+        query_pruners: Sequence[QueryPruner],
+        size: int,
+        window: int,
+        order: Optional[np.ndarray] = None,
+        first: Optional[np.ndarray] = None,
+    ) -> None:
+        self._pruners = list(query_pruners)
+        self._size = size
+        self._window = window
+        self._order = order
+        self._static = [
+            stage for stage, pruner in enumerate(self._pruners) if not pruner.dynamic
+        ]
+        self._quick: Dict[int, np.ndarray] = {}
+        self._filled: Dict[int, np.ndarray] = {}
+        self._front = 0  # visit rank where the next window starts
+        for stage in self._static[1:]:
+            if self._pruners[stage].subset_bounds:
+                self._quick[stage] = np.zeros(self._size)
+                self._filled[stage] = np.zeros(self._size, dtype=bool)
+        if first is not None and self._static[:1] == [0]:
+            self._quick[0] = first
 
-def _prunes_candidate(
-    query_pruner: QueryPruner,
-    quick_array: Optional[np.ndarray],
-    candidate_index: int,
-    threshold: float,
-) -> bool:
-    """Exactly ``query_pruner.lower_bound(candidate, threshold) > threshold``.
+    def _bulk(self, stage: int, rows: Optional[np.ndarray] = None) -> None:
+        pruner = self._pruners[stage]
+        if rows is None:  # pruners without subset_bounds take no rows
+            bounds = pruner.bulk_quick_lower_bounds()
+            self._quick[stage] = np.asarray(bounds, dtype=np.float64)
+        else:
+            self._quick[stage][rows] = pruner.bulk_quick_lower_bounds(rows)
+            self._filled[stage][rows] = True
 
-    Stage 1 reads the precomputed quick bound from ``quick_array``; stage
-    2 (two-stage pruners only) pays the exact bound when the quick bound
-    fails to prune.  Dynamic pruners (``quick_array is None``) evaluate
-    with their current scan state.
-    """
-    if quick_array is None:
-        return query_pruner.lower_bound(candidate_index, threshold) > threshold
-    if quick_array[candidate_index] > threshold:
-        return True
-    if query_pruner.two_stage:
-        return query_pruner.exact_lower_bound(candidate_index) > threshold
-    return False
+    def _fill(self, rank: int, threshold: float) -> None:
+        stop = rank + self._window
+        rows = (
+            np.arange(rank, min(stop, self._size))
+            if self._order is None
+            else self._order[rank:stop]
+        )
+        self._front = stop
+        for stage in self._static:
+            filled = self._filled.get(stage)
+            if filled is not None:
+                need = rows[~filled[rows]]
+                if len(need):
+                    self._bulk(stage, need)
+            elif stage not in self._quick:
+                self._bulk(stage)
+            rows = rows[self._quick[stage][rows] <= threshold]
+
+    def _quick_bound(
+        self, stage: int, candidate_index: int, rank: int, threshold: float
+    ) -> float:
+        filled = self._filled.get(stage)
+        if filled is None:
+            if stage not in self._quick:
+                self._bulk(stage)
+        elif not filled[candidate_index]:
+            if rank >= self._front:
+                self._fill(rank, threshold)
+            if not filled[candidate_index]:
+                self._bulk(stage, np.array([candidate_index]))
+        return self._quick[stage][candidate_index]
+
+    def pruner_for(
+        self, candidate_index: int, rank: int, threshold: float
+    ) -> Optional[QueryPruner]:
+        """The pruner that prunes ``candidate_index`` (visited at ``rank``)
+        at ``threshold``, or None when the candidate must be verified."""
+        for stage, pruner in enumerate(self._pruners):
+            if pruner.dynamic:
+                if pruner.lower_bound(candidate_index, threshold) > threshold:
+                    return pruner
+            elif self._quick_bound(stage, candidate_index, rank, threshold) > threshold:
+                return pruner
+            elif (
+                pruner.two_stage
+                and pruner.exact_ceiling(candidate_index) > threshold
+                and pruner.exact_lower_bound(candidate_index) > threshold
+            ):
+                return pruner
+        return None
 
 
 def _true_distance(
@@ -1022,36 +1154,68 @@ def knn_search(
     any size below 2) restores the scalar per-candidate path.
 
     ``edr_kernel`` selects the refine kernel (see
-    :mod:`repro.core.kernels`): ``None`` keeps the legacy batched
-    kernel, ``"auto"`` uses the database's autotuned per-bucket table,
-    and a concrete name pins that kernel.  Answers and pruner counters
-    are byte-for-byte identical for every choice.
+    :mod:`repro.core.kernels`): ``None`` runs the bit-parallel kernel,
+    ``"auto"`` uses the database's autotuned per-bucket table, and a
+    concrete name pins that kernel.  Answers and pruner counters are
+    byte-for-byte identical for every choice.
     """
+    query_pruners = [pruner.for_query(query) for pruner in pruners]
+    return _knn(
+        database, query, k, query_pruners, False,
+        early_abandon, refine_batch_size, edr_kernel,
+    )
+
+
+def _knn(
+    database: TrajectoryDatabase,
+    query: Trajectory,
+    k: int,
+    query_pruners: List[QueryPruner],
+    sort: bool,
+    early_abandon: bool,
+    refine_batch_size: Optional[int],
+    edr_kernel: Optional[str],
+) -> SearchResult:
+    """The k-NN visit loop: database order, or (``sort``) ascending order
+    of the first pruner's quick bound with the sorted break."""
     start = time.perf_counter()
     result = _ResultList(k)
-    stats = SearchStats(database_size=len(database))
+    size = len(database)
+    stats = SearchStats(database_size=size)
     plan = resolve_kernel_plan(database, edr_kernel)
     stats.kernel = plan.requested
-    query_pruners = [pruner.for_query(query) for pruner in pruners]
-    quick_arrays: Optional[List[Optional[np.ndarray]]] = None
+    bounds = order = None
+    if sort:
+        # Quick bounds are sound, so the sorted break stays exact.
+        bounds = np.asarray(
+            query_pruners[0].bulk_quick_lower_bounds(), dtype=np.float64
+        )
+        order = np.argsort(bounds, kind="stable")
+    # Later stages fill windows of N/8 rows: about 8 fills per query in
+    # database order, few enough that their fixed cost stays small.
+    chain = _Chain(query_pruners, size, max(64, size // 8), order, bounds)
     batch_size = _normalized_batch_size(refine_batch_size)
     pending = _PendingBatches(batch_size) if batch_size is not None else None
 
-    for candidate_index in range(len(database)):
+    def refine(batch: List[int]) -> None:
+        _refine_batch(
+            database, query, batch, result, stats,
+            query_pruners, early_abandon, plan,
+        )
+
+    for rank in range(size):
+        candidate_index = rank if order is None else int(order[rank])
         best = result.best_so_far
-        pruned = False
         if np.isfinite(best):
-            if quick_arrays is None:
-                # First moment pruning can fire: materialize the bulk
-                # filter arrays for every static pruner in one shot.
-                quick_arrays = _quick_bound_arrays(query_pruners)
-            for query_pruner, quick_array in zip(query_pruners, quick_arrays):
-                if _prunes_candidate(query_pruner, quick_array, candidate_index, best):
-                    stats.credit(query_pruner.name)
-                    pruned = True
-                    break
-        if pruned:
-            continue
+            if bounds is not None and bounds[candidate_index] > best:
+                # Sorted break: every remaining bound is at least this one.
+                name = query_pruners[0].name
+                stats.pruned_by[name] = stats.pruned_by.get(name, 0) + size - rank
+                break
+            pruner = chain.pruner_for(candidate_index, rank, best)
+            if pruner is not None:
+                stats.credit(pruner.name)
+                continue
         if pending is None:
             bound = best if early_abandon and np.isfinite(best) else None
             distance = _true_distance(
@@ -1066,10 +1230,7 @@ def knn_search(
             candidate_index, int(database.lengths[candidate_index])
         )
         if full_bucket is not None:
-            _refine_batch(
-                database, query, full_bucket, result, stats,
-                query_pruners, early_abandon, plan,
-            )
+            refine(full_bucket)
         elif not np.isfinite(result.best_so_far) and pending.total >= max(
             k - len(result), 1
         ):
@@ -1077,16 +1238,10 @@ def knn_search(
             # once enough candidates are pending to fill the result,
             # flush them so pruning can start firing.
             for bucket in pending.drain():
-                _refine_batch(
-                    database, query, bucket, result, stats,
-                    query_pruners, early_abandon, plan,
-                )
+                refine(bucket)
     if pending is not None:
         for bucket in pending.drain():
-            _refine_batch(
-                database, query, bucket, result, stats,
-                query_pruners, early_abandon, plan,
-            )
+            refine(bucket)
     stats.elapsed_seconds = time.perf_counter() - start
     return result.neighbors(), stats
 
@@ -1107,40 +1262,14 @@ def knn_sorted_scan(
     exceeds the current k-th distance remains exact, but the ordering no
     longer pays the expensive exact bound for every database member.
     Visited candidates of a two-stage pruner get the staged exact check
-    before their true distance is computed.
+    before their true distance is computed, and a dynamic pruner is
+    re-evaluated at its current state.  This is
+    :func:`knn_sorted_search` with no secondary pruner and scalar
+    refinement.
     """
-    start = time.perf_counter()
-    result = _ResultList(k)
-    stats = SearchStats(database_size=len(database))
-    plan = resolve_kernel_plan(database, edr_kernel)
-    stats.kernel = plan.requested
-    query_pruner = pruner.for_query(query)
-    bounds = np.asarray(query_pruner.bulk_quick_lower_bounds(), dtype=np.float64)
-    order = np.argsort(bounds, kind="stable")
-    for rank, candidate_index in enumerate(map(int, order)):
-        best = result.best_so_far
-        if np.isfinite(best) and bounds[candidate_index] > best:
-            remaining = len(order) - rank
-            stats.pruned_by[query_pruner.name] = (
-                stats.pruned_by.get(query_pruner.name, 0) + remaining
-            )
-            break
-        if (
-            np.isfinite(best)
-            and query_pruner.two_stage
-            and query_pruner.exact_lower_bound(candidate_index) > best
-        ):
-            stats.credit(query_pruner.name)
-            continue
-        bound = best if early_abandon and np.isfinite(best) else None
-        distance = _true_distance(
-            database, query, candidate_index, stats, bound, plan
-        )
-        if np.isfinite(distance):
-            query_pruner.record(candidate_index, distance)
-        result.offer(candidate_index, distance)
-    stats.elapsed_seconds = time.perf_counter() - start
-    return result.neighbors(), stats
+    return knn_sorted_search(
+        database, query, k, pruner, (), early_abandon, None, edr_kernel
+    )
 
 
 def knn_qgram_index(
@@ -1212,7 +1341,11 @@ def knn_sorted_search(
     candidates are visited in ascending order, so the scan stops at the
     first bound that cannot beat the k-th distance; the remaining
     pruners filter the candidates that are actually visited.  This is
-    that engine with any pruner in the primary role.
+    that engine with any pruner in the primary role.  Only the
+    primary's quick bounds are computed for the whole database: a
+    secondary's bounds are computed for the visited prefix, window by
+    window, and a two-stage primary's exact stage only for visited
+    candidates it can still prune.
 
     ``refine_batch_size`` batches the refinement phase exactly as in
     :func:`knn_search`: visited survivors are verified through the
@@ -1220,95 +1353,9 @@ def knn_sorted_search(
     and all pruning checks unchanged.  ``None`` restores the scalar
     per-candidate verification.
     """
-    start = time.perf_counter()
-    result = _ResultList(k)
-    stats = SearchStats(database_size=len(database))
-    plan = resolve_kernel_plan(database, edr_kernel)
-    stats.kernel = plan.requested
-    primary_query = primary.for_query(query)
-    secondary_queries = [pruner.for_query(query) for pruner in secondary]
-    all_queries = [primary_query, *secondary_queries]
-    # Order by the primary's *quick* bound: sound, so the sorted break
-    # stays exact, but cheap enough to evaluate for the whole database —
-    # one bulk kernel call instead of N Python calls.
-    bounds = np.asarray(primary_query.bulk_quick_lower_bounds(), dtype=np.float64)
-    secondary_arrays: Optional[List[Optional[np.ndarray]]] = None
-    order = np.argsort(bounds, kind="stable")
-    batch_size = _normalized_batch_size(refine_batch_size)
-    pending = _PendingBatches(batch_size) if batch_size is not None else None
-    for rank, candidate_index in enumerate(map(int, order)):
-        best = result.best_so_far
-        if np.isfinite(best) and bounds[candidate_index] > best:
-            remaining = len(order) - rank
-            stats.pruned_by[primary_query.name] = (
-                stats.pruned_by.get(primary_query.name, 0) + remaining
-            )
-            break
-        pruned = False
-        if np.isfinite(best):
-            # Staged exact primary bound, then the secondary pruners.
-            # A static primary's quick bound is already known to be
-            # <= best here (the sorted break above would have fired
-            # otherwise), so only its exact stage can still prune; a
-            # dynamic primary re-evaluates with its current scan state.
-            if primary_query.dynamic:
-                primary_prunes = (
-                    primary_query.lower_bound(candidate_index, best) > best
-                )
-            elif primary_query.two_stage:
-                primary_prunes = (
-                    primary_query.exact_lower_bound(candidate_index) > best
-                )
-            else:
-                primary_prunes = False
-            if primary_prunes:
-                stats.credit(primary_query.name)
-                pruned = True
-            else:
-                if secondary_arrays is None:
-                    secondary_arrays = _quick_bound_arrays(secondary_queries)
-                for query_pruner, quick_array in zip(
-                    secondary_queries, secondary_arrays
-                ):
-                    if _prunes_candidate(
-                        query_pruner, quick_array, candidate_index, best
-                    ):
-                        stats.credit(query_pruner.name)
-                        pruned = True
-                        break
-        if pruned:
-            continue
-        if pending is None:
-            bound = best if early_abandon and np.isfinite(best) else None
-            distance = _true_distance(
-                database, query, candidate_index, stats, bound, plan
-            )
-            if np.isfinite(distance):
-                for query_pruner in all_queries:
-                    query_pruner.record(candidate_index, distance)
-            result.offer(candidate_index, distance)
-            continue
-        full_bucket = pending.add(
-            candidate_index, int(database.lengths[candidate_index])
-        )
-        if full_bucket is not None:
-            _refine_batch(
-                database, query, full_bucket, result, stats,
-                all_queries, early_abandon, plan,
-            )
-        elif not np.isfinite(result.best_so_far) and pending.total >= max(
-            k - len(result), 1
-        ):
-            for bucket in pending.drain():
-                _refine_batch(
-                    database, query, bucket, result, stats,
-                    all_queries, early_abandon, plan,
-                )
-    if pending is not None:
-        for bucket in pending.drain():
-            _refine_batch(
-                database, query, bucket, result, stats,
-                all_queries, early_abandon, plan,
-            )
-    stats.elapsed_seconds = time.perf_counter() - start
-    return result.neighbors(), stats
+    query_pruners = [primary.for_query(query)]
+    query_pruners += [pruner.for_query(query) for pruner in secondary]
+    return _knn(
+        database, query, k, query_pruners, True,
+        early_abandon, refine_batch_size, edr_kernel,
+    )

@@ -81,7 +81,6 @@ from ..core.search import (
     SearchStats,
     _normalized_batch_size,
     _PendingBatches,
-    _prunes_candidate,
     _refine_batch,
     _ResultList,
     _true_distance,
@@ -926,6 +925,9 @@ def _sliced_quick_bounds(
     store (the shard-packing trick: same ``lo``/``shape``, sliced
     ``totals``/``counts``) reproduces exactly the values the full-store
     pass would compute for those rows, while faulting only their bytes.
+    The blocked engines use :func:`_block_quick_bounds`, which also keeps
+    the exact-stage ceilings; this slice form stays as the per-store
+    reference the tests and the perfbench tracer name.
     """
     totals = store.totals[row_lo:row_hi]
     # Views of the rows' CSR runs, not scipy's row-slice copy: the
@@ -937,11 +939,35 @@ def _sliced_quick_bounds(
         full.indices[start:stop],
         full.indptr[row_lo : row_hi + 1] - start,
     )
-    touched = sum(part.nbytes for part in counts)
     sliced = HistogramArrayStore.from_state(
         store.ndim, store._lo, store._shape, totals, counts
     )
-    return sliced.bulk_quick_bounds(query_histogram), touched + totals.nbytes
+    return sliced.bulk_quick_bounds(query_histogram), _slice_bytes(
+        store, row_lo, row_hi
+    )
+
+
+def _slice_bytes(store: HistogramArrayStore, row_lo: int, row_hi: int) -> int:
+    """Bytes of one row slice's CSR runs and totals."""
+    full = store._counts
+    entries = int(full.indptr[row_hi]) - int(full.indptr[row_lo])
+    return (
+        entries * (full.data.itemsize + full.indices.itemsize)
+        + (row_hi - row_lo + 1) * full.indptr.itemsize
+        + (row_hi - row_lo) * store.totals.itemsize
+    )
+
+
+def _block_quick_bounds(
+    primary: HistogramPruner, primary_query, row_lo: int, row_hi: int
+) -> Tuple[np.ndarray, int]:
+    """The primary's quick bounds for rows ``[row_lo, row_hi)``, and the
+    bytes they touch.  The query pruner's row-subset pass also keeps
+    those rows' exact-stage ceilings, so the blocked engines skip the
+    exact stage where the serial ones do."""
+    quick = primary_query.bulk_quick_lower_bounds(np.arange(row_lo, row_hi))
+    touched = sum(_slice_bytes(store, row_lo, row_hi) for store in primary._stores)
+    return quick, touched
 
 
 # ----------------------------------------------------------------------
@@ -1389,16 +1415,10 @@ class TieredDatabase:
             nonlocal filter_bytes
             row_lo = block_id * block_rows
             row_hi = min(row_lo + block_rows, count)
-            bounds: Optional[np.ndarray] = None
-            for store, query_histogram in zip(
-                primary._stores, primary_query._query
-            ):
-                piece, touched = _sliced_quick_bounds(
-                    store, query_histogram, row_lo, row_hi
-                )
-                filter_bytes += touched
-                bounds = piece if bounds is None else np.maximum(bounds, piece)
-            bounds = bounds.astype(np.float64)
+            bounds, touched = _block_quick_bounds(
+                primary, primary_query, row_lo, row_hi
+            )
+            filter_bytes += touched
             local_order = np.argsort(bounds, kind="stable")
             first = int(local_order[0])
             heapq.heappush(heap, (float(bounds[first]), row_lo + first, block_id, 0))
@@ -1447,7 +1467,10 @@ class TieredDatabase:
                     primary_prunes = (
                         primary_query.lower_bound(candidate_index, best) > best
                     )
-                elif primary_query.two_stage:
+                elif (
+                    primary_query.two_stage
+                    and primary_query.exact_ceiling(candidate_index) > best
+                ):
                     if primary_cost is not None:
                         filter_bytes += int(primary_cost[candidate_index])
                     primary_prunes = (
@@ -1468,9 +1491,7 @@ class TieredDatabase:
                         # bit (property-tested), so the prune decision
                         # — and every counter — matches the serial
                         # engine without materializing Θ(N) arrays.
-                        if _prunes_candidate(
-                            query_pruner, None, candidate_index, best
-                        ):
+                        if query_pruner.lower_bound(candidate_index, best) > best:
                             stats.credit(query_pruner.name)
                             pruned = True
                             break
@@ -1665,22 +1686,19 @@ class TieredDatabase:
                 )
                 continue
             opened += 1
-            quick: Optional[np.ndarray] = None
-            for store, query_histogram in zip(
-                primary._stores, primary_query._query
-            ):
-                piece, touched = _sliced_quick_bounds(
-                    store, query_histogram, row_lo, row_hi
-                )
-                filter_bytes += touched
-                quick = piece if quick is None else np.maximum(quick, piece)
-            quick = quick.astype(np.float64)
+            quick, touched = _block_quick_bounds(
+                primary, primary_query, row_lo, row_hi
+            )
+            filter_bytes += touched
             for offset in range(row_hi - row_lo):
                 index = row_lo + offset
                 pruned = False
                 if quick[offset] > radius:
                     pruned = True
-                elif primary_query.two_stage:
+                elif (
+                    primary_query.two_stage
+                    and primary_query.exact_ceiling(index) > radius
+                ):
                     if primary_cost is not None:
                         filter_bytes += int(primary_cost[index])
                     pruned = primary_query.exact_lower_bound(index) > radius
@@ -1696,7 +1714,7 @@ class TieredDatabase:
                     # (property-tested), so the prune decision — and
                     # every counter — matches the serial engine without
                     # materializing Θ(N) arrays.
-                    if _prunes_candidate(query_pruner, None, index, radius):
+                    if query_pruner.lower_bound(index, radius) > radius:
                         stats.credit(query_pruner.name)
                         pruned = True
                         break

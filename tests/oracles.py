@@ -12,6 +12,13 @@ The histogram matcher has its own reference:
 :func:`dinic_max_cancellation` is a general Dinic max-flow over the HD
 bipartite graph, against which the matcher's exact ``M`` is checked.
 
+The pruned engines' *decisions* have one too: :func:`eager_knn` and
+:func:`eager_range` are Figure 6 written out plainly.  Each visited
+candidate asks every pruner's scalar ``lower_bound(i, threshold)`` in
+chain order and credits the first that exceeds the threshold, so the
+engines' bulk arrays, on-demand fills and skipped stages must reproduce
+its answers, ``pruned_by`` and true-distance count exactly.
+
 Canonical answer shapes
 -----------------------
 ``answers``/``window_answers`` flatten engine results into comparable
@@ -22,6 +29,7 @@ oracle.  Ordering contracts mirror the engines: k-NN ranks on
 trajectory's best window resolves ties on ``(distance, start, end)``.
 """
 
+import math
 from collections import deque
 from itertools import product
 
@@ -40,6 +48,8 @@ __all__ = [
     "brute_range",
     "brute_subknn",
     "dinic_max_cancellation",
+    "eager_knn",
+    "eager_range",
 ]
 
 
@@ -97,6 +107,78 @@ def brute_range(database, query, radius):
         for distance in (float(edr(query, candidate, database.epsilon)),)
         if distance <= radius
     ]
+
+
+def _first_pruner(query_pruners, index, threshold):
+    """The first pruner, in chain order, whose scalar bound exceeds
+    ``threshold``, or None."""
+    for query_pruner in query_pruners:
+        if query_pruner.lower_bound(index, threshold) > threshold:
+            return query_pruner
+    return None
+
+
+def _verify(database, query, index, query_pruners, bound):
+    """Plain ``edr`` (abandoning past ``bound``), recorded when finite."""
+    distance = float(
+        edr(query, database.trajectories[index], database.epsilon, bound=bound)
+    )
+    if math.isfinite(distance):
+        for query_pruner in query_pruners:
+            query_pruner.record(index, distance)
+    return distance
+
+
+def eager_knn(database, query, k, pruners, early_abandon=False, sort=False):
+    """Figure 6's k-NN loop with every pruner asked eagerly.
+
+    Candidates are visited in database order or, with ``sort``, in
+    ascending order of the first pruner's scalar quick bound, stopping at
+    the first quick bound above the k-th distance and crediting every
+    remaining candidate to that pruner (the sorted break of HSR).
+    Returns ``(answers, pruned_by, true_distance_computations)``.
+    """
+    query_pruners = [pruner.for_query(query) for pruner in pruners]
+    order = list(range(len(database)))
+    if sort:
+        quick = [query_pruners[0].quick_lower_bound(index) for index in order]
+        order.sort(key=quick.__getitem__)
+    ranked, pruned_by, computed = [], {}, 0
+    for rank, index in enumerate(order):
+        best = ranked[k - 1][0] if len(ranked) >= k else math.inf
+        if best < math.inf:
+            if sort and quick[index] > best:
+                name = query_pruners[0].name
+                pruned_by[name] = pruned_by.get(name, 0) + len(order) - rank
+                break
+            pruner = _first_pruner(query_pruners, index, best)
+            if pruner is not None:
+                pruned_by[pruner.name] = pruned_by.get(pruner.name, 0) + 1
+                continue
+        computed += 1
+        bound = best if early_abandon and best < math.inf else None
+        distance = _verify(database, query, index, query_pruners, bound)
+        if math.isfinite(distance):
+            ranked = sorted(ranked + [(distance, index)])[:k]
+    return [(index, distance) for distance, index in ranked], pruned_by, computed
+
+
+def eager_range(database, query, radius, pruners, early_abandon=False):
+    """Figure 6's range loop with every pruner asked eagerly; returns
+    ``(answers in index order, pruned_by, true_distance_computations)``."""
+    query_pruners = [pruner.for_query(query) for pruner in pruners]
+    found, pruned_by, computed = [], {}, 0
+    for index in range(len(database)):
+        pruner = _first_pruner(query_pruners, index, radius)
+        if pruner is not None:
+            pruned_by[pruner.name] = pruned_by.get(pruner.name, 0) + 1
+            continue
+        computed += 1
+        bound = radius if early_abandon else None
+        distance = _verify(database, query, index, query_pruners, bound)
+        if distance <= radius:
+            found.append((index, distance))
+    return found, pruned_by, computed
 
 
 def _brute_best_window(query, candidate, epsilon, lo, hi):

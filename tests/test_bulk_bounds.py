@@ -25,7 +25,13 @@ from repro import (
     knn_sorted_scan,
     knn_sorted_search,
 )
-from repro.core.histogram import histogram_distance_quick, histogram_window_bound
+from repro.core.histogram import (
+    HistogramArrayStore,
+    HistogramMatcher,
+    histogram_distance_quick,
+    histogram_window_bound,
+)
+from repro.ingest.mutable import MutableDatabase
 from repro.eval import same_answers
 from repro.index.mergejoin import (
     bulk_count_common,
@@ -212,6 +218,110 @@ class TestMergeJoinKernel:
         values, owners = flatten_sorted_means([np.zeros((3, 2))])
         counts = bulk_count_common(np.empty((0, 2)), values, owners, 1, 0.5)
         assert counts.tolist() == [0]
+
+
+# ----------------------------------------------------------------------
+# Row subsets and exact-stage ceilings (the on-demand filter stages)
+# ----------------------------------------------------------------------
+def _row_sets(data, size):
+    """Empty, single, all and a random distinct subset, as index arrays."""
+    indices = st.integers(0, size - 1)
+    return [
+        np.array(rows, dtype=np.int64)
+        for rows in (
+            [],
+            [data.draw(indices)],
+            list(range(size)),
+            data.draw(st.lists(indices, unique=True)),
+        )
+    ]
+
+
+class TestRowSubsets:
+    @COMMON_SETTINGS
+    @given(
+        databases(),
+        st.sampled_from([1, 2, 3]),
+        st.booleans(),
+        st.integers(0, 3),
+        st.data(),
+    )
+    def test_subset_qgram_bounds_equal_full_rows(
+        self, case, q, two_dimensional, edits, data
+    ):
+        """PS1 and PS2 at ``qgram_match_tolerance``, on the database and
+        on a merged view whose pool is derived from it."""
+        database, query = case
+        QgramMergeJoinPruner(database, q=q, two_dimensional=two_dimensional)
+        mutable = MutableDatabase(database)
+        for edit in range(edits):
+            mutable.insert(query if edit % 2 else database.trajectories[edit])
+        if edits and len(database) > 1:
+            mutable.delete(edits % len(database))
+        for corpus in (database, mutable.view()):
+            pruner = QgramMergeJoinPruner(
+                corpus, q=q, two_dimensional=two_dimensional
+            )
+            query_pruner = pruner.for_query(query)
+            assert query_pruner._epsilon == pruner.match_tolerance(query)
+            full = query_pruner.bulk_quick_lower_bounds()
+            for rows in _row_sets(data, len(corpus)):
+                subset = query_pruner.bulk_quick_lower_bounds(rows)
+                assert subset.dtype == full.dtype
+                assert subset.tobytes() == full[rows].tobytes()
+                for position, row in enumerate(rows):
+                    assert subset[position] == query_pruner.quick_lower_bound(row)
+
+    @COMMON_SETTINGS
+    @given(databases(), st.data())
+    def test_subset_histogram_bounds_equal_full_rows(self, case, data):
+        database, query = case
+        for per_axis in (False, True):
+            query_pruner = HistogramPruner(database, per_axis=per_axis).for_query(query)
+            full = query_pruner.bulk_quick_lower_bounds()
+            ceilings = [query_pruner.exact_ceiling(i) for i in range(len(database))]
+            for rows in _row_sets(data, len(database)):
+                fresh = HistogramPruner(database, per_axis=per_axis).for_query(query)
+                assert fresh.bulk_quick_lower_bounds(rows).tobytes() == full[rows].tobytes()
+                assert [fresh.exact_ceiling(i) for i in rows] == [ceilings[i] for i in rows]
+
+    @COMMON_SETTINGS
+    @given(databases(), st.integers(-3, 3))
+    def test_ceiling_bounds_the_exact_histogram_distance(self, case, shift):
+        """Every row, 2-D and per-axis stores, query bins partly or wholly
+        off the store grid, empty query and empty candidate histograms."""
+        database, query = case
+        for store, query_histogram, histograms in _store_variants(database, query):
+            histograms = list(histograms) + [{}]
+            store = HistogramArrayStore(histograms, store.ndim)
+            shifted = {
+                tuple(key + shift * 4 for key in bin_index): count
+                for bin_index, count in query_histogram.items()
+            }
+            far = {tuple(key + 1000 for key in next(iter(query_histogram))): 2}
+            for histogram in (query_histogram, shifted, far, {}):
+                matcher = HistogramMatcher(histogram)
+                quick, ceilings = store.probe_rows(store.query_probe(histogram))
+                assert ceilings.dtype == np.int64
+                for row, candidate in enumerate(histograms):
+                    assert quick[row] == histogram_distance_quick(histogram, candidate)
+                    assert ceilings[row] >= matcher.distance(candidate)
+
+    @COMMON_SETTINGS
+    @given(databases(), st.floats(0.0, 12.0, allow_nan=False))
+    def test_ceiling_never_hides_an_exact_prune(self, case, threshold):
+        """Per query pruner (the per-axis max included): the exact stage
+        is only skipped where it could not have pruned."""
+        database, query = case
+        for per_axis in (False, True):
+            query_pruner = HistogramPruner(database, per_axis=per_axis).for_query(query)
+            assert query_pruner.exact_ceiling(0) == np.inf  # no pass yet
+            query_pruner.bulk_quick_lower_bounds()
+            for row in range(len(database)):
+                exact = query_pruner.exact_lower_bound(row)
+                assert query_pruner.exact_ceiling(row) >= exact
+                if query_pruner.exact_ceiling(row) <= threshold:
+                    assert not exact > threshold
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,106 @@
+"""The serial engines decide exactly like the eager Figure 6 loop.
+
+The engines fill a later pruner's bounds only for the rows that can
+still reach it, and skip the exact histogram stage where its certified
+ceiling shows it cannot prune.  Neither may change a decision, so every
+engine must reproduce :func:`oracles.eager_knn` / :func:`oracles.eager_range`
+(every pruner's scalar ``lower_bound`` asked in chain order): the same
+answers, the same ``pruned_by`` and the same true-distance count.
+"""
+
+import numpy as np
+import pytest
+
+from repro import Trajectory, TrajectoryDatabase
+from repro.core.rangequery import range_search
+from repro.core.search import knn_search, knn_sorted_search
+from repro.service.pruning import build_pruners
+
+from .oracles import answers, eager_knn, eager_range
+
+SPECS = ["histogram,qgram", "qgram,histogram", "histogram-1d,qgram", "histogram,qgram,nti"]
+
+
+@pytest.fixture(scope="module")
+def routes_workload():
+    """Jittered copies of a few random-walk routes: the first two stages
+    of every spec prune something here, so the comparisons are not
+    vacuous (the near-triangle stage only records distances)."""
+    rng = np.random.default_rng(11)
+    routes = [
+        np.cumsum(rng.normal(size=(int(rng.integers(15, 40)), 2)), axis=0)
+        for _ in range(15)
+    ]
+
+    def member(route):
+        return Trajectory(route + rng.normal(scale=0.3, size=route.shape))
+
+    trajectories = [member(routes[i % len(routes)]) for i in range(150)]
+    database = TrajectoryDatabase(trajectories, epsilon=0.5)
+    database.warm()
+    queries = [member(routes[i]) for i in (0, 3, 5)]
+    return database, queries
+
+
+def _engine_row(neighbors, stats):
+    return answers(neighbors), stats.pruned_by, stats.true_distance_computations
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("early_abandon", [False, True])
+@pytest.mark.parametrize("edr_kernel", [None, "batched"])
+def test_engines_decide_like_the_eager_loop(
+    routes_workload, spec, early_abandon, edr_kernel
+):
+    database, queries = routes_workload
+    pruners = build_pruners(database, spec)
+    knobs = dict(
+        early_abandon=early_abandon, refine_batch_size=None, edr_kernel=edr_kernel
+    )
+    credited = set()
+    for query in queries:
+        for k in (1, 6):
+            want = eager_knn(database, query, k, pruners, early_abandon)
+            got = knn_search(database, query, k, pruners, **knobs)
+            assert _engine_row(*got) == want
+            credited |= set(want[1])
+            want = eager_knn(database, query, k, pruners, early_abandon, sort=True)
+            got = knn_sorted_search(database, query, k, pruners[0], pruners[1:], **knobs)
+            assert _engine_row(*got) == want
+        for radius in (3.0, 12.0):
+            want = eager_range(database, query, radius, pruners, early_abandon)
+            got = range_search(database, query, radius, pruners, **knobs)
+            assert _engine_row(*got) == want
+            credited |= set(want[1])
+    assert {pruner.name for pruner in pruners[:2]} <= credited
+
+
+def test_later_stages_are_filled_on_demand(routes_workload):
+    """A secondary pruner's bulk pass covers only the rows that reach it."""
+    database, queries = routes_workload
+    histogram, qgram = build_pruners(database, "histogram,qgram")
+    filled = []
+
+    class CountingQgram:
+        name = qgram.name
+
+        def for_query(self, query):
+            query_pruner = qgram.for_query(query)
+            bulk = query_pruner.bulk_quick_lower_bounds
+
+            def counted(rows=None):
+                filled.append(len(database) if rows is None else len(rows))
+                return bulk(rows)
+
+            query_pruner.bulk_quick_lower_bounds = counted
+            return query_pruner
+
+    for query in queries:
+        filled.clear()
+        knn_sorted_search(database, query, 3, histogram, [CountingQgram()])
+        assert sum(filled) < len(database)
+        filled.clear()
+        want, _ = range_search(database, query, 5.0, [histogram, qgram])
+        got, _ = range_search(database, query, 5.0, [histogram, CountingQgram()])
+        assert answers(got) == answers(want)
+        assert len(filled) <= 1 and sum(filled) < len(database)

@@ -16,6 +16,7 @@ import pytest
 from repro import Trajectory, TrajectoryDatabase
 from repro.core.edr_batch import edr_many
 from repro.core.kernels import (
+    DEFAULT_KERNEL,
     FORCE_ENV,
     KERNEL_CHOICES,
     LEGACY_KERNEL,
@@ -185,10 +186,10 @@ class TestAutotuner:
 
 
 class TestResolution:
-    def test_none_is_legacy(self):
+    def test_none_is_bitparallel(self):
         plan = resolve_kernel_plan(None, None)
-        assert plan.default == LEGACY_KERNEL and not plan.table
-        assert plan.source == "fixed"
+        assert plan.default == DEFAULT_KERNEL == "bitparallel"
+        assert not plan.table and plan.source == "fixed"
 
     def test_fixed_names(self):
         for kernel in ("scalar", "batched", "bitparallel"):
