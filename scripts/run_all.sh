@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Full verification run: test suite, complete benchmark suite, the query
-# service smoke test + load benchmark, and the assembled EXPERIMENTS.md.
+# Full verification run: test suite, the benchmark harness's tests,
+# complete benchmark suite, the query service smoke test + load
+# benchmark, and the assembled EXPERIMENTS.md.
 # Writes test_output.txt / bench_output.txt at the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 python -m pytest tests/ -x -q 2>&1 | tee test_output.txt
+python -m pytest perfbench/tests -q 2>&1 | tee -a test_output.txt
 python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 python scripts/service_smoke.py
 python scripts/shard_smoke.py

@@ -46,9 +46,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .edr import edr
 from .edr_batch import edr_many
-from .edr_bitparallel import edr_bitparallel, edr_many_bitparallel
+from .edr_bitparallel import edr_many_bitparallel
 
 __all__ = [
     "FORCE_ENV",
@@ -63,7 +62,6 @@ __all__ = [
     "length_bucket",
     "resolve_kernel_plan",
     "run_kernel",
-    "scalar_kernel",
 ]
 
 #: Accepted values of every ``edr_kernel`` knob.
@@ -142,16 +140,6 @@ def run_kernel(
             f"unknown EDR kernel {kernel!r}; choose from {', '.join(TIMED_KERNELS)}"
         ) from None
     return function(query, candidates, epsilon, bounds=bounds, band=band)
-
-
-def scalar_kernel(kernel: str) -> Callable:
-    """The single-pair kernel for unbatched refine paths.
-
-    ``bitparallel`` maps to :func:`edr_bitparallel` (bit-identical to
-    ``edr``, sentinels included); every other choice is plain ``edr`` —
-    there is nothing to batch on this path.
-    """
-    return edr_bitparallel if kernel == "bitparallel" else edr
 
 
 @dataclass

@@ -18,18 +18,20 @@ from __future__ import annotations
 import time
 from typing import List, Sequence
 
-import numpy as np
-
 from .database import TrajectoryDatabase
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE
-from .kernels import length_bucket, resolve_kernel_plan, run_kernel, scalar_kernel
+# ``run_kernel`` is no longer called here (refinement runs in
+# ``search._refine_batch``), but the benchmark's tracer patches it by
+# this module's name, so the name stays.
+from .kernels import resolve_kernel_plan, run_kernel  # noqa: F401
 from .search import (
     Neighbor,
     Pruner,
     SearchStats,
     _Chain,
-    _PendingBatches,
-    _normalized_batch_size,
+    _knn,
+    _RadiusList,
+    _true_distance,
 )
 from .trajectory import Trajectory
 
@@ -43,22 +45,15 @@ def range_scan(
     edr_kernel: "str | None" = None,
 ) -> "tuple[List[Neighbor], SearchStats]":
     """Sequential-scan range query: the pruning-free baseline."""
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
     start = time.perf_counter()
+    result = _RadiusList(radius)
     stats = SearchStats(database_size=len(database))
     plan = resolve_kernel_plan(database, edr_kernel)
     stats.kernel = plan.requested
-    results: List[Neighbor] = []
     for index in range(len(database)):
-        stats.true_distance_computations += 1
-        candidate = database.trajectories[index]
-        kernel_fn = scalar_kernel(plan.kernel_for_length(len(candidate)))
-        distance = kernel_fn(query, candidate, database.epsilon)
-        if distance <= radius:
-            results.append(Neighbor(index, distance))
+        result.offer(index, _true_distance(database, query, index, stats, plan=plan))
     stats.elapsed_seconds = time.perf_counter() - start
-    return results, stats
+    return result.neighbors(), stats
 
 
 def range_search(
@@ -78,11 +73,12 @@ def range_search(
     itself stops once the radius is unreachable (the partial computation
     still counts as a true-distance computation in the stats).
 
-    Static pruners are evaluated through their bulk quick-bound kernels:
-    the first for every row, each later one (the radius being fixed)
-    once, for the rows every earlier quick bound let through.  Dynamic
-    pruners keep the scalar per-candidate path so the bounds reflect
-    distances recorded earlier in this same query.
+    This is :func:`repro.core.search.knn_search`'s loop with the radius
+    as its threshold.  Static pruners are evaluated through their bulk
+    quick-bound kernels: the first for every row, each later one (the
+    radius being fixed) once, for the rows every earlier quick bound let
+    through.  Dynamic pruners keep the scalar per-candidate path so the
+    bounds reflect distances recorded earlier in this same query.
 
     ``refine_batch_size`` batches the verification of surviving
     candidates through the batched EDR kernel in length-bucketed groups
@@ -93,69 +89,12 @@ def range_search(
     :func:`repro.core.search.knn_search`; answers are byte-identical
     for every choice.
     """
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
-    start = time.perf_counter()
-    stats = SearchStats(database_size=len(database))
-    plan = resolve_kernel_plan(database, edr_kernel)
-    stats.kernel = plan.requested
+    started = time.perf_counter()
+    result = _RadiusList(radius)
     query_pruners = [pruner.for_query(query) for pruner in pruners]
-    chain = _Chain(query_pruners, len(database), len(database))
-    results: List[Neighbor] = []
-    batch_size = _normalized_batch_size(refine_batch_size)
-    pending = _PendingBatches(batch_size) if batch_size is not None else None
-
-    def verify_batch(candidate_indices: List[int]) -> None:
-        bound = radius if early_abandon else None
-        bucket = length_bucket(int(database.lengths[candidate_indices[0]]))
-        kernel = plan.kernel_for_bucket(bucket)
-        stats.kernel_buckets[str(bucket)] = kernel
-        candidates = [database.trajectories[i] for i in candidate_indices]
-        kernel_start = time.perf_counter()
-        distances = run_kernel(
-            kernel, query, candidates, database.epsilon, bounds=bound
-        )
-        stats.note_kernel(
-            kernel,
-            len(query) * int(sum(len(c) for c in candidates)),
-            time.perf_counter() - kernel_start,
-        )
-        stats.true_distance_computations += len(candidate_indices)
-        for candidate_index, distance in zip(candidate_indices, distances):
-            distance = float(distance)
-            if np.isfinite(distance):
-                for query_pruner in query_pruners:
-                    query_pruner.record(candidate_index, distance)
-                if distance <= radius:
-                    results.append(Neighbor(candidate_index, distance))
-
-    for index in range(len(database)):
-        pruner = chain.pruner_for(index, index, radius)
-        if pruner is not None:
-            stats.credit(pruner.name)
-            continue
-        if pending is None:
-            stats.true_distance_computations += 1
-            bound = radius if early_abandon else None
-            candidate = database.trajectories[index]
-            kernel_fn = scalar_kernel(plan.kernel_for_length(len(candidate)))
-            distance = kernel_fn(
-                query, candidate, database.epsilon, bound=bound
-            )
-            if np.isfinite(distance):
-                for query_pruner in query_pruners:
-                    query_pruner.record(index, distance)
-                if distance <= radius:
-                    results.append(Neighbor(index, distance))
-            continue
-        full_bucket = pending.add(index, int(database.lengths[index]))
-        if full_bucket is not None:
-            verify_batch(full_bucket)
-    if pending is not None:
-        for bucket in pending.drain():
-            verify_batch(bucket)
-        # Batches flush out of database order; restore the scalar
-        # path's index-ordered result list.
-        results.sort(key=lambda neighbor: neighbor.index)
-    stats.elapsed_seconds = time.perf_counter() - start
-    return results, stats
+    # The radius is fixed, so later stages fill once, over every row.
+    source = _Chain(query_pruners, len(database), window=len(database))
+    return _knn(
+        database, query, result, query_pruners, source,
+        early_abandon, refine_batch_size, edr_kernel, started,
+    )

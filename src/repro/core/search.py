@@ -25,7 +25,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -203,11 +204,43 @@ class _ResultList:
         del self._items[self.k :]
         del self._keys[self.k :]
 
+    def fills(self, pending: int) -> bool:
+        """Whether ``pending`` more answers would complete the k."""
+        return len(self._items) + pending >= self.k
+
     def neighbors(self) -> list:
         return list(self._items)
 
     def __len__(self) -> int:
         return len(self._items)
+
+
+class _RadiusList:
+    """The range query's result: every candidate within ``radius``.
+
+    The threshold the loop prunes against is the radius itself and never
+    moves; the answers come back in index order, whatever order the
+    refine batches offered them in.
+    """
+
+    def __init__(self, radius: float) -> None:
+        if radius < 0.0:
+            raise ValueError("radius must be non-negative")
+        self.best_so_far = radius
+        self._items: List[Neighbor] = []
+
+    def offer(self, index: int, distance: float) -> None:
+        if distance <= self.best_so_far and np.isfinite(distance):
+            self._items.append(Neighbor(index, distance))
+
+    def fills(self, pending: int) -> bool:
+        return False  # no answer moves the threshold
+
+    def neighbors(self) -> List[Neighbor]:
+        return sorted(self._items, key=lambda neighbor: neighbor.index)
+
+
+_INF = float("inf")
 
 
 # ----------------------------------------------------------------------
@@ -876,8 +909,13 @@ class NearTrianglePruning(Pruner):
 # Engines
 # ----------------------------------------------------------------------
 class _Chain:
-    """Figure 6's pruner chain for one query, paying each filter stage
-    only where it can still change a decision.
+    """The resident visit source: Figure 6's pruner chain over in-memory
+    bound arrays, paying each filter stage only where it can still
+    change a decision.
+
+    :meth:`walk` visits the database in index order or, with ``sort``,
+    in ascending order of the first pruner's quick bound (an *ordered*
+    walk, which the loop ends at the first bound above the threshold).
 
     :meth:`pruner_for` names the first pruner, in chain order, that
     proves a candidate farther than the threshold: a dynamic pruner
@@ -887,28 +925,31 @@ class _Chain:
     the cost differs.
 
     The first static pruner's quick bounds are computed for every row
-    in one bulk call (``first`` supplies them when the caller already
-    has them).  A later static pruner with ``subset_bounds`` is filled
-    on demand: when a candidate first reads an unfilled row, the chain
-    fills the next ``window`` rows of the visit ``order`` whose earlier
-    static quick bounds are <= the threshold in force, stage by stage.
-    A k-NN threshold only falls, so every row consulted later is among
-    them; any other unfilled row is computed when it is read.  Other
-    pruners get one bulk call over every row.
+    in one bulk call (the sorted walk's own bounds, when it has them).
+    A later static pruner with ``subset_bounds`` is filled on demand:
+    when a candidate first reads an unfilled row, the chain fills the
+    next ``window`` rows of the visit order whose earlier static quick
+    bounds are <= the threshold in force, stage by stage.  A k-NN
+    threshold only falls, so every row consulted later is among them;
+    any other unfilled row is computed when it is read.  Other pruners
+    get one bulk call over every row.
     """
 
     def __init__(
         self,
         query_pruners: Sequence[QueryPruner],
         size: int,
-        window: int,
-        order: Optional[np.ndarray] = None,
-        first: Optional[np.ndarray] = None,
+        sort: bool = False,
+        window: Optional[int] = None,
     ) -> None:
         self._pruners = list(query_pruners)
         self._size = size
-        self._window = window
-        self._order = order
+        # Later stages fill windows of N/8 rows by default: about 8
+        # fills per query in database order, few enough that their
+        # fixed cost stays small.
+        self._window = max(64, size // 8) if window is None else window
+        self.ordered = sort
+        self._order = self._bounds = None
         self._static = [
             stage for stage, pruner in enumerate(self._pruners) if not pruner.dynamic
         ]
@@ -919,8 +960,22 @@ class _Chain:
             if self._pruners[stage].subset_bounds:
                 self._quick[stage] = np.zeros(self._size)
                 self._filled[stage] = np.zeros(self._size, dtype=bool)
-        if first is not None and self._static[:1] == [0]:
-            self._quick[0] = first
+
+    def walk(self, stats: SearchStats) -> Iterator[Tuple[int, float]]:
+        """The visits ``(candidate_index, bound)``: ``bound`` is the
+        sorted walk's quick bound, -inf in index order (the chain
+        checks the first stage itself).  The sorted walk's O(N) bound
+        pass and argsort run here, on the search's clock."""
+        if not self.ordered:
+            return zip(range(self._size), repeat(-_INF))
+        # Quick bounds are sound, so the sorted break stays exact.
+        self._bounds = np.asarray(
+            self._pruners[0].bulk_quick_lower_bounds(), dtype=np.float64
+        )
+        self._order = np.argsort(self._bounds, kind="stable")
+        if self._static[:1] == [0]:
+            self._quick[0] = self._bounds
+        return zip(self._order.tolist(), self._bounds[self._order].tolist())
 
     def _bulk(self, stage: int, rows: Optional[np.ndarray] = None) -> None:
         pruner = self._pruners[stage]
@@ -1048,7 +1103,7 @@ def _refine_batch(
     database: TrajectoryDatabase,
     query: Trajectory,
     candidate_indices: List[int],
-    result: _ResultList,
+    result: Union[_ResultList, _RadiusList],
     stats: SearchStats,
     query_pruners: Sequence[QueryPruner],
     early_abandon: bool,
@@ -1160,8 +1215,9 @@ def knn_search(
     byte-for-byte identical for every choice.
     """
     query_pruners = [pruner.for_query(query) for pruner in pruners]
+    source = _Chain(query_pruners, len(database))
     return _knn(
-        database, query, k, query_pruners, False,
+        database, query, _ResultList(k), query_pruners, source,
         early_abandon, refine_batch_size, edr_kernel,
     )
 
@@ -1169,31 +1225,38 @@ def knn_search(
 def _knn(
     database: TrajectoryDatabase,
     query: Trajectory,
-    k: int,
+    result: Union[_ResultList, _RadiusList],
     query_pruners: List[QueryPruner],
-    sort: bool,
-    early_abandon: bool,
-    refine_batch_size: Optional[int],
-    edr_kernel: Optional[str],
+    source,
+    early_abandon: bool = False,
+    refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE,
+    edr_kernel: Optional[str] = None,
+    started: Optional[float] = None,
 ) -> SearchResult:
-    """The k-NN visit loop: database order, or (``sort``) ascending order
-    of the first pruner's quick bound with the sorted break."""
-    start = time.perf_counter()
-    result = _ResultList(k)
+    """Figure 6's filter-and-refine loop of the resident k-NN and range
+    engines and of the tiered store's blocked ones.  (``disk_knn_search``
+    and :func:`knn_qgram_index` still keep loops of their own.)
+
+    ``result`` is the result policy: a top-k :class:`_ResultList`, whose
+    k-th distance is the threshold, or a :class:`_RadiusList`, whose
+    threshold is the radius.  ``source`` is the visit source: resident
+    arrays (:class:`_Chain`) or a tiered store's summary blocks.  Its
+    ``walk(stats)`` yields ``(candidate_index, bound)``, where ``bound``
+    is a sound lower bound from the first pruner (-inf when unknown);
+    its ``pruner_for(candidate_index, rank, threshold)`` names the
+    pruner that prunes a visit, or None.  A bound above the threshold
+    ends an ``ordered`` walk, crediting every unvisited candidate to the
+    first pruner (the sorted break), and prunes one visit of any other.
+
+    ``elapsed_seconds`` runs from ``started`` when given: the range and
+    blocked-store entries time their per-query pruner setup too.
+    """
+    start = time.perf_counter() if started is None else started
     size = len(database)
     stats = SearchStats(database_size=size)
     plan = resolve_kernel_plan(database, edr_kernel)
     stats.kernel = plan.requested
-    bounds = order = None
-    if sort:
-        # Quick bounds are sound, so the sorted break stays exact.
-        bounds = np.asarray(
-            query_pruners[0].bulk_quick_lower_bounds(), dtype=np.float64
-        )
-        order = np.argsort(bounds, kind="stable")
-    # Later stages fill windows of N/8 rows: about 8 fills per query in
-    # database order, few enough that their fixed cost stays small.
-    chain = _Chain(query_pruners, size, max(64, size // 8), order, bounds)
+    pruner_for = source.pruner_for
     batch_size = _normalized_batch_size(refine_batch_size)
     pending = _PendingBatches(batch_size) if batch_size is not None else None
 
@@ -1203,23 +1266,25 @@ def _knn(
             query_pruners, early_abandon, plan,
         )
 
-    for rank in range(size):
-        candidate_index = rank if order is None else int(order[rank])
+    for rank, (candidate_index, bound) in enumerate(source.walk(stats)):
         best = result.best_so_far
-        if np.isfinite(best):
-            if bounds is not None and bounds[candidate_index] > best:
-                # Sorted break: every remaining bound is at least this one.
+        if best < _INF:
+            if bound > best:
                 name = query_pruners[0].name
-                stats.pruned_by[name] = stats.pruned_by.get(name, 0) + size - rank
-                break
-            pruner = chain.pruner_for(candidate_index, rank, best)
+                if source.ordered:
+                    # Sorted break: every remaining bound is at least this one.
+                    stats.pruned_by[name] = stats.pruned_by.get(name, 0) + size - rank
+                    break
+                stats.credit(name)
+                continue
+            pruner = pruner_for(candidate_index, rank, best)
             if pruner is not None:
                 stats.credit(pruner.name)
                 continue
         if pending is None:
-            bound = best if early_abandon and np.isfinite(best) else None
+            abandon = best if early_abandon and best < _INF else None
             distance = _true_distance(
-                database, query, candidate_index, stats, bound, plan
+                database, query, candidate_index, stats, abandon, plan
             )
             if np.isfinite(distance):
                 for query_pruner in query_pruners:
@@ -1231,9 +1296,7 @@ def _knn(
         )
         if full_bucket is not None:
             refine(full_bucket)
-        elif not np.isfinite(result.best_so_far) and pending.total >= max(
-            k - len(result), 1
-        ):
+        elif best == _INF and result.fills(pending.total):
             # Seed the k-th-best bound as promptly as the scalar loop:
             # once enough candidates are pending to fill the result,
             # flush them so pruning can start firing.
@@ -1355,7 +1418,8 @@ def knn_sorted_search(
     """
     query_pruners = [primary.for_query(query)]
     query_pruners += [pruner.for_query(query) for pruner in secondary]
+    source = _Chain(query_pruners, len(database), sort=True)
     return _knn(
-        database, query, k, query_pruners, True,
+        database, query, _ResultList(k), query_pruners, source,
         early_abandon, refine_batch_size, edr_kernel,
     )

@@ -71,23 +71,20 @@ from scipy import sparse
 from ..core.database import TrajectoryDatabase
 from ..core.histogram import HistogramArrayStore, HistogramSpace
 from ..core.qgram import mean_value_qgrams
+from ..core.rangequery import range_search as _range_search
 from ..core.search import (
-    DEFAULT_REFINE_BATCH_SIZE,
     HistogramPruner,
     NearTrianglePruning,
     Pruner,
     QgramMergeJoinPruner,
     SearchResult,
     SearchStats,
-    _normalized_batch_size,
-    _PendingBatches,
-    _refine_batch,
+    _knn,
+    _RadiusList,
     _ResultList,
-    _true_distance,
     knn_scan as _knn_scan,
     knn_search as _knn_search,
     knn_sorted_search as _knn_sorted_search,
-    resolve_kernel_plan,
 )
 from ..core.subtrajectory import (
     subknn_search as _subknn_search,
@@ -925,9 +922,9 @@ def _sliced_quick_bounds(
     store (the shard-packing trick: same ``lo``/``shape``, sliced
     ``totals``/``counts``) reproduces exactly the values the full-store
     pass would compute for those rows, while faulting only their bytes.
-    The blocked engines use :func:`_block_quick_bounds`, which also keeps
-    the exact-stage ceilings; this slice form stays as the per-store
-    reference the tests and the perfbench tracer name.
+    The blocked visit source uses :func:`_block_quick_bounds`, which also
+    keeps the exact-stage ceilings; this slice form stays as the
+    per-store reference the tests and the perfbench tracer name.
     """
     totals = store.totals[row_lo:row_hi]
     # Views of the rows' CSR runs, not scipy's row-slice copy: the
@@ -963,11 +960,152 @@ def _block_quick_bounds(
 ) -> Tuple[np.ndarray, int]:
     """The primary's quick bounds for rows ``[row_lo, row_hi)``, and the
     bytes they touch.  The query pruner's row-subset pass also keeps
-    those rows' exact-stage ceilings, so the blocked engines skip the
-    exact stage where the serial ones do."""
+    those rows' exact-stage ceilings, so the blocked walk skips the
+    exact stage where the resident one does."""
     quick = primary_query.bulk_quick_lower_bounds(np.arange(row_lo, row_hi))
     touched = sum(_slice_bytes(store, row_lo, row_hi) for store in primary._stores)
     return quick, touched
+
+
+class _BlockedVisits:
+    """The visit source of a store with skip summaries: the search loop
+    (:func:`~repro.core.search._knn`) visits candidates block by block,
+    opening only the blocks it reaches.
+
+    The primary must be a :class:`HistogramPruner` with a summary per
+    variant.  Each block's summary bound lower-bounds every member's
+    quick bound; an opened block yields its members with their exact,
+    row-sliced quick bounds (which also keep the exact-stage ceilings).
+
+    Without ``radius`` the walk is *ordered*: blocks open in ascending
+    summary-bound order and a heap keyed on ``(bound, index)`` merges
+    their cursors.  That reproduces the resident engine's stable argsort
+    exactly — an unopened block whose summary bound exceeds the heap
+    top cannot hide a smaller candidate, and the index breaks bound ties
+    as the stable sort does.  With a (fixed) ``radius`` the walk goes in
+    index order and skips each block whose summary bound exceeds it:
+    the resident scan would prune each member at the primary's quick
+    stage, so the block's members are credited to the primary unvisited.
+
+    The source cannot look ahead, so :meth:`pruner_for` asks the later
+    stages per visited candidate, through their scalar bounds, which
+    equal the bulk arrays bit for bit (property-tested): the decisions
+    and counters are the resident engine's.  ``bytes`` tallies the
+    filter bytes the query touches: the summaries, the opened blocks
+    and each scalar bound evaluated, per the store's byte model.
+    """
+
+    def __init__(
+        self,
+        tiered: "TieredDatabase",
+        pruners: Sequence[Pruner],
+        query_pruners: Sequence,
+        summaries: List[Dict[str, object]],
+        radius: Optional[float] = None,
+    ) -> None:
+        primary, primary_query = pruners[0], query_pruners[0]
+        self.ordered = radius is None
+        self._radius = radius
+        self._primary = primary
+        self._primary_query = primary_query
+        self._count = len(tiered)
+        self._block_rows = int(summaries[0]["block"])
+        self._nblocks = -(-self._count // self._block_rows)
+        self.bytes = 0
+        block_bounds: Optional[np.ndarray] = None
+        for store, query_histogram, summary in zip(
+            primary._stores, primary_query._query, summaries
+        ):
+            piece, touched = _summary_block_bounds(
+                store, query_histogram, summary["smax"], summary["stmin"]
+            )
+            self.bytes += touched
+            block_bounds = (
+                piece if block_bounds is None else np.maximum(block_bounds, piece)
+            )
+        self._block_bounds = block_bounds.astype(np.float64)
+        costs = []
+        for pruner in pruners:
+            cost, fixed = tiered._per_candidate_bytes(pruner)
+            self.bytes += fixed
+            costs.append(cost)
+        self._primary_cost = costs[0]
+        self._later = list(zip(query_pruners[1:], costs[1:]))
+
+    def walk(self, stats: SearchStats):
+        stats.blocks_total = self._nblocks
+        return self._merge(stats) if self.ordered else self._index_walk(stats)
+
+    def _open(self, block_id: int, stats: SearchStats) -> Tuple[int, np.ndarray]:
+        row_lo = block_id * self._block_rows
+        row_hi = min(row_lo + self._block_rows, self._count)
+        bounds, touched = _block_quick_bounds(
+            self._primary, self._primary_query, row_lo, row_hi
+        )
+        self.bytes += touched
+        stats.blocks_opened += 1
+        return row_lo, bounds
+
+    def _merge(self, stats: SearchStats):
+        block_bounds = self._block_bounds
+        block_order = np.argsort(block_bounds, kind="stable")
+        # One heap entry per open block: its smallest unvisited bound.
+        heap: List[Tuple[float, int, int, int]] = []
+        cursors: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
+        opened = 0
+        while True:
+            # An unopened block may hold a candidate as small as its
+            # summary bound — open (<=: ties resolve by index, exactly
+            # like the stable sort) before trusting the heap top.
+            while opened < self._nblocks and (
+                not heap or float(block_bounds[block_order[opened]]) <= heap[0][0]
+            ):
+                block_id = int(block_order[opened])
+                opened += 1
+                row_lo, bounds = self._open(block_id, stats)
+                local_order = np.argsort(bounds, kind="stable")
+                cursors[block_id] = (local_order, bounds, row_lo)
+                first = int(local_order[0])
+                heapq.heappush(heap, (float(bounds[first]), row_lo + first, block_id, 0))
+            if not heap:
+                return
+            bound, candidate_index, block_id, position = heapq.heappop(heap)
+            local_order, bounds, row_lo = cursors[block_id]
+            if position + 1 < len(local_order):
+                successor = int(local_order[position + 1])
+                heapq.heappush(
+                    heap,
+                    (float(bounds[successor]), row_lo + successor, block_id, position + 1),
+                )
+            yield candidate_index, bound
+
+    def _index_walk(self, stats: SearchStats):
+        name = self._primary_query.name
+        for block_id in range(self._nblocks):
+            if self._block_bounds[block_id] > self._radius:
+                row_lo = block_id * self._block_rows
+                members = min(self._block_rows, self._count - row_lo)
+                stats.pruned_by[name] = stats.pruned_by.get(name, 0) + members
+                continue
+            row_lo, bounds = self._open(block_id, stats)
+            yield from zip(range(row_lo, row_lo + len(bounds)), bounds.tolist())
+
+    def pruner_for(self, candidate_index: int, rank: int, threshold: float):
+        # The loop has compared the primary's quick bound; a histogram
+        # primary is static and two-stage, and its exact stage runs only
+        # where its ceiling says it can prune.
+        primary = self._primary_query
+        if primary.exact_ceiling(candidate_index) > threshold:
+            if self._primary_cost is not None:
+                self.bytes += int(self._primary_cost[candidate_index])
+            if primary.exact_lower_bound(candidate_index) > threshold:
+                return primary
+        for query_pruner, cost in self._later:
+            if cost is not None:
+                self.bytes += int(cost[candidate_index])
+            if query_pruner.lower_bound(candidate_index, threshold) > threshold:
+                return query_pruner
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -1158,7 +1296,11 @@ class TieredDatabase:
         runner: Callable[[], SearchResult],
         query: Trajectory,
         pruners: Sequence[Pruner],
+        source: Optional[_BlockedVisits] = None,
     ) -> SearchResult:
+        """Run one engine call and fill its storage counters: the pool's
+        deltas, the pages read, and the filter bytes — the blocked visit
+        source's own tally, else each pruner's bulk-pass model."""
         pool = self._store.pool
         hits0, misses0, evictions0 = pool.hits, pool.misses, pool.evictions
         neighbors, stats = runner()
@@ -1166,9 +1308,12 @@ class TieredDatabase:
         stats.pool_misses = pool.misses - misses0
         stats.pool_evictions = pool.evictions - evictions0
         stats.pages_read = stats.pool_misses
-        filter_bytes = sum(
-            self._pruner_bytes(pruner, query) for pruner in pruners
-        )
+        if source is not None:
+            filter_bytes = source.bytes
+        else:
+            filter_bytes = sum(
+                self._pruner_bytes(pruner, query) for pruner in pruners
+            )
         stats.bytes_touched = filter_bytes + stats.pages_read * self.page_size
         return neighbors, stats
 
@@ -1264,18 +1409,16 @@ class TieredDatabase:
         block_skip: bool = True,
         **kwargs,
     ) -> SearchResult:
-        if block_skip:
-            summaries = self._block_summaries_for(primary)
-            if summaries is not None:
-                return self._blocked_sorted_search(
-                    query, k, primary, secondary, summaries, **kwargs
-                )
+        pruners = [primary, *secondary]
+        summaries = self._block_summaries_for(primary) if block_skip else None
+        if summaries is not None:
+            return self._blocked(query, _ResultList(k), pruners, summaries, **kwargs)
         return self._accounted(
             lambda: _knn_sorted_search(
                 self.database, query, k, primary, secondary, **kwargs
             ),
             query,
-            [primary, *secondary],
+            pruners,
         )
 
     # ------------------------------------------------------------------
@@ -1308,8 +1451,8 @@ class TieredDatabase:
 
         Returns ``(per-candidate byte array or None, metadata bytes to
         charge once)`` — the per-visited-candidate cost model of the
-        blocked engine, where secondary pruners evaluate scalar bounds
-        against only the candidates the sorted scan actually reaches.
+        blocked visit source, where later pruners evaluate scalar bounds
+        against only the candidates its walk actually reaches.
         """
         if isinstance(pruner, QgramMergeJoinPruner):
             offsets = self._arrays.get("qg2_offsets")
@@ -1341,204 +1484,6 @@ class TieredDatabase:
             return np.full(len(self), references * 8, dtype=np.int64), 0
         return None, 0
 
-    def _blocked_sorted_search(
-        self,
-        query: Trajectory,
-        k: int,
-        primary: HistogramPruner,
-        secondary: Sequence[Pruner],
-        summaries: List[Dict[str, object]],
-        early_abandon: bool = False,
-        refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE,
-        edr_kernel: Optional[str] = None,
-    ) -> SearchResult:
-        """Sorted access that opens summary blocks instead of scanning N.
-
-        Semantics-preserving replica of
-        :func:`~repro.core.search.knn_sorted_search`: blocks open in
-        ascending summary-bound order, each open block exposes its
-        candidates through a per-block cursor, and a heap keyed on
-        ``(bound, index)`` merges the cursors — which reproduces the
-        serial engine's stable-argsort visit order *exactly* (summary
-        bounds lower-bound every member, so a block whose bound exceeds
-        the heap top cannot hide a smaller candidate, and index breaks
-        bound ties just like the stable sort).  Answers, ``pruned_by``
-        counters, and refinement order are byte-for-byte serial;
-        ``bytes_touched`` shrinks from Θ(N) to summaries + opened
-        blocks + per-visited-candidate scalar bounds.
-        """
-        database = self.database
-        pool = self._store.pool
-        hits0, misses0, evictions0 = pool.hits, pool.misses, pool.evictions
-        start = time.perf_counter()
-        result = _ResultList(k)
-        stats = SearchStats(database_size=len(database))
-        plan = resolve_kernel_plan(database, edr_kernel)
-        stats.kernel = plan.requested
-        primary_query = primary.for_query(query)
-        secondary_queries = [pruner.for_query(query) for pruner in secondary]
-        all_queries = [primary_query, *secondary_queries]
-        count = len(database)
-        block_rows = int(summaries[0]["block"])
-        nblocks = (count + block_rows - 1) // block_rows
-        filter_bytes = 0
-
-        block_bounds: Optional[np.ndarray] = None
-        for store, query_histogram, summary in zip(
-            primary._stores, primary_query._query, summaries
-        ):
-            piece, touched = _summary_block_bounds(
-                store, query_histogram, summary["smax"], summary["stmin"]
-            )
-            filter_bytes += touched
-            block_bounds = (
-                piece
-                if block_bounds is None
-                else np.maximum(block_bounds, piece)
-            )
-        block_bounds = block_bounds.astype(np.float64)
-        block_order = np.argsort(block_bounds, kind="stable")
-
-        primary_cost, fixed = self._per_candidate_bytes(primary)
-        filter_bytes += fixed
-        secondary_costs: List[Optional[np.ndarray]] = []
-        for pruner in secondary:
-            cost, fixed = self._per_candidate_bytes(pruner)
-            filter_bytes += fixed
-            secondary_costs.append(cost)
-
-        # One heap entry per open block: its smallest unvisited bound.
-        heap: List[Tuple[float, int, int, int]] = []
-        open_blocks: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
-
-        def open_block(block_id: int) -> None:
-            nonlocal filter_bytes
-            row_lo = block_id * block_rows
-            row_hi = min(row_lo + block_rows, count)
-            bounds, touched = _block_quick_bounds(
-                primary, primary_query, row_lo, row_hi
-            )
-            filter_bytes += touched
-            local_order = np.argsort(bounds, kind="stable")
-            first = int(local_order[0])
-            heapq.heappush(heap, (float(bounds[first]), row_lo + first, block_id, 0))
-            open_blocks[block_id] = (local_order, bounds, row_lo)
-
-        batch_size = _normalized_batch_size(refine_batch_size)
-        pending = _PendingBatches(batch_size) if batch_size is not None else None
-        opened = 0
-        visited = 0
-        while True:
-            # An unopened block may hold a candidate as small as its
-            # summary bound — open (<=: ties resolve by index, exactly
-            # like the serial stable sort) before trusting the heap top.
-            while opened < nblocks and (
-                not heap
-                or float(block_bounds[block_order[opened]]) <= heap[0][0]
-            ):
-                open_block(int(block_order[opened]))
-                opened += 1
-            if not heap:
-                break
-            bound, candidate_index, block_id, position = heapq.heappop(heap)
-            local_order, bounds, row_lo = open_blocks[block_id]
-            if position + 1 < len(local_order):
-                successor = int(local_order[position + 1])
-                heapq.heappush(
-                    heap,
-                    (
-                        float(bounds[successor]),
-                        row_lo + successor,
-                        block_id,
-                        position + 1,
-                    ),
-                )
-            best = result.best_so_far
-            if np.isfinite(best) and bound > best:
-                remaining = count - visited
-                stats.pruned_by[primary_query.name] = (
-                    stats.pruned_by.get(primary_query.name, 0) + remaining
-                )
-                break
-            visited += 1
-            pruned = False
-            if np.isfinite(best):
-                if primary_query.dynamic:
-                    primary_prunes = (
-                        primary_query.lower_bound(candidate_index, best) > best
-                    )
-                elif (
-                    primary_query.two_stage
-                    and primary_query.exact_ceiling(candidate_index) > best
-                ):
-                    if primary_cost is not None:
-                        filter_bytes += int(primary_cost[candidate_index])
-                    primary_prunes = (
-                        primary_query.exact_lower_bound(candidate_index) > best
-                    )
-                else:
-                    primary_prunes = False
-                if primary_prunes:
-                    stats.credit(primary_query.name)
-                    pruned = True
-                else:
-                    for query_pruner, cost in zip(
-                        secondary_queries, secondary_costs
-                    ):
-                        if cost is not None:
-                            filter_bytes += int(cost[candidate_index])
-                        # Scalar bounds equal the bulk arrays bit for
-                        # bit (property-tested), so the prune decision
-                        # — and every counter — matches the serial
-                        # engine without materializing Θ(N) arrays.
-                        if query_pruner.lower_bound(candidate_index, best) > best:
-                            stats.credit(query_pruner.name)
-                            pruned = True
-                            break
-            if pruned:
-                continue
-            if pending is None:
-                bound_arg = best if early_abandon and np.isfinite(best) else None
-                distance = _true_distance(
-                    database, query, candidate_index, stats, bound_arg, plan
-                )
-                if np.isfinite(distance):
-                    for query_pruner in all_queries:
-                        query_pruner.record(candidate_index, distance)
-                result.offer(candidate_index, distance)
-                continue
-            full_bucket = pending.add(
-                candidate_index, int(database.lengths[candidate_index])
-            )
-            if full_bucket is not None:
-                _refine_batch(
-                    database, query, full_bucket, result, stats,
-                    all_queries, early_abandon, plan,
-                )
-            elif not np.isfinite(result.best_so_far) and pending.total >= max(
-                k - len(result), 1
-            ):
-                for bucket in pending.drain():
-                    _refine_batch(
-                        database, query, bucket, result, stats,
-                        all_queries, early_abandon, plan,
-                    )
-        if pending is not None:
-            for bucket in pending.drain():
-                _refine_batch(
-                    database, query, bucket, result, stats,
-                    all_queries, early_abandon, plan,
-                )
-        stats.blocks_total = nblocks
-        stats.blocks_opened = opened
-        stats.elapsed_seconds = time.perf_counter() - start
-        stats.pool_hits = pool.hits - hits0
-        stats.pool_misses = pool.misses - misses0
-        stats.pool_evictions = pool.evictions - evictions0
-        stats.pages_read = stats.pool_misses
-        stats.bytes_touched = filter_bytes + stats.pages_read * self.page_size
-        return result.neighbors(), stats
-
     def knn_scan(self, query: Trajectory, k: int, **kwargs) -> SearchResult:
         return self._accounted(
             lambda: _knn_scan(self.database, query, k, **kwargs), query, ()
@@ -1552,206 +1497,44 @@ class TieredDatabase:
         block_skip: bool = True,
         **kwargs,
     ) -> SearchResult:
-        if block_skip and pruners:
-            summaries = self._block_summaries_for(pruners[0])
-            if summaries is not None:
-                return self._blocked_range_search(
-                    query, radius, pruners[0], pruners[1:], summaries, **kwargs
-                )
-        from ..core.rangequery import range_search as _range_search
-
+        summaries = (
+            self._block_summaries_for(pruners[0]) if block_skip and pruners else None
+        )
+        if summaries is not None:
+            return self._blocked(
+                query, _RadiusList(radius), pruners, summaries, radius, **kwargs
+            )
         return self._accounted(
             lambda: _range_search(self.database, query, radius, pruners, **kwargs),
             query,
             pruners,
         )
 
-    def _blocked_range_search(
+    def _blocked(
         self,
         query: Trajectory,
-        radius: float,
-        primary: HistogramPruner,
-        secondary: Sequence[Pruner],
+        result,
+        pruners: Sequence[Pruner],
         summaries: List[Dict[str, object]],
-        early_abandon: bool = False,
-        refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE,
-        edr_kernel: Optional[str] = None,
+        radius: Optional[float] = None,
+        **kwargs,
     ) -> SearchResult:
-        """Range query that skips summary blocks instead of scanning N.
-
-        Semantics-preserving replica of
-        :func:`~repro.core.rangequery.range_search`: the radius is fixed
-        up front, so a block whose summary bound exceeds it cannot hold
-        a qualifying candidate — the summary lower-bounds every member's
-        quick bound, which is exactly the primary's stage-1 prune test,
-        so the serial engine would have pruned each member there and
-        credited the primary.  Skipping the block and crediting the
-        primary once per member is therefore byte-equal, and the
-        two-stage exact bound is never consulted for skipped members
-        (the serial engine short-circuits it the same way).  Opened
-        blocks walk their rows in index order with byte-identical sliced
-        quick bounds, so candidate visit order — and with it the refine
-        batch composition and every dynamic pruner's record stream —
-        matches the serial scan exactly.  Answers, ``pruned_by``
-        counters, and ``true_distance_computations`` are byte-for-byte
-        serial; ``bytes_touched`` shrinks from Θ(N) to summaries +
-        opened blocks + per-visited-candidate scalar bounds.
-        """
-        from ..core.kernels import (
-            length_bucket,
-            run_kernel,
-            scalar_kernel,
+        """The search loop over this store's summary blocks: sorted k-NN
+        (no ``radius``) or a range query, ``result`` being its policy.
+        ``bytes_touched`` shrinks from Θ(N) to the summaries, the opened
+        blocks and the per-visited-candidate scalar bounds."""
+        started = time.perf_counter()
+        query_pruners = [pruner.for_query(query) for pruner in pruners]
+        source = _BlockedVisits(self, pruners, query_pruners, summaries, radius)
+        return self._accounted(
+            lambda: _knn(
+                self.database, query, result, query_pruners, source,
+                started=started, **kwargs,
+            ),
+            query,
+            pruners,
+            source,
         )
-        from ..core.search import Neighbor
-
-        if radius < 0.0:
-            raise ValueError("radius must be non-negative")
-        database = self.database
-        pool = self._store.pool
-        hits0, misses0, evictions0 = pool.hits, pool.misses, pool.evictions
-        start = time.perf_counter()
-        stats = SearchStats(database_size=len(database))
-        plan = resolve_kernel_plan(database, edr_kernel)
-        stats.kernel = plan.requested
-        primary_query = primary.for_query(query)
-        secondary_queries = [pruner.for_query(query) for pruner in secondary]
-        all_queries = [primary_query, *secondary_queries]
-        count = len(database)
-        block_rows = int(summaries[0]["block"])
-        nblocks = (count + block_rows - 1) // block_rows
-        filter_bytes = 0
-
-        block_bounds: Optional[np.ndarray] = None
-        for store, query_histogram, summary in zip(
-            primary._stores, primary_query._query, summaries
-        ):
-            piece, touched = _summary_block_bounds(
-                store, query_histogram, summary["smax"], summary["stmin"]
-            )
-            filter_bytes += touched
-            block_bounds = (
-                piece
-                if block_bounds is None
-                else np.maximum(block_bounds, piece)
-            )
-        block_bounds = block_bounds.astype(np.float64)
-
-        primary_cost, fixed = self._per_candidate_bytes(primary)
-        filter_bytes += fixed
-        secondary_costs: List[Optional[np.ndarray]] = []
-        for pruner in secondary:
-            cost, fixed = self._per_candidate_bytes(pruner)
-            filter_bytes += fixed
-            secondary_costs.append(cost)
-
-        results: List[Neighbor] = []
-        batch_size = _normalized_batch_size(refine_batch_size)
-        pending = _PendingBatches(batch_size) if batch_size is not None else None
-
-        def verify_batch(candidate_indices: List[int]) -> None:
-            bound = radius if early_abandon else None
-            bucket = length_bucket(int(database.lengths[candidate_indices[0]]))
-            kernel = plan.kernel_for_bucket(bucket)
-            stats.kernel_buckets[str(bucket)] = kernel
-            candidates = [database.trajectories[i] for i in candidate_indices]
-            kernel_start = time.perf_counter()
-            distances = run_kernel(
-                kernel, query, candidates, database.epsilon, bounds=bound
-            )
-            stats.note_kernel(
-                kernel,
-                len(query) * int(sum(len(c) for c in candidates)),
-                time.perf_counter() - kernel_start,
-            )
-            stats.true_distance_computations += len(candidate_indices)
-            for candidate_index, distance in zip(candidate_indices, distances):
-                distance = float(distance)
-                if np.isfinite(distance):
-                    for query_pruner in all_queries:
-                        query_pruner.record(candidate_index, distance)
-                    if distance <= radius:
-                        results.append(Neighbor(candidate_index, distance))
-
-        opened = 0
-        for block_id in range(nblocks):
-            row_lo = block_id * block_rows
-            row_hi = min(row_lo + block_rows, count)
-            if float(block_bounds[block_id]) > radius:
-                # Every member's quick bound is at least the summary
-                # bound, so the serial scan prunes each at the primary's
-                # quick stage — same counter, no rows faulted.
-                stats.pruned_by[primary_query.name] = (
-                    stats.pruned_by.get(primary_query.name, 0)
-                    + (row_hi - row_lo)
-                )
-                continue
-            opened += 1
-            quick, touched = _block_quick_bounds(
-                primary, primary_query, row_lo, row_hi
-            )
-            filter_bytes += touched
-            for offset in range(row_hi - row_lo):
-                index = row_lo + offset
-                pruned = False
-                if quick[offset] > radius:
-                    pruned = True
-                elif (
-                    primary_query.two_stage
-                    and primary_query.exact_ceiling(index) > radius
-                ):
-                    if primary_cost is not None:
-                        filter_bytes += int(primary_cost[index])
-                    pruned = primary_query.exact_lower_bound(index) > radius
-                if pruned:
-                    stats.credit(primary_query.name)
-                    continue
-                for query_pruner, cost in zip(
-                    secondary_queries, secondary_costs
-                ):
-                    if cost is not None:
-                        filter_bytes += int(cost[index])
-                    # Scalar bounds equal the bulk arrays bit for bit
-                    # (property-tested), so the prune decision — and
-                    # every counter — matches the serial engine without
-                    # materializing Θ(N) arrays.
-                    if query_pruner.lower_bound(index, radius) > radius:
-                        stats.credit(query_pruner.name)
-                        pruned = True
-                        break
-                if pruned:
-                    continue
-                if pending is None:
-                    stats.true_distance_computations += 1
-                    bound = radius if early_abandon else None
-                    candidate = database.trajectories[index]
-                    kernel_fn = scalar_kernel(
-                        plan.kernel_for_length(len(candidate))
-                    )
-                    distance = kernel_fn(
-                        query, candidate, database.epsilon, bound=bound
-                    )
-                    if np.isfinite(distance):
-                        for query_pruner in all_queries:
-                            query_pruner.record(index, distance)
-                        if distance <= radius:
-                            results.append(Neighbor(index, distance))
-                    continue
-                full_bucket = pending.add(index, int(database.lengths[index]))
-                if full_bucket is not None:
-                    verify_batch(full_bucket)
-        if pending is not None:
-            for bucket in pending.drain():
-                verify_batch(bucket)
-            results.sort(key=lambda neighbor: neighbor.index)
-        stats.blocks_total = nblocks
-        stats.blocks_opened = opened
-        stats.elapsed_seconds = time.perf_counter() - start
-        stats.pool_hits = pool.hits - hits0
-        stats.pool_misses = pool.misses - misses0
-        stats.pool_evictions = pool.evictions - evictions0
-        stats.pages_read = stats.pool_misses
-        stats.bytes_touched = filter_bytes + stats.pages_read * self.page_size
-        return results, stats
 
     # ------------------------------------------------------------------
     # Sharded mmap-attach mode

@@ -5,16 +5,21 @@ still reach it, and skip the exact histogram stage where its certified
 ceiling shows it cannot prune.  Neither may change a decision, so every
 engine must reproduce :func:`oracles.eager_knn` / :func:`oracles.eager_range`
 (every pruner's scalar ``lower_bound`` asked in chain order): the same
-answers, the same ``pruned_by`` and the same true-distance count.
+answers, the same ``pruned_by`` and the same true-distance count.  The
+tiered store's sorted k-NN and range queries are held to the same
+oracle, through its summary blocks and without them.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from repro import Trajectory, TrajectoryDatabase
 from repro.core.rangequery import range_search
-from repro.core.search import knn_search, knn_sorted_search
+from repro.core.search import HistogramPruner, knn_search, knn_sorted_search
 from repro.service.pruning import build_pruners
+from repro.storage.tiered import TieredDatabase, build_store
 
 from .oracles import answers, eager_knn, eager_range
 
@@ -42,6 +47,27 @@ def routes_workload():
     return database, queries
 
 
+@pytest.fixture(scope="module")
+def tiered_stores(routes_workload, tmp_path_factory):
+    """The same 150 trajectories as tiered stores: ``(store, block_skip)``
+    at summary blocks of 1 and 7 rows, and the 7-row store unblocked."""
+    database, _ = routes_workload
+    stores = []
+    for summary_block in (1, 7):
+        directory = tmp_path_factory.mktemp(f"chain-store-{summary_block}")
+        build_store(
+            database.trajectories,
+            directory,
+            database.epsilon,
+            parts=("histogram", "histogram-1d", "qgram", "nti"),
+            summary_block=summary_block,
+        )
+        stores.append(TieredDatabase.open(directory))
+    yield [(stores[0], True), (stores[1], True), (stores[1], False)]
+    for store in stores:
+        store.close()
+
+
 def _engine_row(neighbors, stats):
     return answers(neighbors), stats.pruned_by, stats.true_distance_computations
 
@@ -50,13 +76,24 @@ def _engine_row(neighbors, stats):
 @pytest.mark.parametrize("early_abandon", [False, True])
 @pytest.mark.parametrize("edr_kernel", [None, "batched"])
 def test_engines_decide_like_the_eager_loop(
-    routes_workload, spec, early_abandon, edr_kernel
+    routes_workload, tiered_stores, spec, early_abandon, edr_kernel
 ):
     database, queries = routes_workload
     pruners = build_pruners(database, spec)
     knobs = dict(
         early_abandon=early_abandon, refine_batch_size=None, edr_kernel=edr_kernel
     )
+    tiered = [
+        (store, build_pruners(store.database, spec), dict(knobs, block_skip=skip))
+        for store, skip in tiered_stores
+    ]
+
+    def assert_store_row(got, store_knobs, want):
+        assert _engine_row(*got) == want
+        # A histogram primary takes the blocked source unless told not to.
+        blocked = spec.startswith("histogram") and store_knobs["block_skip"]
+        assert (got[1].blocks_total > 0) == blocked
+
     credited = set()
     for query in queries:
         for k in (1, 6):
@@ -67,10 +104,18 @@ def test_engines_decide_like_the_eager_loop(
             want = eager_knn(database, query, k, pruners, early_abandon, sort=True)
             got = knn_sorted_search(database, query, k, pruners[0], pruners[1:], **knobs)
             assert _engine_row(*got) == want
+            for store, chain, store_knobs in tiered:
+                got = store.knn_sorted_search(
+                    query, k, chain[0], chain[1:], **store_knobs
+                )
+                assert_store_row(got, store_knobs, want)
         for radius in (3.0, 12.0):
             want = eager_range(database, query, radius, pruners, early_abandon)
             got = range_search(database, query, radius, pruners, **knobs)
             assert _engine_row(*got) == want
+            for store, chain, store_knobs in tiered:
+                got = store.range_search(query, radius, chain, **store_knobs)
+                assert_store_row(got, store_knobs, want)
             credited |= set(want[1])
     assert {pruner.name for pruner in pruners[:2]} <= credited
 
@@ -104,3 +149,44 @@ def test_later_stages_are_filled_on_demand(routes_workload):
         got, _ = range_search(database, query, 5.0, [histogram, CountingQgram()])
         assert answers(got) == answers(want)
         assert len(filled) <= 1 and sum(filled) < len(database)
+
+
+def test_the_clock_covers_each_engines_setup(
+    routes_workload, tiered_stores, monkeypatch
+):
+    """``elapsed_seconds`` covers the primary's full bound pass (the sorted
+    walk's sort key) on every engine, and the per-query pruner setup of
+    range and the blocked store queries, so speedups computed from it
+    compare like with like."""
+    database, queries = routes_workload
+    pause = 0.05
+    for_query = HistogramPruner.for_query
+
+    def slow_for_query(self, query):
+        time.sleep(pause)
+        query_pruner = for_query(self, query)
+        bulk = query_pruner.bulk_quick_lower_bounds
+
+        def slow_bulk(rows=None):
+            if rows is None:
+                time.sleep(pause)
+            return bulk(rows)
+
+        query_pruner.bulk_quick_lower_bounds = slow_bulk
+        return query_pruner
+
+    monkeypatch.setattr(HistogramPruner, "for_query", slow_for_query)
+    query = queries[0]
+    histogram, qgram = build_pruners(database, "histogram,qgram")
+    _, stats = knn_search(database, query, 3, [histogram, qgram])
+    assert stats.elapsed_seconds >= pause
+    _, stats = knn_sorted_search(database, query, 3, histogram, [qgram])
+    assert stats.elapsed_seconds >= pause
+    _, stats = range_search(database, query, 5.0, [histogram, qgram])
+    assert stats.elapsed_seconds >= 2 * pause
+    store, _ = tiered_stores[1]
+    chain = build_pruners(store.database, "histogram,qgram")
+    _, stats = store.knn_sorted_search(query, 3, chain[0], chain[1:])
+    assert stats.blocks_total > 0 and stats.elapsed_seconds >= pause
+    _, stats = store.range_search(query, 5.0, chain)
+    assert stats.blocks_total > 0 and stats.elapsed_seconds >= pause

@@ -11,6 +11,7 @@ from repro import (
     TrajectoryDatabase,
 )
 from repro.core.rangequery import range_scan, range_search
+from repro.core.search import knn_scan
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +101,28 @@ class TestPrunedRangeSearch:
         database, query = workload
         with pytest.raises(ValueError):
             range_search(database, query, -0.5, [])
+
+
+class TestKernelAccounting:
+    """Every refine path attributes its DP cells to a kernel."""
+
+    def test_scan_counts_cells_like_knn_scan(self, workload):
+        database, query = workload
+        _, stats = range_scan(database, query, 15.0)
+        _, knn_stats = knn_scan(database, query, 3)
+        assert stats.kernel_cells
+        assert stats.kernel_cells == knn_stats.kernel_cells
+        assert set(stats.kernel_seconds) == set(stats.kernel_cells)
+
+    def test_scalar_refine_counts_the_batched_cells(self, workload):
+        database, query = workload
+        pruners = [HistogramPruner(database), QgramMergeJoinPruner(database, q=1)]
+        _, scalar = range_search(
+            database, query, 15.0, pruners, refine_batch_size=None
+        )
+        _, batched = range_search(database, query, 15.0, pruners)
+        assert scalar.true_distance_computations > 0
+        assert sum(scalar.kernel_cells.values()) == sum(
+            batched.kernel_cells.values()
+        )
+        assert set(scalar.kernel_seconds) == set(scalar.kernel_cells)
