@@ -166,7 +166,9 @@ def _run_config(
     config = ServiceConfig(
         port=0,
         pruners=args.pruners,
+        # The engine and kernel its committed baseline was recorded with.
         engine="search",
+        edr_kernel="auto",
         k_default=args.k,
         cache_size=args.cache_size,
         replicas=replicas,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ from .core.edr_batch import DEFAULT_REFINE_BATCH_SIZE
 from .core.join import similarity_join
 from .core.kernels import DEFAULT_KERNEL, KERNEL_CHOICES
 from .core.rangequery import range_search
-from .core.search import Pruner, knn_search
+from .core.search import Pruner, knn_scan, knn_sorted_search
 from .core.subtrajectory import DEFAULT_WINDOW_ALPHA, subknn_search
 from .core.matching import suggest_epsilon
 from .core.trajectory import Trajectory
@@ -232,20 +233,22 @@ def cmd_knn(args: argparse.Namespace) -> int:
         if tiered is not None:
             tiered.close()
         return 0
-    if tiered is not None:
-        neighbors, stats = tiered.knn_search(
-            query,
-            args.k,
-            pruners,
-            refine_batch_size=args.refine_batch_size,
-            edr_kernel=args.edr_kernel,
-        )
+    # The bound-ordered engine, as ``knn-batch`` and the service run it;
+    # with no pruner to order by, the plain scan.
+    if not pruners:
+        scan = tiered.knn_scan if tiered is not None else partial(knn_scan, database)
+        neighbors, stats = scan(query, args.k, edr_kernel=args.edr_kernel)
     else:
-        neighbors, stats = knn_search(
-            database,
+        search = (
+            tiered.knn_sorted_search
+            if tiered is not None
+            else partial(knn_sorted_search, database)
+        )
+        neighbors, stats = search(
             query,
             args.k,
-            pruners,
+            pruners[0],
+            pruners[1:],
             refine_batch_size=args.refine_batch_size,
             edr_kernel=args.edr_kernel,
         )
@@ -505,37 +508,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         database = TrajectoryDatabase(trajectories, epsilon)
     try:
         config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            pruners=args.pruners,
-            engine=args.engine,
-            k_default=args.k,
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            cache_size=args.cache_size,
-            queue_limit=args.queue_limit,
-            request_timeout_s=args.request_timeout,
-            matrix_workers=args.matrix_workers,
-            refine_batch_size=args.refine_batch_size,
-            shards=args.shards,
-            shard_workers=args.shard_workers,
-            replicas=args.replicas,
-            replica_queue_depth=args.replica_queue_depth,
-            replica_spillover_depth=args.replica_spillover_depth,
-            replica_rpc_timeout_s=args.replica_rpc_timeout,
-            replica_retries=args.replica_retries,
-            edr_kernel=args.edr_kernel,
-            store=args.store,
-            ingest_root=args.ingest_root,
-            follow=args.follow,
-            follow_poll_s=args.follow_poll_s,
+            **{field: getattr(args, dest) for dest, field in SERVE_CONFIG_FIELDS.items()}
         ).validated()
     except ValueError as error:
         raise SystemExit(str(error)) from None
     if args.store:
         print(
             f"store = {args.store}; pruners = {config.pruners or 'none'}; "
-            f"kernel = {config.edr_kernel}"
+            f"engine = {config.engine}; kernel = {config.edr_kernel}"
         )
     elif args.ingest_root:
         print(
@@ -546,7 +526,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         print(
             f"epsilon = {epsilon:.4f}; pruners = {config.pruners or 'none'}; "
-            f"kernel = {config.edr_kernel}"
+            f"engine = {config.engine}; kernel = {config.edr_kernel}"
         )
     from .storage.tiered import StoreError
 
@@ -686,6 +666,46 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+#: ``serve`` argument -> the ServiceConfig field it sets (and takes its
+#: default from).
+SERVE_CONFIG_FIELDS = {
+    "host": "host",
+    "port": "port",
+    "pruners": "pruners",
+    "engine": "engine",
+    "k": "k_default",
+    "max_batch": "max_batch",
+    "max_delay_ms": "max_delay_ms",
+    "cache_size": "cache_size",
+    "queue_limit": "queue_limit",
+    "request_timeout": "request_timeout_s",
+    "matrix_workers": "matrix_workers",
+    "refine_batch_size": "refine_batch_size",
+    "shards": "shards",
+    "shard_workers": "shard_workers",
+    "replicas": "replicas",
+    "replica_queue_depth": "replica_queue_depth",
+    "replica_spillover_depth": "replica_spillover_depth",
+    "replica_rpc_timeout": "replica_rpc_timeout_s",
+    "replica_retries": "replica_retries",
+    "edr_kernel": "edr_kernel",
+    "store": "store",
+    "ingest_root": "ingest_root",
+    "follow": "follow",
+    "follow_poll_s": "follow_poll_s",
+}
+
+
+def _add_kernel_argument(command: argparse.ArgumentParser) -> None:
+    command.add_argument(
+        "--edr-kernel",
+        choices=KERNEL_CHOICES,
+        default=DEFAULT_KERNEL,
+        help="refine-phase EDR kernel (auto = per-bucket autotune; "
+        "every choice returns identical answers)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-trajectory",
@@ -744,13 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="process-pool workers for the near-triangle reference-matrix precompute",
     )
-    knn.add_argument(
-        "--edr-kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="refine-phase EDR kernel (auto = per-bucket autotune; "
-        "every choice returns identical answers)",
-    )
+    _add_kernel_argument(knn)
     knn.add_argument(
         "--sub",
         action="store_true",
@@ -821,13 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard worker pool size (default: one per shard)",
     )
-    knn_batch_command.add_argument(
-        "--edr-kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="refine-phase EDR kernel (auto = per-bucket autotune; "
-        "every choice returns identical answers)",
-    )
+    _add_kernel_argument(knn_batch_command)
     knn_batch_command.add_argument(
         "--sub",
         action="store_true",
@@ -866,13 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="process-pool workers for the near-triangle reference-matrix precompute",
     )
-    range_command.add_argument(
-        "--edr-kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="refine-phase EDR kernel (auto = per-bucket autotune; "
-        "every choice returns identical answers)",
-    )
+    _add_kernel_argument(range_command)
     range_command.set_defaults(handler=cmd_range)
 
     join = commands.add_parser("join", help="similarity self-join under EDR")
@@ -925,46 +927,38 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("file", nargs="?", default=None)
     serve.add_argument(
         "--store",
-        default=None,
         help="serve a tiered store directory (mmap-resident corpus) "
         "instead of loading a trajectory file into memory",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8765)
+    serve.add_argument("--host")
+    serve.add_argument("--port", type=int)
     serve.add_argument("--epsilon", type=float, default=None)
     serve.add_argument(
-        "--pruners",
-        default="histogram,qgram",
-        help=f"comma list: {', '.join(PRUNER_CHOICES)}",
+        "--pruners", help=f"comma list: {', '.join(PRUNER_CHOICES)}"
     )
-    serve.add_argument("--engine", choices=BATCH_ENGINES, default="search")
-    serve.add_argument("--k", type=int, default=10, help="default k for /knn")
-    serve.add_argument("--max-batch", type=int, default=16)
-    serve.add_argument("--max-delay-ms", type=float, default=5.0)
-    serve.add_argument("--cache-size", type=int, default=256)
-    serve.add_argument("--queue-limit", type=int, default=64)
-    serve.add_argument("--request-timeout", type=float, default=60.0)
-    serve.add_argument(
-        "--refine-batch-size", type=int, default=DEFAULT_REFINE_BATCH_SIZE
-    )
-    serve.add_argument("--matrix-workers", type=int, default=None)
+    serve.add_argument("--engine", choices=BATCH_ENGINES)
+    serve.add_argument("--k", type=int, help="default k for /knn")
+    serve.add_argument("--max-batch", type=int)
+    serve.add_argument("--max-delay-ms", type=float)
+    serve.add_argument("--cache-size", type=int)
+    serve.add_argument("--queue-limit", type=int)
+    serve.add_argument("--request-timeout", type=float)
+    serve.add_argument("--refine-batch-size", type=int)
+    serve.add_argument("--matrix-workers", type=int)
     serve.add_argument(
         "--shards",
         type=int,
-        default=1,
         help="partition the database across N shared-memory shards and "
         "answer each k-NN query with intra-query parallelism (>1 enables)",
     )
     serve.add_argument(
         "--shard-workers",
         type=int,
-        default=None,
         help="shard worker pool size (default: one per shard)",
     )
     serve.add_argument(
         "--replicas",
         type=int,
-        default=1,
         help="run N resident engine replica processes behind a "
         "consistent-hash router (>1 enables; answers are unchanged, the "
         "per-replica caches compose into one fleet-wide cache)",
@@ -972,41 +966,30 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--replica-queue-depth",
         type=int,
-        default=8,
         help="max outstanding RPCs per replica before the router sheds "
         "with 503 + Retry-After",
     )
     serve.add_argument(
         "--replica-spillover-depth",
         type=int,
-        default=4,
         help="queue depth at which the router abandons hash affinity "
         "and spills to the least-loaded replica",
     )
     serve.add_argument(
         "--replica-rpc-timeout",
         type=float,
-        default=30.0,
         help="per-RPC timeout before a replica is condemned and the "
         "query retried on a sibling",
     )
     serve.add_argument(
         "--replica-retries",
         type=int,
-        default=2,
         help="sibling retries a failed replica RPC gets before the "
         "request errors out",
     )
-    serve.add_argument(
-        "--edr-kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="refine-phase EDR kernel (auto = per-bucket autotune at warm "
-        "time; every choice returns identical answers)",
-    )
+    _add_kernel_argument(serve)
     serve.add_argument(
         "--ingest-root",
-        default=None,
         help="serve a live ingest root (current generation merged with "
         "the WAL delta) instead of a static corpus",
     )
@@ -1017,12 +1000,14 @@ def build_parser() -> argparse.ArgumentParser:
         "generations without dropping in-flight queries",
     )
     serve.add_argument(
-        "--follow-poll-s",
-        type=float,
-        default=0.25,
-        help="ingest-root poll interval for --follow",
+        "--follow-poll-s", type=float, help="ingest-root poll interval for --follow"
     )
-    serve.set_defaults(handler=cmd_serve)
+    # Every default comes from the ServiceConfig field the flag sets.
+    served = ServiceConfig()
+    serve.set_defaults(
+        handler=cmd_serve,
+        **{dest: getattr(served, field) for dest, field in SERVE_CONFIG_FIELDS.items()},
+    )
 
     ingest = commands.add_parser(
         "ingest",

@@ -74,10 +74,12 @@ TIMED_KERNELS = ("scalar", "batched", "bitparallel")
 #: ties toward it, and ``"auto"`` without a database resolves to it.
 LEGACY_KERNEL = "batched"
 
-#: What ``edr_kernel=None`` means.  It returns the legacy kernel's
-#: distances and sentinels bit for bit, and the autotuner picks it for
-#: every length bucket of the perfbench corpus.  The CLI and the
-#: service default to "auto" instead.
+#: What ``edr_kernel=None`` means, and the default of the CLI's
+#: ``--edr-kernel`` flags and of ``ServiceConfig.edr_kernel``.  It
+#: returns the legacy kernel's distances and sentinels bit for bit and
+#: wins every occupied length bucket of the perfbench corpus, while the
+#: autotuner's timed race ("auto", still a choice) can hand a bucket to
+#: a slower kernel from one process to the next.
 DEFAULT_KERNEL = "bitparallel"
 
 #: The autotuner drops a kernel from a bucket's race once its best time

@@ -13,6 +13,7 @@ from typing import Optional
 
 from ..core.batch import BATCH_ENGINES
 from ..core.edr_batch import DEFAULT_REFINE_BATCH_SIZE
+from ..core.kernels import DEFAULT_KERNEL, KERNEL_CHOICES
 
 __all__ = ["ServiceConfig"]
 
@@ -25,9 +26,16 @@ class ServiceConfig:
     -----------------
     ``pruners`` is the default pruner chain (same comma syntax as the
     CLI; per-request override allowed); ``engine`` is the
-    :func:`repro.knn_batch` engine used for k-NN dispatch — the default
-    ``"search"`` makes served answers literally those of
-    :func:`repro.knn_search`.
+    :func:`repro.knn_batch` engine used for k-NN dispatch.  The default
+    ``"sorted"`` is :func:`repro.knn_sorted_search`, the paper's
+    bound-ordered (HSR) engine: it visits candidates in ascending
+    primary lower bound and stops at the first bound that cannot beat
+    the k-th distance.  Every engine keeps the k smallest
+    ``(distance, index)`` pairs, so served answers equal
+    :func:`repro.knn_search`'s byte for byte, ties included; only the
+    counters differ.  ``edr_kernel`` is the refine-phase EDR kernel; the
+    default is the fixed bit-parallel kernel, and ``"auto"`` instead
+    races the kernels per length bucket at warm time.
 
     Micro-batching
     --------------
@@ -54,14 +62,14 @@ class ServiceConfig:
 
     # Search parameters
     pruners: str = "histogram,qgram"
-    engine: str = "search"
+    engine: str = "sorted"
     k_default: int = 10
     early_abandon: bool = False
     refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE
     matrix_workers: Optional[int] = None
     # Refine-phase EDR kernel ("auto" autotunes per length bucket at
     # warm time; any fixed choice returns byte-identical answers).
-    edr_kernel: str = "auto"
+    edr_kernel: str = DEFAULT_KERNEL
 
     # Intra-query sharding (``shards > 1`` routes supported k-NN specs
     # through the resident shared-memory ShardedDatabase engine; answers
@@ -134,8 +142,6 @@ class ServiceConfig:
             )
         if self.k_default < 1:
             raise ValueError("k_default must be at least 1")
-        from ..core.kernels import KERNEL_CHOICES
-
         if self.edr_kernel not in KERNEL_CHOICES:
             raise ValueError(
                 f"unknown edr_kernel {self.edr_kernel!r}; choose from "

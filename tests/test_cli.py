@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SERVE_CONFIG_FIELDS, build_parser, main
+from repro.service import ServiceConfig
 from repro.data import load_npz, save_npz
 from repro import Trajectory
 
@@ -35,6 +36,23 @@ class TestParser:
     def test_unknown_pruner_fails(self, labelled_file):
         with pytest.raises(SystemExit):
             main(["knn", labelled_file, "--pruners", "bogus"])
+
+    def test_serve_defaults_are_the_service_config(self):
+        args = build_parser().parse_args(["serve", "x.npz"])
+        defaults = ServiceConfig()
+        for dest, field in SERVE_CONFIG_FIELDS.items():
+            assert getattr(args, dest) == getattr(defaults, field), dest
+        # Every serve flag but the corpus source and epsilon sets a field.
+        assert set(vars(args)) - set(SERVE_CONFIG_FIELDS) == {
+            "command", "handler", "file", "epsilon"
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["knn", "x.npz"], ["knn-batch", "x.npz"], ["range", "x.npz", "--radius", "1"]],
+    )
+    def test_query_commands_default_to_the_fixed_kernel(self, argv):
+        assert build_parser().parse_args(argv).edr_kernel == "bitparallel"
 
 
 class TestGenerate:
@@ -82,6 +100,39 @@ class TestQueries:
         lines = [l for l in output.splitlines() if "EDR" in l]
         assert len(lines) == 3
         assert all("a" in line for line in lines)
+
+    def test_knn_runs_the_sorted_engine(self, tmp_path, capsys):
+        from repro import TrajectoryDatabase, knn_sorted_search
+        from repro.service.pruning import build_pruners
+
+        path = str(tmp_path / "walks.npz")
+        store = str(tmp_path / "store")
+        main(["generate", "--count", "60", "--seed", "3", "--out", path])
+        main(["build-store", path, "--out", store, "--epsilon", "0.5"])
+        database = TrajectoryDatabase(load_npz(path), 0.5)
+        chain = build_pruners(database, "histogram,qgram")
+        _, stats = knn_sorted_search(
+            database, database.trajectories[3], 4, chain[0], chain[1:]
+        )
+        capsys.readouterr()
+        runs = {}
+        for source in ([path, "--epsilon", "0.5"], ["--store", store]):
+            for spec in ("histogram,qgram", "none"):
+                assert main(["knn", *source, "--query-index", "3", "--k", "4",
+                             "--pruners", spec]) == 0
+                runs[source[0], spec] = capsys.readouterr().out
+        answers = {
+            tuple(line for line in output.splitlines() if "EDR" in line)
+            for output in runs.values()
+        }
+        assert len(answers) == 1 and len(answers.pop()) == 4
+        # The default chain runs the bound-ordered engine (its pruning
+        # differs from knn_search's here); no pruner runs the scan.
+        for source in (path, "--store"):
+            assert f"pruning power = {stats.pruning_power:.3f}" in runs[
+                source, "histogram,qgram"
+            ]
+            assert "pruning power = 0.000" in runs[source, "none"]
 
     def test_knn_all_pruners(self, labelled_file):
         assert main(["knn", labelled_file, "--k", "2",

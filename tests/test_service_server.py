@@ -17,7 +17,10 @@ import pytest
 
 from repro import (
     Trajectory,
+    TrajectoryDatabase,
+    knn_scan,
     knn_search,
+    knn_sorted_search,
     range_search,
 )
 from repro.core.batch import warm_pruners
@@ -151,6 +154,122 @@ class TestExactness:
             )
 
 
+# ----------------------------------------------------------------------
+# The served engine on ties: duplicated trajectories give groups of
+# equal integer EDR distances, and k cuts through one of them.
+# ----------------------------------------------------------------------
+TIE_SPECS = ("histogram,qgram", "qgram,histogram", "nti,histogram", "none")
+COPIES = 3
+
+
+@pytest.fixture(scope="module")
+def tie_database():
+    rng = np.random.default_rng(2005)
+    bases = [
+        np.cumsum(rng.normal(size=(int(rng.integers(12, 20)), 2)), axis=0)
+        for _ in range(10)
+    ]
+    return TrajectoryDatabase(
+        [Trajectory(points) for points in bases for _ in range(COPIES)],
+        epsilon=0.5,
+    )
+
+
+@pytest.fixture(scope="module")
+def tie_queries(tie_database):
+    """(query, k, brute-force (distance, index) order) triples whose
+    k-th and (k+1)-th distances are equal."""
+    from repro.distances import edr
+
+    rng = np.random.default_rng(7)
+    queries = [
+        tie_database.trajectories[0],
+        tie_database.trajectories[COPIES * 4],
+        Trajectory(np.cumsum(rng.normal(size=(16, 2)), axis=0)),
+    ]
+    triples = []
+    for query in queries:
+        order = sorted(
+            (float(edr(query, candidate, tie_database.epsilon)), index)
+            for index, candidate in enumerate(tie_database.trajectories)
+        )
+        k = next(k for k in range(2, len(order)) if order[k - 1][0] == order[k][0])
+        triples.append((query, k, order))
+    return triples
+
+
+def _tie_config(**overrides):
+    return ServiceConfig(port=0, cache_size=0, max_batch=1, **overrides)
+
+
+@pytest.fixture(scope="module")
+def tie_server(tie_database):
+    with ServerHandle.start(tie_database, _tie_config()) as handle:
+        yield handle
+
+
+def _direct(database, query, k, spec):
+    """``knn_search``'s answer and the counters of the engine the
+    service runs by default (the bound-ordered engine, or the scan when
+    the spec names no pruner)."""
+    chain = build_pruners(database, spec)
+    neighbors, _ = knn_search(database, query, k, chain)
+    if chain:
+        _, stats = knn_sorted_search(database, query, k, chain[0], chain[1:])
+    else:
+        _, stats = knn_scan(database, query, k)
+    return neighbors, stats
+
+
+def _served_knn(handle, tie_queries, spec):
+    with ServiceClient(handle.host, handle.port) as service_client:
+        return [
+            service_client.knn(query, k=k, pruners=spec)
+            for query, k, _ in tie_queries
+        ]
+
+
+class TestServedTies:
+    @pytest.mark.parametrize("spec", TIE_SPECS)
+    def test_served_knn_is_direct_knn_search_with_sorted_counters(
+        self, tie_database, tie_queries, tie_server, spec
+    ):
+        served = _served_knn(tie_server, tie_queries, spec)
+        for (query, k, _), body in zip(tie_queries, served):
+            neighbors, stats = _direct(tie_database, query, k, spec)
+            assert body["neighbors"] == [
+                {"index": int(n.index), "distance": float(n.distance)}
+                for n in neighbors
+            ]
+            assert body["meta"]["engine"] == "sorted"
+            assert body["stats"]["true_distance_computations"] == (
+                stats.true_distance_computations
+            )
+            assert body["stats"]["pruned_by"] == dict(stats.pruned_by)
+
+    def test_k_cuts_a_tie_group_by_index(self, tie_queries, tie_server):
+        # k cuts a group of equal distances, so the served answer is
+        # right only if the group keeps its smallest indices.
+        served = _served_knn(tie_server, tie_queries, "histogram,qgram")
+        for (_, k, order), body in zip(tie_queries, served):
+            assert [
+                (n["distance"], n["index"]) for n in body["neighbors"]
+            ] == order[:k]
+
+    @pytest.mark.process
+    def test_a_two_replica_fleet_answers_the_same(
+        self, tie_database, tie_queries, tie_server
+    ):
+        with ServerHandle.start(tie_database, _tie_config(replicas=2)) as fleet:
+            for spec in TIE_SPECS:
+                want = _served_knn(tie_server, tie_queries, spec)
+                got = _served_knn(fleet, tie_queries, spec)
+                for served, fleet_body in zip(want, got):
+                    assert fleet_body["neighbors"] == served["neighbors"]
+                    for name in ("true_distance_computations", "pruned_by"):
+                        assert fleet_body["stats"][name] == served["stats"][name]
+
+
 class TestCaching:
     def test_repeat_query_is_served_from_cache(self, database, server):
         with ServiceClient(server.host, server.port) as service_client:
@@ -189,7 +308,7 @@ class TestIntrospection:
         assert stats["search"]["queries"] >= 1
         assert 0.0 <= stats["search"]["pruning_power"] <= 1.0
         assert stats["cache"]["capacity"] == 32
-        assert stats["config"]["engine"] == "search"
+        assert stats["config"]["engine"] == "sorted"
         assert stats["admission"]["queue_limit"] >= 1
 
 
