@@ -48,6 +48,18 @@ becomes :data:`~repro.core.edr.EARLY_ABANDONED` exactly as in
 both kernels compare the same exact integer row minimum to the same
 bound.
 
+Free start
+----------
+With ``free_start=True`` the initial column is ``D[j, 0] = 0`` (``VP``
+and ``VN`` start at zero) instead of ``D[j, 0] = j``: Myers' original
+approximate-matching recurrence, in which the alignment may begin at
+any candidate position.  The final row then holds, per end ``j``, the
+best distance over every start, and its masked minimum
+``m + min(0, min_j prefix_j)`` is ``min over all windows w of EDR(query,
+w)`` — the same ``_min_prefixes`` read the bound checks use.  The
+best-window search uses it as a filter ahead of its banded DP
+(:func:`repro.core.subtrajectory.free_start_phases`).
+
 Exactness contract: every value is computed in exact small-integer
 arithmetic and converted to ``float64`` at the end, so results are
 bit-for-bit equal to ``edr``/``edr_many``/``edr_reference`` — finite
@@ -200,14 +212,25 @@ def edr_many_bitparallel(
     epsilon: float,
     bounds: Optional[Union[float, Sequence[float], np.ndarray]] = None,
     band: Optional[int] = None,
+    free_start: bool = False,
 ) -> np.ndarray:
     """Batched bit-parallel EDR: drop-in for :func:`~repro.core.edr_batch.edr_many`.
 
     Same signature, same exactness contract, same abandonment sentinels;
     only the arithmetic differs (word-packed ±1 deltas instead of a
     float64 row).  ``band`` is delegated to the exact banded ``edr_many``.
+
+    ``free_start`` switches to Myers' approximate-matching recurrence:
+    the initial column ``D[j, 0] = 0`` lets the alignment start at any
+    candidate position, and the answer is the final row's minimum
+    instead of its last cell — ``min over all windows w of EDR(query,
+    w)``, the empty window (``len(query)``) included.  Row minima still
+    never decrease, so ``bounds`` abandon exactly as in the default
+    mode.  ``band`` does not combine with it.
     """
     if band is not None:
+        if free_start:
+            raise ValueError("a free-start pass takes no Sakoe-Chiba band")
         return edr_many(query, candidates, epsilon, bounds=bounds, band=band)
     if epsilon < 0.0:
         raise ValueError("matching threshold epsilon must be non-negative")
@@ -227,7 +250,7 @@ def edr_many_bitparallel(
         )
 
     if m == 0:
-        results[:] = lengths
+        results[:] = 0.0 if free_start else lengths
         return results
 
     active_list = []
@@ -260,8 +283,9 @@ def edr_many_bitparallel(
     # indexing is free, every word operation runs on a contiguous array,
     # and the common one-word case never touches a column stride.
     vp_blocks = [
-        np.full(active.size, _ONES, dtype=np.uint64) for _ in range(words)
-    ]  # D[j, 0] = j
+        np.full(active.size, _ZERO if free_start else _ONES, dtype=np.uint64)
+        for _ in range(words)
+    ]  # D[j, 0] = j, or 0 when any start is free
     vn_blocks = [np.zeros(active.size, dtype=np.uint64) for _ in range(words)]
     masks = _length_masks(active_lengths, words)
     use_bounds = bounds_array is not None
@@ -357,7 +381,10 @@ def edr_many_bitparallel(
     vp_masked &= masks
     vn_masked = np.stack(vn_blocks, axis=1)
     vn_masked &= masks
-    results[active] = m + _net_scores(vp_masked, vn_masked)
+    if free_start:
+        results[active] = m + _min_prefixes(vp_masked, vn_masked)
+    else:
+        results[active] = m + _net_scores(vp_masked, vn_masked)
     return results
 
 

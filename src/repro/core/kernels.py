@@ -58,6 +58,7 @@ __all__ = [
     "KernelPlan",
     "KernelSelection",
     "autotune_kernels",
+    "check_kernel_choice",
     "kernel_report",
     "length_bucket",
     "resolve_kernel_plan",
@@ -213,6 +214,21 @@ def forced_kernel() -> Optional[str]:
     return forced
 
 
+def check_kernel_choice(kernel: Optional[str]) -> None:
+    """Reject an unknown ``edr_kernel`` value without resolving a plan.
+
+    For paths that accept the knob but never read a kernel table: no
+    autotune race runs and no clock is read.  ``None`` and every name in
+    :data:`KERNEL_CHOICES` pass.  Under ``REPRO_KERNEL_FORCE`` any value
+    passes, as :func:`resolve_kernel_plan` ignores the knob there, while
+    an invalid override still raises.
+    """
+    if forced_kernel() is None and kernel is not None and kernel not in KERNEL_CHOICES:
+        raise ValueError(
+            f"unknown EDR kernel {kernel!r}; choose from {', '.join(KERNEL_CHOICES)}"
+        )
+
+
 def resolve_kernel_plan(database=None, kernel: Optional[str] = None) -> KernelPlan:
     """Resolve an ``edr_kernel`` knob into a concrete per-bucket plan.
 
@@ -226,12 +242,9 @@ def resolve_kernel_plan(database=None, kernel: Optional[str] = None) -> KernelPl
     forced = forced_kernel()
     if forced is not None:
         return KernelPlan(requested=kernel or forced, source="forced", default=forced)
+    check_kernel_choice(kernel)
     if kernel is None:
         kernel = DEFAULT_KERNEL
-    if kernel not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown EDR kernel {kernel!r}; choose from {', '.join(KERNEL_CHOICES)}"
-        )
     if kernel != "auto":
         return KernelPlan(requested=kernel, source="fixed", default=kernel)
     if database is None:

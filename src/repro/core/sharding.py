@@ -24,8 +24,9 @@ shards instead.  The layout:
   ``(candidate, B)`` and the sequence of ``B`` values is derived from
   the global order alone, both the answers *and* the per-pruner
   counters are independent of the shard count.  The best-window search
-  runs the same loop as another route: its window-sound bounds are
-  priced by the coordinator and its workers run the windowed DP.
+  runs the same loop as another route: its window-sound bounds and its
+  free-start filter are priced by the coordinator, and its workers run
+  the windowed DP.
 
 * **Cooperative bound tightening.**  Shards additionally share the
   running k-th-best bound through a ``multiprocessing.Value``: the
@@ -53,7 +54,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +70,13 @@ from .faults import (
     WorkerTimeout,
 )
 from .histogram import HistogramArrayStore, HistogramSpace
-from .kernels import LEGACY_KERNEL, length_bucket, resolve_kernel_plan, run_kernel
+from .kernels import (
+    LEGACY_KERNEL,
+    check_kernel_choice,
+    length_bucket,
+    resolve_kernel_plan,
+    run_kernel,
+)
 from .mp import process_context, terminate_pool
 from .rangequery import range_search
 from .search import (
@@ -86,9 +93,11 @@ from .search import (
 from .shm import SharedArrayBlock
 from .subtrajectory import (
     DEFAULT_WINDOW_ALPHA,
+    FREE_START_STAGE,
     WINDOW_KERNEL,
     WindowMatch,
     edr_windows_many,
+    free_start_phases,
     resolve_window_range,
     window_counts,
 )
@@ -582,14 +591,15 @@ class _ShardRuntime:
         """Best banded window of each member, against the shard view.
 
         No pruner state is involved — the coordinator evaluates the
-        (single-stage, static) window bounds itself, so the task needs
-        only the corpus rows.  With ``early_abandon`` rows abandon
-        against the frozen round ``threshold``; there is deliberately no
-        cooperative mid-round tightening, which is what keeps the window
-        counters byte-equal to the serial engine's.  Outcomes align with
-        ``members``: ``(distance, start, end, evaluated, abandoned)``
-        per member, with ``inf`` distance when every window was
-        abandoned.
+        (single-stage, static) window bounds and the free-start filter
+        itself, so the task needs only the corpus rows of the members
+        the filter let through.  With ``early_abandon`` rows abandon
+        against the phase ``threshold`` the coordinator froze; there is
+        deliberately no cooperative mid-round tightening, which is what
+        keeps the window counters byte-equal to the serial engine's.
+        Outcomes align with ``members``: ``(distance, start, end,
+        evaluated, abandoned)`` per member, with ``inf`` distance when
+        every window was abandoned.
         """
         outcomes: List[Optional[Tuple[float, int, int, int, int]]] = (
             [None] * len(members)
@@ -731,10 +741,10 @@ class _Route:
     :meth:`ShardedDatabase._rounds` is one loop for every route; a route
     holds only what differs between them: the visit order and the
     per-position bounds (``None`` asks a dynamic pruner itself), the
-    windows each pruned trajectory retires (``weights``), the refine
-    wave's runtime method and its fixed arguments, the result offer,
-    the per-outcome stats, and whether a merge republishes the
-    cooperative bound.
+    windows each pruned trajectory retires (``weights``), how a round's
+    chunk splits into refine waves, the refine wave's runtime method and
+    its fixed arguments, the result offer, the per-outcome stats, and
+    whether a merge republishes the cooperative bound.
     """
 
     method: ClassVar[str] = "refine"
@@ -769,6 +779,16 @@ class _Route:
                 return position
         return None
 
+    def phases(
+        self,
+        chunk: List[int],
+        threshold: float,
+        retire: Callable[[int, str], None],
+    ) -> Iterator[Tuple[List[int], float]]:
+        """The round's refine waves: the whole chunk at the frozen
+        threshold.  ``retire(candidate, stage)`` charges a prune."""
+        yield chunk, threshold
+
     def offer(self, candidate: int, outcome) -> None:
         """Merge one verified outcome into the result (commutative)."""
         if self.result is not None and outcome[0] == "d":
@@ -794,15 +814,36 @@ class _Route:
         return self.result.neighbors()
 
 
+@dataclass
 class _WindowRoute(_Route):
-    """The best-window route: a window task prices each member's banded
-    windows in one ``edr_windows_many`` pass.  Merges never republish
-    the cooperative bound, so workers abandon rows against the frozen
-    round threshold only — which keeps ``windows_abandoned`` byte-equal
-    to the serial engine's."""
+    """The best-window route.  The coordinator runs each round's
+    survivors through the serial engine's free-start filter
+    (:func:`~repro.core.subtrajectory.free_start_phases`) against the
+    parent ``database``, so the same candidates are pruned, and the same
+    phase thresholds frozen, as in the serial engine.  A window task then
+    prices each phase member's banded windows in one
+    ``edr_windows_many`` pass.  Merges never republish the cooperative
+    bound, so workers abandon rows against the phase threshold only —
+    which keeps ``windows_abandoned`` byte-equal to the serial
+    engine's."""
 
-    method = "refine_windows"
-    republish = False
+    method: ClassVar[str] = "refine_windows"
+    republish: ClassVar[bool] = False
+
+    database: Optional[TrajectoryDatabase] = None
+
+    def phases(self, chunk, threshold, retire):
+        query_points = self.args[0]  # the window task's leading argument
+        trajectories = self.database.trajectories
+        yield from free_start_phases(
+            query_points,
+            chunk,
+            [trajectories[candidate] for candidate in chunk],
+            self.database.epsilon,
+            threshold,
+            self.result,
+            lambda candidate: retire(candidate, FREE_START_STAGE),
+        )
 
     def offer(self, candidate: int, outcome) -> None:
         distance, start, end = outcome[:3]
@@ -1357,10 +1398,8 @@ class ShardedDatabase:
         arrays, so the coordinator prices them against the parent chain
         itself: no filter wave, and window tasks ship no pruner state."""
         result = _ResultList(k)
-        if edr_kernel is not None:
-            # Validation only — the windowed DP has a single batched
-            # implementation (see the serial engine's note).
-            resolve_kernel_plan(self._database, edr_kernel)
+        # Validation only: the window route reads no kernel table.
+        check_kernel_choice(edr_kernel)
         query_points = np.ascontiguousarray(query.points)
         lo, hi = resolve_window_range(
             int(query_points.shape[0]), alpha, min_window, max_window
@@ -1382,6 +1421,7 @@ class ShardedDatabase:
                 np.asarray(self._database.lengths, dtype=np.int64), lo, hi
             ),
             kernel=WINDOW_KERNEL,
+            database=self._database,
         )
 
     def _rounds(
@@ -1402,6 +1442,12 @@ class ShardedDatabase:
         if self._value is not None:
             self._value.value = route.threshold()
         order = np.argsort(route.order_keys, kind="stable")
+
+        def retire(candidate: int, stage: str) -> None:
+            shard_stats = per_shard[int(self._shard_ids[candidate])]
+            shard_stats.credit(stage)
+            if weights is not None:
+                shard_stats.windows_pruned += int(weights[candidate])
 
         position_in_order = 0
         rounds = 0
@@ -1437,10 +1483,7 @@ class ShardedDatabase:
                         break
                     pruned_at = route.pruned_at(candidate, threshold)
                     if pruned_at is not None:
-                        shard_stats = per_shard[int(self._shard_ids[candidate])]
-                        shard_stats.credit(names[pruned_at])
-                        if weights is not None:
-                            shard_stats.windows_pruned += int(weights[candidate])
+                        retire(candidate, names[pruned_at])
                         position_in_order += 1
                         continue
                 chunk.append(candidate)
@@ -1449,21 +1492,26 @@ class ShardedDatabase:
                 continue
             rounds += 1
 
-            groups: Dict[int, List[int]] = {}
-            for candidate in chunk:
-                groups.setdefault(int(self._shard_ids[candidate]), []).append(candidate)
-            outcomes = {
-                shard_id: iter(shard_outcomes)
-                for shard_id, shard_outcomes in self._dispatch_round(
-                    route, groups, threshold, recovery
-                ).items()
-            }
-            # Deterministic pass in global chunk order: stats, range
-            # hits, and dynamic-pruner records all follow the
-            # partition-independent order, not completion order.
-            for candidate in chunk:
-                shard_id = int(self._shard_ids[candidate])
-                route.note(per_shard[shard_id], candidate, next(outcomes[shard_id]))
+            for members, phase_threshold in route.phases(chunk, threshold, retire):
+                groups: Dict[int, List[int]] = {}
+                for candidate in members:
+                    groups.setdefault(int(self._shard_ids[candidate]), []).append(
+                        candidate
+                    )
+                outcomes = {
+                    shard_id: iter(shard_outcomes)
+                    for shard_id, shard_outcomes in self._dispatch_round(
+                        route, groups, phase_threshold, recovery
+                    ).items()
+                }
+                # Deterministic pass in global member order: stats, range
+                # hits, and dynamic-pruner records all follow the
+                # partition-independent order, not completion order.
+                for candidate in members:
+                    shard_id = int(self._shard_ids[candidate])
+                    route.note(
+                        per_shard[shard_id], candidate, next(outcomes[shard_id])
+                    )
 
         stats = ShardedSearchStats(
             database_size=total,

@@ -36,15 +36,30 @@ Soundness per family (property-tested in
   max of the 1-D variant stays sound because each axis bounds alone.
 * **Near triangle inequality** — reference distances say nothing about
   windows, so the family contributes the trivial zero bound.
+* **Free-start filter** (``pruned_by["free_start"]``, every engine, no
+  pruner needed) — the bit-parallel kernel run with a free start,
+  ``D[j, 0] = 0`` along the candidate, returns ``F = min over all
+  windows w of EDR(Q, w)`` in ``O(m·⌈n/64⌉)`` word operations.  Sound:
+  the banded windows are a subset of all windows, so ``F`` never
+  exceeds the best banded one.  Exact below the band's length limit:
+  ``EDR(Q, w) >= |m - |w||``, so ``F < min(m - lo + 1, hi + 1 - m)``
+  forces the minimizing window into ``[lo, hi]`` and ``F`` *is* the
+  best banded distance (property-tested in
+  ``tests/test_free_start.py``).  It runs on each round's survivors of
+  the bounds above (:func:`free_start_phases`); the banded DP then runs
+  only on candidates whose ``F`` does not exceed the threshold, and
+  still owns every distance and the ``(start, end)`` tie-break.
 
 Early abandoning stays per *row*: the masked row minimum exceeding the
 frozen threshold proves every window at that start is farther (every DP
 path to any final column crosses each row and step costs are
 non-negative), and the batch compacts exactly like ``edr_many``.
 
-Counter determinism: per-row DP results are independent of batch
-composition and the threshold is frozen per round (no cooperative
-mid-round tightening), so ``windows_evaluated`` / ``windows_pruned`` /
+Counter determinism: per-row DP results and free-start values are
+independent of batch composition, and the threshold is frozen per
+round phase (no cooperative mid-round tightening; the extra phase that
+fills a not-yet-full result is chosen from the free-start values
+alone), so ``windows_evaluated`` / ``windows_pruned`` /
 ``windows_abandoned`` are byte-identical across the serial, sharded, and
 tiered engines — the invariant the differential fuzz suite asserts,
 together with ``evaluated + pruned + abandoned == windows_total``.
@@ -54,14 +69,15 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .database import TrajectoryDatabase
 from .edr import _points
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE, TrajectoryLike, iter_length_buckets
-from .kernels import length_bucket, resolve_kernel_plan
+from .edr_bitparallel import edr_many_bitparallel
+from .kernels import check_kernel_choice, length_bucket
 from .search import Pruner, SearchStats, _ResultList
 from .trajectory import Trajectory
 
@@ -69,11 +85,13 @@ __all__ = [
     "WindowMatch",
     "DEFAULT_WINDOW_ALPHA",
     "WINDOW_KERNEL",
+    "FREE_START_STAGE",
     "resolve_window_range",
     "window_counts",
     "window_dp_cells",
     "edr_windows",
     "edr_windows_many",
+    "free_start_phases",
     "subknn_search",
 ]
 
@@ -82,10 +100,15 @@ __all__ = [
 DEFAULT_WINDOW_ALPHA = 0.25
 
 # Kernel name the window DP reports through SearchStats.  The windowed
-# pass is the batched (``edr_many``-family) kernel with per-start rows;
-# bit-parallel table entries cannot serve it because they never
-# materialize the final DP row the per-end extraction needs.
+# pass is the batched (``edr_many``-family) kernel with per-start rows:
+# it owns every answer's distance and its ``(start, end)`` tie-break.
+# The bit-parallel kernel serves the free-start filter ahead of it
+# (:func:`free_start_phases`); it never materializes the per-start rows
+# the per-end extraction needs, so it cannot replace the DP.
 WINDOW_KERNEL = "windowed"
+
+# ``pruned_by`` name of the free-start filter stage.
+FREE_START_STAGE = "free_start"
 
 
 class WindowMatch:
@@ -442,6 +465,54 @@ def edr_windows(
     return float(distances[0]), int(starts[0]), int(ends[0])
 
 
+def free_start_phases(
+    query_points: np.ndarray,
+    chunk: Sequence[int],
+    candidates: Sequence[TrajectoryLike],
+    epsilon: float,
+    threshold: float,
+    result: _ResultList,
+    prune: Callable[[int], None],
+) -> Iterator[Tuple[List[int], float]]:
+    """The free-start filter of one frozen round: its banded-DP phases.
+
+    Prices every ``chunk`` member (``candidates`` holds their points,
+    aligned) in one bit-parallel free-start pass — ``min over all
+    windows w of EDR(query, w)``, a sound lower bound of the best banded
+    window — and yields ``(members, threshold)`` groups for the caller
+    to run through :func:`edr_windows_many`, in ascending order of that
+    bound (chunk order breaks ties).  Every member whose bound exceeds
+    the phase threshold goes to ``prune`` instead.
+
+    At a finite ``threshold`` there is one phase.  At ``inf`` (``result``
+    not yet full) the round first yields the members it needs to fill
+    the result — the smallest bounds — and, once the caller has offered
+    their windows, checks the rest against the threshold they set.  A
+    free-start pass abandons past a finite threshold (row minima never
+    decrease); an abandoned bound is ``inf`` and prunes like any other.
+    Every decision is a function of the chunk, the threshold and the
+    result alone, so the serial and sharded engines share it.
+    """
+    limit = threshold if np.isfinite(threshold) else None
+    floors = edr_many_bitparallel(
+        query_points, candidates, epsilon, bounds=limit, free_start=True
+    )
+    ranked = np.argsort(floors, kind="stable")
+    if not np.isfinite(threshold):
+        head = result.k - len(result)
+        yield [chunk[int(slot)] for slot in ranked[:head]], threshold
+        ranked = ranked[head:]
+        threshold = result.best_so_far
+    survivors: List[int] = []
+    for slot in ranked:
+        if floors[slot] > threshold:
+            prune(chunk[int(slot)])
+        else:
+            survivors.append(chunk[int(slot)])
+    if survivors:
+        yield survivors, threshold
+
+
 def subknn_search(
     database: TrajectoryDatabase,
     query: Trajectory,
@@ -459,13 +530,17 @@ def subknn_search(
     Runs the same frozen-round sorted scan as the sharded engine:
     candidates are visited in ascending order of the primary pruner's
     *window-sound* bulk bound; each round freezes the current k-th best
-    window distance as the threshold, prunes whole trajectories whose
+    window distance as the threshold and prunes whole trajectories whose
     window bound exceeds it (charging all their windows to
-    ``windows_pruned``), and prices the survivors' windows through
-    :func:`edr_windows_many` in length-ordered batches.  A sorted break
-    — the primary bound of the next candidate exceeding the threshold —
-    retires every remaining candidate at once, exactly like the
-    whole-trajectory sorted engines.
+    ``windows_pruned``).  The round's survivors then pass the
+    bit-parallel free-start filter (:func:`free_start_phases`, credited
+    as :data:`FREE_START_STAGE`), and only the candidates it cannot rule
+    out have their windows priced through :func:`edr_windows_many` in
+    length-ordered batches — the banded DP still owns every distance
+    and the ``(start, end)`` tie-break.  A sorted break — the primary
+    bound of the next candidate exceeding the threshold — retires every
+    remaining candidate at once, exactly like the whole-trajectory
+    sorted engines.
 
     Answers are byte-for-byte those of the brute-force window oracle:
     pruning compares sound per-window lower bounds strictly against the
@@ -474,9 +549,9 @@ def subknn_search(
     proven farther than the frozen threshold.
 
     ``edr_kernel`` is accepted for interface symmetry and validated
-    against the kernel registry, but the windowed DP always runs the
-    batched kernel (:data:`WINDOW_KERNEL`) — bit-parallel entries never
-    expose the final DP row the per-end extraction needs.
+    against the kernel choices (no plan is resolved, so ``"auto"`` runs
+    no autotune race): the filter is always bit-parallel and the DP
+    always the batched :data:`WINDOW_KERNEL`.
     """
     started = time.perf_counter()
     query_points = _points(query)
@@ -489,10 +564,7 @@ def subknn_search(
     stats = SearchStats(database_size=total)
     stats.windows_total = int(counts.sum())
     stats.kernel = WINDOW_KERNEL
-    if edr_kernel is not None:
-        # Validation (and, for "auto", the shared tuning table) only:
-        # the windowed DP itself has a single batched implementation.
-        resolve_kernel_plan(database, edr_kernel)
+    check_kernel_choice(edr_kernel)
     result = _ResultList(k)
     if refine_batch_size is None:
         refine_batch_size = DEFAULT_REFINE_BATCH_SIZE
@@ -508,6 +580,10 @@ def subknn_search(
         )
     order_keys = bound_arrays[0] if bound_arrays else np.zeros(total)
     order = np.argsort(order_keys, kind="stable")
+
+    def prune(candidate: int) -> None:
+        stats.credit(FREE_START_STAGE)
+        stats.windows_pruned += int(counts[candidate])
 
     fetch_many = getattr(database.trajectories, "fetch_many", None)
     position = 0
@@ -543,36 +619,49 @@ def subknn_search(
             position += 1
         if not chunk:
             continue
-        bound = float(threshold) if (early_abandon and finite) else None
-        chunk_lengths = lengths[np.asarray(chunk, dtype=np.int64)]
-        for bucket in iter_length_buckets(chunk_lengths, round_size):
-            members = [chunk[int(slot)] for slot in bucket]
-            if fetch_many is not None:
-                candidates = fetch_many(members)
-            else:
-                candidates = [database.trajectories[index] for index in members]
-            tick = time.perf_counter()
-            distances, starts_, ends_, evaluated, abandoned = edr_windows_many(
-                query_points, candidates, database.epsilon, lo, hi, bounds=bound
+        if fetch_many is not None:
+            fetched = fetch_many(chunk)
+        else:
+            fetched = [database.trajectories[index] for index in chunk]
+        points_of = dict(zip(chunk, fetched))
+        for members, phase_threshold in free_start_phases(
+            query_points, chunk, fetched, database.epsilon, threshold, result, prune
+        ):
+            bound = (
+                float(phase_threshold)
+                if early_abandon and np.isfinite(phase_threshold)
+                else None
             )
-            stats.note_kernel(
-                WINDOW_KERNEL,
-                int(m * cells_per_row[members].sum()),
-                time.perf_counter() - tick,
-            )
-            stats.kernel_buckets[
-                str(length_bucket(int(chunk_lengths[int(bucket[-1])])))
-            ] = WINDOW_KERNEL
-            for slot, member in enumerate(members):
-                stats.true_distance_computations += 1
-                stats.windows_evaluated += int(evaluated[slot])
-                stats.windows_abandoned += int(abandoned[slot])
-                distance = float(distances[slot])
-                result.offer(
-                    member,
-                    distance,
-                    WindowMatch(member, starts_[slot], ends_[slot], distance),
+            member_lengths = lengths[np.asarray(members, dtype=np.int64)]
+            for bucket in iter_length_buckets(member_lengths, round_size):
+                batch = [members[int(slot)] for slot in bucket]
+                tick = time.perf_counter()
+                distances, starts_, ends_, evaluated, abandoned = edr_windows_many(
+                    query_points,
+                    [points_of[index] for index in batch],
+                    database.epsilon,
+                    lo,
+                    hi,
+                    bounds=bound,
                 )
+                stats.note_kernel(
+                    WINDOW_KERNEL,
+                    int(m * cells_per_row[batch].sum()),
+                    time.perf_counter() - tick,
+                )
+                stats.kernel_buckets[
+                    str(length_bucket(int(member_lengths[int(bucket[-1])])))
+                ] = WINDOW_KERNEL
+                for slot, member in enumerate(batch):
+                    stats.true_distance_computations += 1
+                    stats.windows_evaluated += int(evaluated[slot])
+                    stats.windows_abandoned += int(abandoned[slot])
+                    distance = float(distances[slot])
+                    result.offer(
+                        member,
+                        distance,
+                        WindowMatch(member, starts_[slot], ends_[slot], distance),
+                    )
 
     stats.elapsed_seconds = time.perf_counter() - started
     return result.neighbors(), stats

@@ -18,6 +18,10 @@ candidate asks every pruner's scalar ``lower_bound(i, threshold)`` in
 chain order and credits the first that exceeds the threshold, so the
 engines' bulk arrays, on-demand fills and skipped stages must reproduce
 its answers, ``pruned_by`` and true-distance count exactly.
+:func:`eager_subknn` does the same for the best-window search: the
+frozen-round loop with the free-start filter, priced by
+:func:`free_start_edr` (a plain min-over-start DP) and per-start prefix
+rows, so the window counters are pinned as well as the decisions.
 
 Canonical answer shapes
 -----------------------
@@ -36,6 +40,7 @@ from itertools import product
 from repro import Trajectory, edr
 from repro.core.subtrajectory import (
     DEFAULT_WINDOW_ALPHA,
+    FREE_START_STAGE,
     resolve_window_range,
 )
 
@@ -50,6 +55,8 @@ __all__ = [
     "dinic_max_cancellation",
     "eager_knn",
     "eager_range",
+    "eager_subknn",
+    "free_start_edr",
 ]
 
 
@@ -232,6 +239,189 @@ def brute_subknn(
         (index, start, end, distance)
         for distance, index, start, end in ranked[:k]
     ]
+
+
+def _edr_last_row(query, points, epsilon, free_start):
+    """The DP's last query row over candidate prefixes, in plain Python.
+
+    Entry ``j`` is ``EDR(query, points[:j])``, or with ``free_start``
+    (``D[j][0] = 0``: any candidate prefix is skipped for free)
+    ``min over s <= j of EDR(query, points[s:j])``.
+    """
+    n = len(points)
+    row = [0.0] * (n + 1) if free_start else [float(j) for j in range(n + 1)]
+    for i, element in enumerate(query, start=1):
+        current = [float(i)] + [0.0] * n
+        for j in range(1, n + 1):
+            matched = all(
+                abs(float(a) - float(b)) <= epsilon
+                for a, b in zip(element, points[j - 1])
+            )
+            current[j] = min(
+                row[j - 1] + (0.0 if matched else 1.0),
+                row[j] + 1.0,
+                current[j - 1] + 1.0,
+            )
+        row = current
+    return row
+
+
+def free_start_edr(query, candidate, epsilon):
+    """``min over every window w of candidate of EDR(query, w)``, the
+    empty window (``len(query)``) included: the scalar reference of the
+    bit-parallel kernel's free-start mode."""
+    query_points = getattr(query, "points", query)
+    points = getattr(candidate, "points", candidate)
+    return min(_edr_last_row(query_points, points, epsilon, free_start=True))
+
+
+def eager_subknn(
+    database,
+    query,
+    k,
+    pruners,
+    alpha=DEFAULT_WINDOW_ALPHA,
+    early_abandon=False,
+    round_size=64,
+    free_start=True,
+):
+    """The best-window search's frozen rounds, written out plainly.
+
+    Candidates are visited in ascending order of the first pruner's
+    scalar window bound, in rounds of ``round_size`` that freeze the
+    k-th best window distance; within a round the sorted break and the
+    other pruners' window bounds retire candidates, then (with
+    ``free_start``) every candidate whose :func:`free_start_edr`
+    exceeds the threshold.  At an infinite threshold the round first
+    prices the candidates needed to fill the result, smallest free-start
+    value first, and checks the rest against the threshold they set.
+    Each start's row is abandoned when its prefix-row minimum exceeds
+    the phase threshold (with ``early_abandon``).  ``free_start=False``
+    is the loop without the filter stage.
+
+    Returns ``(answers, pruned_by, true_distance_computations,
+    (windows_evaluated, windows_pruned, windows_abandoned))`` with
+    answers as ``(index, start, end, distance)`` tuples.
+    """
+    epsilon = database.epsilon
+    m = len(query)
+    lo, hi = resolve_window_range(m, alpha)
+    total = len(database)
+    query_pruners = [pruner.for_query(query) for pruner in pruners]
+    window_bounds = [
+        [query_pruner.window_lower_bound(index) for index in range(total)]
+        for query_pruner in query_pruners
+    ]
+    order = list(range(total))
+    if query_pruners:
+        order.sort(key=window_bounds[0].__getitem__)
+    points = [candidate.points for candidate in database.trajectories]
+    lengths = [len(candidate_points) for candidate_points in points]
+    windows = []
+    for n in lengths:
+        lo_e, hi_e = min(lo, n), min(hi, n)
+        windows.append(
+            1 if n == 0 else sum(
+                min(hi_e, n - start) - lo_e + 1 for start in range(n - lo_e + 1)
+            )
+        )
+    ranked, pruned_by, computed = [], {}, 0
+    evaluated = pruned = abandoned = 0
+
+    def kth():
+        return ranked[k - 1][0] if len(ranked) >= k else math.inf
+
+    def retire(name, index):
+        nonlocal pruned
+        pruned_by[name] = pruned_by.get(name, 0) + 1
+        pruned += windows[index]
+
+    def verify(index, bound):
+        nonlocal computed, evaluated, abandoned
+        computed += 1
+        candidate_points = points[index]
+        n = len(candidate_points)
+        if n == 0:
+            evaluated += 1
+            offer((float(m), index, 0, 0))
+            return
+        lo_e, hi_e = min(lo, n), min(hi, n)
+        best = None
+        for start in range(n - lo_e + 1):
+            span = min(hi_e, n - start)
+            row = _edr_last_row(
+                query.points, candidate_points[start : start + span], epsilon,
+                free_start=False,
+            )
+            if bound is not None and min(row) > bound:
+                abandoned += span - lo_e + 1
+                continue
+            evaluated += span - lo_e + 1
+            for length in range(lo_e, span + 1):
+                key = (row[length], start, start + length)
+                if best is None or key < best:
+                    best = key
+        if best is not None:
+            distance, start, end = best
+            offer((distance, index, start, end))
+
+    def offer(entry):
+        nonlocal ranked
+        ranked = sorted(ranked + [entry])[:k]
+
+    position = 0
+    while position < total:
+        threshold = kth()
+        chunk = []
+        while position < total and len(chunk) < round_size:
+            index = order[position]
+            if threshold < math.inf and query_pruners:
+                if window_bounds[0][index] > threshold:
+                    for rest in order[position:]:
+                        retire(query_pruners[0].name, rest)
+                    position = total
+                    break
+                first = next(
+                    (
+                        query_pruner.name
+                        for query_pruner, bounds in zip(
+                            query_pruners[1:], window_bounds[1:]
+                        )
+                        if bounds[index] > threshold
+                    ),
+                    None,
+                )
+                if first is not None:
+                    retire(first, index)
+                    position += 1
+                    continue
+            chunk.append(index)
+            position += 1
+        if not free_start:
+            for index in chunk:
+                verify(index, threshold if early_abandon and threshold < math.inf else None)
+            continue
+        floors = {
+            index: free_start_edr(query.points, points[index], epsilon)
+            for index in chunk
+        }
+        queue = sorted(chunk, key=floors.__getitem__)  # stable: chunk order on ties
+        if threshold == math.inf:
+            head = k - len(ranked)
+            for index in queue[:head]:
+                verify(index, None)
+            queue = queue[head:]
+            threshold = kth()
+        bound = threshold if early_abandon and threshold < math.inf else None
+        for index in queue:
+            if floors[index] > threshold:
+                retire(FREE_START_STAGE, index)
+            else:
+                verify(index, bound)
+    answers = [
+        (index, start, end, distance) for distance, index, start, end in ranked
+    ]
+    return answers, pruned_by, computed, (evaluated, pruned, abandoned)
 
 
 def dinic_max_cancellation(first, second):

@@ -5,10 +5,12 @@ One seeded generator produces the corpus and query stream; the serial
 that serves the workload — the frozen-round sharded engine at shard
 counts {1, 2, 3}, the tiered store, ``knn_batch`` executors, and the
 HTTP service — must return byte-identical ``(index, start, end,
-distance)`` answers *and* byte-identical pruner/window counters.  The
+distance)`` answers *and* byte-identical pruner/window counters,
+including the free-start filter stage's ``pruned_by`` entry.  The
 serial engine itself is anchored to the brute-force oracle in
-test_subtrajectory.py, so equality here extends the oracle guarantee to
-the whole engine family.
+test_subtrajectory.py and to the eager frozen-round loop in
+test_free_start.py, so equality here extends both guarantees to the
+whole engine family.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro import (
     subknn_search,
 )
 from repro.core.batch import warm_pruners
+from repro.core.subtrajectory import FREE_START_STAGE
 from repro.service import ServerHandle, ServiceClient, ServiceConfig
 from repro.service.pruning import build_pruners
 from repro.storage import TieredDatabase, build_store
@@ -92,8 +95,12 @@ def tiered(workload, tmp_path_factory):
 
 
 def _counters(stats):
-    """Every determinism-contracted counter, as one comparable tuple."""
-    return (
+    """Every determinism-contracted counter, as one comparable tuple.
+
+    Also checks the window ledger closes:
+    ``evaluated + pruned + abandoned == total``.
+    """
+    counters = (
         stats.true_distance_computations,
         dict(stats.pruned_by),
         stats.windows_total,
@@ -101,6 +108,22 @@ def _counters(stats):
         stats.windows_pruned,
         stats.windows_abandoned,
     )
+    assert sum(counters[3:]) == counters[2], counters
+    return counters
+
+
+def test_the_free_start_stage_engages(workload, chains):
+    """Every spec's queries credit the filter stage, so the equalities
+    below cover its decisions and not just its absence."""
+    database, queries = workload
+    for spec in SPECS:
+        credited = sum(
+            subknn_search(database, query, K, chains[spec])[1].pruned_by.get(
+                FREE_START_STAGE, 0
+            )
+            for query in queries
+        )
+        assert credited > 0, spec
 
 
 class TestShardedDifferential:
