@@ -135,7 +135,7 @@ def _sequences(args: argparse.Namespace, database_size: int) -> List[List[int]]:
 
 
 def _direct_knn(database, chain, query, k):
-    neighbors, _ = knn_search(database, query, k, chain, edr_kernel="auto")
+    neighbors, _ = knn_search(database, query, k, chain)
     return [
         {"index": int(n.index), "distance": float(n.distance)}
         for n in neighbors
@@ -166,9 +166,8 @@ def _run_config(
     config = ServiceConfig(
         port=0,
         pruners=args.pruners,
-        # The engine and kernel its committed baseline was recorded with.
+        # The engine its committed baseline was recorded with.
         engine="search",
-        edr_kernel="auto",
         k_default=args.k,
         cache_size=args.cache_size,
         replicas=replicas,

@@ -223,9 +223,8 @@ SECTIONS = [
         "the pruner-free refine phase and the raw kernels head to head.  "
         "Before timing, every kernel's k-NN answer — scalar, batched, "
         "bit-parallel — is asserted *byte-equal* to the scalar `edr` "
-        "linear scan; the per-bucket autotuner (`repro.core.kernels`, "
-        "docs/KERNELS.md) picks between the kernels at query time with "
-        "`--edr-kernel auto`.  Generated by "
+        "linear scan; the engines refine with the bit-parallel kernel "
+        "(`repro.core.kernels`, docs/KERNELS.md).  Generated by "
         "`python benchmarks/bench_edr_bitparallel.py` (also writes "
         "`BENCH_edr_bitparallel.json`, regression-guarded in CI with "
         "`--require-speedup`).",

@@ -23,14 +23,7 @@ from .core.edr import edr, edr_matrix
 from .core.edr_batch import edr_many, edr_many_bucketed
 from .core.edr_bitparallel import edr_bitparallel, edr_many_bitparallel
 from .core.histogram import HistogramSpace, histogram_distance
-from .core.kernels import (
-    KERNEL_CHOICES,
-    KernelSelection,
-    autotune_kernels,
-    kernel_report,
-    resolve_kernel_plan,
-    run_kernel,
-)
+from .core.kernels import KERNEL_CHOICES, kernel_report, run_kernel
 from .core.matching import elements_match, match_bits, match_matrix, suggest_epsilon
 from .core.search import (
     HistogramPruner,
@@ -82,10 +75,7 @@ __all__ = [
     "edr_many_bucketed",
     "edr_matrix",
     "KERNEL_CHOICES",
-    "KernelSelection",
-    "autotune_kernels",
     "kernel_report",
-    "resolve_kernel_plan",
     "run_kernel",
     "euclidean",
     "dtw",

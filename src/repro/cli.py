@@ -32,7 +32,7 @@ from .core.batch import BATCH_ENGINES, knn_batch
 from .core.database import TrajectoryDatabase
 from .core.edr_batch import DEFAULT_REFINE_BATCH_SIZE
 from .core.join import similarity_join
-from .core.kernels import DEFAULT_KERNEL, KERNEL_CHOICES
+from .core.kernels import DEFAULT_KERNEL
 from .core.rangequery import range_search
 from .core.search import Pruner, knn_scan, knn_sorted_search
 from .core.subtrajectory import DEFAULT_WINDOW_ALPHA, subknn_search
@@ -169,20 +169,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kernel_note(stats) -> str:
-    """Human-readable echo of the requested kernel and per-bucket picks."""
-    note = stats.kernel or DEFAULT_KERNEL
-    if stats.kernel_buckets:
-        picks = ",".join(
-            f"{bucket}:{name}"
-            for bucket, name in sorted(
-                stats.kernel_buckets.items(), key=lambda item: int(item[0])
-            )
-        )
-        note += f" ({picks})"
-    return note
-
-
 def cmd_knn(args: argparse.Namespace) -> int:
     _require_source(args)
     tiered = _open_store(args.store) if args.store else None
@@ -206,10 +192,9 @@ def cmd_knn(args: argparse.Namespace) -> int:
             pruners,
             alpha=args.sub_alpha,
             refine_batch_size=args.refine_batch_size,
-            edr_kernel=args.edr_kernel,
         )
         print(
-            f"epsilon = {epsilon:.4f}; kernel = {_kernel_note(stats)}; "
+            f"epsilon = {epsilon:.4f}; kernel = {stats.kernel}; "
             f"pruning power = {stats.pruning_power:.3f}"
         )
         print(
@@ -237,7 +222,7 @@ def cmd_knn(args: argparse.Namespace) -> int:
     # with no pruner to order by, the plain scan.
     if not pruners:
         scan = tiered.knn_scan if tiered is not None else partial(knn_scan, database)
-        neighbors, stats = scan(query, args.k, edr_kernel=args.edr_kernel)
+        neighbors, stats = scan(query, args.k)
     else:
         search = (
             tiered.knn_sorted_search
@@ -250,10 +235,9 @@ def cmd_knn(args: argparse.Namespace) -> int:
             pruners[0],
             pruners[1:],
             refine_batch_size=args.refine_batch_size,
-            edr_kernel=args.edr_kernel,
         )
     print(
-        f"epsilon = {epsilon:.4f}; kernel = {_kernel_note(stats)}; "
+        f"epsilon = {epsilon:.4f}; kernel = {stats.kernel}; "
         f"pruning power = {stats.pruning_power:.3f}"
     )
     if tiered is not None:
@@ -314,7 +298,6 @@ def cmd_knn_batch(args: argparse.Namespace) -> int:
         shards=None if sharded_engine is not None else args.shards,
         shard_workers=args.shard_workers,
         sharded=sharded_engine,
-        edr_kernel=args.edr_kernel,
         sub=args.sub,
         alpha=args.sub_alpha,
     )
@@ -329,7 +312,7 @@ def cmd_knn_batch(args: argparse.Namespace) -> int:
         f"epsilon = {epsilon:.4f}; {len(queries)} queries in "
         f"{batch.elapsed_seconds:.3f}s "
         f"({batch.executor}, {batch.workers} worker(s), "
-        f"engine={args.engine}, kernel={args.edr_kernel}{shard_note})"
+        f"engine={args.engine}, kernel={DEFAULT_KERNEL}{shard_note})"
     )
     print(
         f"true distance computations: {total_computed}/{total_candidates} "
@@ -377,7 +360,6 @@ def cmd_range(args: argparse.Namespace) -> int:
             args.radius,
             pruners,
             refine_batch_size=args.refine_batch_size,
-            edr_kernel=args.edr_kernel,
         )
     else:
         results, stats = range_search(
@@ -386,10 +368,9 @@ def cmd_range(args: argparse.Namespace) -> int:
             args.radius,
             pruners,
             refine_batch_size=args.refine_batch_size,
-            edr_kernel=args.edr_kernel,
         )
     print(
-        f"epsilon = {epsilon:.4f}; kernel = {_kernel_note(stats)}; "
+        f"epsilon = {epsilon:.4f}; kernel = {stats.kernel}; "
         f"{len(results)} trajectories within "
         f"EDR {args.radius} (pruning power {stats.pruning_power:.3f})"
     )
@@ -515,7 +496,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.store:
         print(
             f"store = {args.store}; pruners = {config.pruners or 'none'}; "
-            f"engine = {config.engine}; kernel = {config.edr_kernel}"
+            f"engine = {config.engine}; kernel = {DEFAULT_KERNEL}"
         )
     elif args.ingest_root:
         print(
@@ -526,7 +507,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         print(
             f"epsilon = {epsilon:.4f}; pruners = {config.pruners or 'none'}; "
-            f"engine = {config.engine}; kernel = {config.edr_kernel}"
+            f"engine = {config.engine}; kernel = {DEFAULT_KERNEL}"
         )
     from .storage.tiered import StoreError
 
@@ -688,22 +669,11 @@ SERVE_CONFIG_FIELDS = {
     "replica_spillover_depth": "replica_spillover_depth",
     "replica_rpc_timeout": "replica_rpc_timeout_s",
     "replica_retries": "replica_retries",
-    "edr_kernel": "edr_kernel",
     "store": "store",
     "ingest_root": "ingest_root",
     "follow": "follow",
     "follow_poll_s": "follow_poll_s",
 }
-
-
-def _add_kernel_argument(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--edr-kernel",
-        choices=KERNEL_CHOICES,
-        default=DEFAULT_KERNEL,
-        help="refine-phase EDR kernel (auto = per-bucket autotune; "
-        "every choice returns identical answers)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -764,7 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="process-pool workers for the near-triangle reference-matrix precompute",
     )
-    _add_kernel_argument(knn)
     knn.add_argument(
         "--sub",
         action="store_true",
@@ -835,7 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard worker pool size (default: one per shard)",
     )
-    _add_kernel_argument(knn_batch_command)
     knn_batch_command.add_argument(
         "--sub",
         action="store_true",
@@ -874,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="process-pool workers for the near-triangle reference-matrix precompute",
     )
-    _add_kernel_argument(range_command)
     range_command.set_defaults(handler=cmd_range)
 
     join = commands.add_parser("join", help="similarity self-join under EDR")
@@ -987,7 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sibling retries a failed replica RPC gets before the "
         "request errors out",
     )
-    _add_kernel_argument(serve)
     serve.add_argument(
         "--ingest-root",
         help="serve a live ingest root (current generation merged with "

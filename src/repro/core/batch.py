@@ -236,11 +236,9 @@ def knn_batch(
         (see :func:`repro.knn_search`); ``None`` restores the scalar
         per-candidate verification.
     edr_kernel:
-        Refine kernel selection (see :mod:`repro.core.kernels`):
-        ``None`` runs the bit-parallel kernel, ``"auto"`` resolves
-        the database's autotuned per-bucket table (built once, in the
-        parent, before queries fan out), a concrete name pins that
-        kernel.  Answers are byte-identical for every choice.
+        The refine kernel's name (see :mod:`repro.core.kernels`);
+        ``None`` runs the bit-parallel kernel.  Answers are
+        byte-identical for every choice.
     shards / shard_workers / sharded:
         The *intra*-query parallelism axis.  ``shards > 1`` partitions
         the database and runs every query through the shared-memory
@@ -292,10 +290,6 @@ def knn_batch(
     start = time.perf_counter()
     if queries and pruners:
         warm_pruners(pruners, queries[0])
-    if edr_kernel == "auto":
-        # Tune once in the parent so pool workers (forked or threaded)
-        # inherit the cached table instead of each racing the kernels.
-        database.kernel_selection()
     warm_seconds = time.perf_counter() - start
 
     if chosen == "serial" or workers == 1 or len(queries) <= 1:

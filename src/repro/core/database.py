@@ -81,9 +81,6 @@ class TrajectoryDatabase:
         # so overlapping requests never recompute a column — and
         # reference-vs-reference pairs are filled in by symmetry.
         self._reference_column_store: Dict[int, np.ndarray] = {}
-        # Autotuned refine-kernel table (kernels.KernelSelection); built
-        # lazily by kernel_selection(), serialized with save()/load().
-        self._kernel_selection = None
 
     @classmethod
     def _shell(
@@ -118,7 +115,6 @@ class TrajectoryDatabase:
         database._histogram_arrays = {}
         database._reference_columns = {}
         database._reference_column_store = {}
-        database._kernel_selection = None
         return database
 
     def __len__(self) -> int:
@@ -292,27 +288,6 @@ class TrajectoryDatabase:
         return self._reference_columns[key]
 
     # ------------------------------------------------------------------
-    # Refine-kernel selection
-    # ------------------------------------------------------------------
-    def kernel_selection(self, trials: int = 5, sample: int = 8):
-        """The autotuned per-length-bucket refine kernel table.
-
-        Built on first use by racing the EDR kernels on deterministic
-        samples of this database's own trajectories (see
-        :func:`repro.core.kernels.autotune_kernels`), then cached —
-        and serialized by :meth:`save` so a loaded database never pays
-        the tuning cost again.  Every kernel returns byte-identical
-        distances, so the table only affects throughput.
-        """
-        if self._kernel_selection is None:
-            from .kernels import autotune_kernels
-
-            self._kernel_selection = autotune_kernels(
-                self, trials=trials, sample=sample
-            )
-        return self._kernel_selection
-
-    # ------------------------------------------------------------------
     # Eager warm-up
     # ------------------------------------------------------------------
     def warm(
@@ -325,7 +300,6 @@ class TrajectoryDatabase:
         trees: bool = False,
         reference_policy: str = "first",
         workers: Optional[int] = None,
-        kernels: bool = False,
     ) -> Dict[str, float]:
         """Eagerly build the lazily-cached pruning artifacts, once, up front.
 
@@ -355,10 +329,6 @@ class TrajectoryDatabase:
             Also build the R-tree / B+-trees over the Q-gram means (only
             the index-probe pruner needs them; the default merge-join
             pruner does not).
-        kernels:
-            Also run the refine-kernel autotuner (``auto`` kernel
-            queries resolve against the cached table instead of tuning
-            on the first query).
 
         Returns
         -------
@@ -412,8 +382,6 @@ class TrajectoryDatabase:
                     references, policy=reference_policy, workers=workers
                 ),
             )
-        if kernels:
-            timed("kernel_selection", lambda: self.kernel_selection())
         return report
 
     # ------------------------------------------------------------------
@@ -446,11 +414,6 @@ class TrajectoryDatabase:
                 for delta, axis in self._histograms
             ),
             "references": sorted(self._reference_columns),
-            "kernels": (
-                self._kernel_selection.to_dict()
-                if self._kernel_selection is not None
-                else None
-            ),
         }
         arrays["manifest"] = np.array(json.dumps(manifest))
 
@@ -549,15 +512,8 @@ class TrajectoryDatabase:
                     database._reference_column_store.setdefault(
                         reference_index, column
                     )
-            # Archives written before kernel autotuning existed carry no
-            # "kernels" entry; they simply tune lazily on first use.
-            kernel_payload = manifest.get("kernels")
-            if kernel_payload is not None:
-                from .kernels import KernelSelection
-
-                selection = KernelSelection.from_dict(kernel_payload)
-                selection.source = "loaded"
-                database._kernel_selection = selection
+            # Archives written by older versions may carry a "kernels"
+            # entry (a per-bucket kernel table); it is ignored.
         if warm:
             for q in manifest["means2d"]:
                 database.flat_qgram_means(q)

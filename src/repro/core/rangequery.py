@@ -23,7 +23,7 @@ from .edr_batch import DEFAULT_REFINE_BATCH_SIZE
 # ``run_kernel`` is no longer called here (refinement runs in
 # ``search._refine_batch``), but the benchmark's tracer patches it by
 # this module's name, so the name stays.
-from .kernels import resolve_kernel_plan, run_kernel  # noqa: F401
+from .kernels import check_kernel_choice, run_kernel  # noqa: F401
 from .search import (
     Neighbor,
     Pruner,
@@ -48,10 +48,9 @@ def range_scan(
     start = time.perf_counter()
     result = _RadiusList(radius)
     stats = SearchStats(database_size=len(database))
-    plan = resolve_kernel_plan(database, edr_kernel)
-    stats.kernel = plan.requested
+    stats.kernel = kernel = check_kernel_choice(edr_kernel)
     for index in range(len(database)):
-        result.offer(index, _true_distance(database, query, index, stats, plan=plan))
+        result.offer(index, _true_distance(database, query, index, stats, kernel=kernel))
     stats.elapsed_seconds = time.perf_counter() - start
     return result.neighbors(), stats
 

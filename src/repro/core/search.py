@@ -42,7 +42,7 @@ from .edr import edr
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE
 from .edr_bitparallel import edr_bitparallel
 from .histogram import HistogramMatcher
-from .kernels import KernelPlan, length_bucket, resolve_kernel_plan, run_kernel
+from .kernels import check_kernel_choice, length_bucket, run_kernel
 from .neartriangle import NearTrianglePruner as _NearTriangleState
 from .qgram import mean_rounding_magnitude, mean_value_qgrams, qgram_match_tolerance
 from .trajectory import Trajectory
@@ -88,12 +88,10 @@ class SearchStats:
     pruned_by: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     start_method: Optional[str] = None
-    # Refine-kernel attribution: the requested kernel choice, the kernel
-    # actually used per length bucket, and per-kernel DP cell counts and
-    # seconds (throughput = cells / seconds).  Purely observational —
-    # every kernel returns byte-identical distances.
+    # Refine-kernel attribution: the kernel that refined, and per-kernel
+    # DP cell counts and seconds (throughput = cells / seconds).  Purely
+    # observational — every kernel returns byte-identical distances.
     kernel: Optional[str] = None
-    kernel_buckets: Dict[str, str] = field(default_factory=dict)
     kernel_cells: Dict[str, int] = field(default_factory=dict)
     kernel_seconds: Dict[str, float] = field(default_factory=dict)
     # Tiered-storage attribution (PR 7): bytes of columnar filter
@@ -144,13 +142,6 @@ class SearchStats:
         self.kernel_seconds[kernel] = (
             self.kernel_seconds.get(kernel, 0.0) + float(seconds)
         )
-
-    def kernel_throughput(self) -> Dict[str, float]:
-        """Measured DP cells per second, per kernel used in this query."""
-        return {
-            name: (self.kernel_cells[name] / seconds) if seconds > 0.0 else 0.0
-            for name, seconds in self.kernel_seconds.items()
-        }
 
 
 SearchResult = Tuple[List[Neighbor], SearchStats]
@@ -1044,14 +1035,14 @@ def _true_distance(
     candidate_index: int,
     stats: SearchStats,
     bound: Optional[float] = None,
-    plan: Optional[KernelPlan] = None,
+    kernel: Optional[str] = None,
 ) -> float:
     stats.true_distance_computations += 1
     candidate = database.trajectories[candidate_index]
     # Unbatched path: there is nothing to batch, so the kernel choice
     # only distinguishes the bit-parallel single-pair kernel from plain
     # ``edr`` (bit-identical results, sentinels included).
-    if plan is not None and plan.kernel_for_length(len(candidate)) == "bitparallel":
+    if kernel == "bitparallel":
         executed, kernel_fn = "bitparallel", edr_bitparallel
     else:
         executed, kernel_fn = "scalar", edr
@@ -1107,9 +1098,9 @@ def _refine_batch(
     stats: SearchStats,
     query_pruners: Sequence[QueryPruner],
     early_abandon: bool,
-    plan: KernelPlan,
+    kernel: str,
 ) -> None:
-    """Verify one candidate batch with the selected batched EDR kernel.
+    """Verify one candidate batch with the named EDR kernel.
 
     Exactly equivalent to a loop of :func:`_true_distance` + ``record``
     + ``offer`` calls, except the k-th-best bound used for early
@@ -1117,15 +1108,11 @@ def _refine_batch(
     only be looser than the scalar loop's per-candidate bound, so every
     abandonment stays sound).  Abandoned candidates count as true
     distance computations, matching the scalar early-abandon path.
-    The kernel is chosen per length bucket from ``plan``; every kernel
-    returns the same distances and sentinels bit for bit, so the choice
-    never changes answers or counters.
+    Every kernel returns the same distances and sentinels bit for bit,
+    so ``kernel`` never changes answers or counters.
     """
     best = result.best_so_far
     bound = best if early_abandon and np.isfinite(best) else None
-    bucket = length_bucket(int(database.lengths[candidate_indices[0]]))
-    kernel = plan.kernel_for_bucket(bucket)
-    stats.kernel_buckets[str(bucket)] = kernel
     # Disk-resident trajectory lists expose ``fetch_many`` for batched,
     # extent-ordered readahead; plain lists take the comprehension path.
     fetch_many = getattr(database.trajectories, "fetch_many", None)
@@ -1168,11 +1155,10 @@ def knn_scan(
     start = time.perf_counter()
     result = _ResultList(k)
     stats = SearchStats(database_size=len(database))
-    plan = resolve_kernel_plan(database, edr_kernel)
-    stats.kernel = plan.requested
+    stats.kernel = kernel = check_kernel_choice(edr_kernel)
     for candidate_index in range(len(database)):
         distance = _true_distance(
-            database, query, candidate_index, stats, plan=plan
+            database, query, candidate_index, stats, kernel=kernel
         )
         result.offer(candidate_index, distance)
     stats.elapsed_seconds = time.perf_counter() - start
@@ -1208,11 +1194,10 @@ def knn_search(
     conservative than the scalar loop's (never unsound).  ``None`` (or
     any size below 2) restores the scalar per-candidate path.
 
-    ``edr_kernel`` selects the refine kernel (see
-    :mod:`repro.core.kernels`): ``None`` runs the bit-parallel kernel,
-    ``"auto"`` uses the database's autotuned per-bucket table, and a
-    concrete name pins that kernel.  Answers and pruner counters are
-    byte-for-byte identical for every choice.
+    ``edr_kernel`` names the refine kernel (see
+    :mod:`repro.core.kernels`); ``None`` runs the bit-parallel kernel.
+    Answers and pruner counters are byte-for-byte identical for every
+    choice.
     """
     query_pruners = [pruner.for_query(query) for pruner in pruners]
     source = _Chain(query_pruners, len(database))
@@ -1254,8 +1239,7 @@ def _knn(
     start = time.perf_counter() if started is None else started
     size = len(database)
     stats = SearchStats(database_size=size)
-    plan = resolve_kernel_plan(database, edr_kernel)
-    stats.kernel = plan.requested
+    stats.kernel = kernel = check_kernel_choice(edr_kernel)
     pruner_for = source.pruner_for
     batch_size = _normalized_batch_size(refine_batch_size)
     pending = _PendingBatches(batch_size) if batch_size is not None else None
@@ -1263,7 +1247,7 @@ def _knn(
     def refine(batch: List[int]) -> None:
         _refine_batch(
             database, query, batch, result, stats,
-            query_pruners, early_abandon, plan,
+            query_pruners, early_abandon, kernel,
         )
 
     for rank, (candidate_index, bound) in enumerate(source.walk(stats)):
@@ -1284,7 +1268,7 @@ def _knn(
         if pending is None:
             abandon = best if early_abandon and best < _INF else None
             distance = _true_distance(
-                database, query, candidate_index, stats, abandon, plan
+                database, query, candidate_index, stats, abandon, kernel
             )
             if np.isfinite(distance):
                 for query_pruner in query_pruners:
@@ -1358,8 +1342,7 @@ def knn_qgram_index(
     start = time.perf_counter()
     result = _ResultList(k)
     stats = SearchStats(database_size=len(database))
-    plan = resolve_kernel_plan(database, edr_kernel)
-    stats.kernel = plan.requested
+    stats.kernel = kernel = check_kernel_choice(edr_kernel)
     pruner = QgramIndexPruner(database, q=q, structure=structure, axis=axis)
     query_pruner = pruner.for_query(query)
     counters = query_pruner.counters
@@ -1380,7 +1363,7 @@ def knn_qgram_index(
                 stats.credit(query_pruner.name)
                 continue
         distance = _true_distance(
-            database, query, candidate_index, stats, plan=plan
+            database, query, candidate_index, stats, kernel=kernel
         )
         result.offer(candidate_index, distance)
     stats.elapsed_seconds = time.perf_counter() - start

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import faults as _faults
 from .database import TrajectoryDatabase
-from .edr_batch import DEFAULT_REFINE_BATCH_SIZE, edr_many, iter_length_buckets
+from .edr_batch import DEFAULT_REFINE_BATCH_SIZE, iter_length_buckets
 from .faults import (
     ChecksumMismatch,
     Fault,
@@ -70,13 +70,7 @@ from .faults import (
     WorkerTimeout,
 )
 from .histogram import HistogramArrayStore, HistogramSpace
-from .kernels import (
-    LEGACY_KERNEL,
-    check_kernel_choice,
-    length_bucket,
-    resolve_kernel_plan,
-    run_kernel,
-)
+from .kernels import check_kernel_choice, run_kernel
 from .mp import process_context, terminate_pool
 from .rangequery import range_search
 from .search import (
@@ -496,15 +490,15 @@ class _ShardRuntime:
         early_abandon: bool,
         exact_positions: List[int],
         batch_size: int,
-        kernel_spec,
+        kernel: str,
     ) -> List[Tuple[str, float]]:
-        """Staged exact bounds + batched EDR for one round's shard group.
+        """Staged exact bounds + EDR for one round's shard group.
 
         Every member already passed all quick bounds at ``threshold``
         (the coordinator pruned the rest), so the work here is: the
         exact stage of each two-stage pruner in ``exact_positions``
-        (chain order), then the batched EDR kernel over the survivors,
-        length-bucketed.  Outcomes align with ``members``: ``("p", i)``
+        (chain order), then the ``kernel`` EDR batches over the
+        survivors, length-bucketed.  Outcomes align with ``members``: ``("p", i)``
         — pruned by the exact stage of chain position ``i`` — or
         ``("d", distance)`` with ``inf`` marking an early abandon.
 
@@ -513,13 +507,8 @@ class _ShardRuntime:
         boundary; both only shrink below the frozen round threshold, so
         abandonments stay sound.
 
-        ``kernel_spec`` is the coordinator-resolved kernel routing:
-        ``None`` keeps the legacy batched kernel, otherwise it is a
-        serializable ``(default, ((bucket, kernel), ...))`` pair built
-        from the parent's :class:`~repro.core.kernels.KernelPlan`.
-        Workers never autotune — they apply the table they were handed,
-        and because every kernel returns byte-identical distances the
-        choice cannot change any outcome.
+        Every kernel returns byte-identical distances, so ``kernel``
+        cannot change any outcome.
         """
         state = self.query_state(spec, digest, query_points)
         pruners: Dict[int, QueryPruner] = state["pruners"]
@@ -541,11 +530,6 @@ class _ShardRuntime:
                 survivors.append(local_index)
                 survivor_slots.append(slot)
         if survivors:
-            kernel_table = None
-            default_kernel = None
-            if kernel_spec is not None:
-                default_kernel, pairs = kernel_spec
-                kernel_table = dict(pairs)
             lengths = self.database.lengths[survivors]
             for bucket in iter_length_buckets(lengths, batch_size):
                 bound = None
@@ -556,24 +540,9 @@ class _ShardRuntime:
                     bound = limit if np.isfinite(limit) else None
                 indices = [survivors[int(position)] for position in bucket]
                 candidates = [self.database.trajectories[i] for i in indices]
-                if kernel_table is None:
-                    distances = edr_many(
-                        query, candidates, self.database.epsilon, bounds=bound
-                    )
-                else:
-                    # Length-sorted batches are not aligned to power-of-two
-                    # buckets, so pick by the longest member — it sets the
-                    # batch's padded width, which the autotuner's bucket
-                    # timing models.  Any deterministic pick is sound:
-                    # kernels agree byte-for-byte.
-                    kernel = kernel_table.get(
-                        length_bucket(int(lengths[int(bucket[-1])])),
-                        default_kernel,
-                    )
-                    distances = run_kernel(
-                        kernel, query, candidates, self.database.epsilon,
-                        bounds=bound,
-                    )
+                distances = run_kernel(
+                    kernel, query, candidates, self.database.epsilon, bounds=bound
+                )
                 for position, distance in zip(bucket, distances):
                     outcomes[survivor_slots[int(position)]] = ("d", float(distance))
         return outcomes  # type: ignore[return-value]
@@ -758,7 +727,6 @@ class _Route:
     radius: Optional[float] = None
     weights: Optional[np.ndarray] = None
     kernel: Optional[str] = None
-    kernel_buckets: Dict[str, str] = field(default_factory=dict)
     hits: List[Neighbor] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -889,13 +857,6 @@ class ShardedDatabase:
         in-process, for deterministic tests and cheap single-shard use.
     workers:
         Pool size (process mode); defaults to the shard count.
-    exact_stage:
-        Scheduling policy for two-stage pruners' exact bounds on
-        refine-phase survivors: ``"auto"`` pays them only when the
-        pruner declares them cheap (``exact_stage_cheap``), ``"always"``
-        / ``"never"`` force either way.  Pure scheduling — answers are
-        identical under all three; only the pruned-vs-refined credit
-        split moves (deterministically, for any fixed policy).
     max_retries:
         Re-executions allowed per failed shard task before the query
         degrades to the serial engine (which still returns the exact
@@ -926,7 +887,6 @@ class ShardedDatabase:
         workers: Optional[int] = None,
         max_triangle: int = 50,
         refine_batch_size: int = DEFAULT_REFINE_BATCH_SIZE,
-        exact_stage: str = "auto",
         max_retries: int = 2,
         retry_backoff_s: float = 0.02,
         round_timeout_s: Optional[float] = None,
@@ -938,8 +898,6 @@ class ShardedDatabase:
     ) -> None:
         if mode not in ("process", "inline"):
             raise ValueError("mode must be 'process' or 'inline'")
-        if exact_stage not in ("auto", "always", "never"):
-            raise ValueError("exact_stage must be 'auto', 'always', or 'never'")
         if shards < 1:
             raise ValueError("shards must be at least 1")
         if max_retries < 0:
@@ -950,7 +908,6 @@ class ShardedDatabase:
         self.workers = int(workers) if workers else self.shards
         self._max_triangle = int(max_triangle)
         self._round_size = max(2, int(refine_batch_size))
-        self._exact_stage = exact_stage
 
         canonical: List[str] = []
         for spec in specs:
@@ -1315,14 +1272,7 @@ class ShardedDatabase:
         """The k-NN (``k``) or range (``radius``) route.  A filter wave
         gathers every static pruner's bulk quick bounds shard-parallel."""
         result = None if k is None else _ResultList(k)
-        # Kernel routing is resolved once, coordinator-side ("auto"
-        # autotunes against the parent database; forked workers inherit
-        # nothing — they receive the concrete table in the task tuple).
-        plan = resolve_kernel_plan(self._database, edr_kernel)
-        if plan.default == LEGACY_KERNEL and not plan.table:
-            kernel_spec = None
-        else:
-            kernel_spec = (plan.default, tuple(sorted(plan.table.items())))
+        kernel = check_kernel_choice(edr_kernel)
         query_pruners = [
             pruner.for_query(query) for pruner in self._parent_chain(spec)
         ]
@@ -1360,10 +1310,7 @@ class ShardedDatabase:
             for position, query_pruner in enumerate(query_pruners)
             if quick[position] is not None
             and query_pruner.two_stage
-            and (
-                self._exact_stage == "always"
-                or (self._exact_stage == "auto" and query_pruner.exact_stage_cheap)
-            )
+            and query_pruner.exact_stage_cheap
         ]
         return _Route(
             query_pruners,
@@ -1372,13 +1319,10 @@ class ShardedDatabase:
             result,
             (
                 spec, digest, query_points, early_abandon, exact_positions,
-                round_size, kernel_spec,
+                round_size, kernel,
             ),
             radius=radius,
-            kernel=plan.requested,
-            kernel_buckets={
-                str(bucket): name for bucket, name in sorted(plan.table.items())
-            },
+            kernel=kernel,
         )
 
     def _window_route(
@@ -1398,7 +1342,7 @@ class ShardedDatabase:
         arrays, so the coordinator prices them against the parent chain
         itself: no filter wave, and window tasks ship no pruner state."""
         result = _ResultList(k)
-        # Validation only: the window route reads no kernel table.
+        # Validation only: the window kernels are fixed by role.
         check_kernel_choice(edr_kernel)
         query_points = np.ascontiguousarray(query.points)
         lo, hi = resolve_window_range(
@@ -1520,7 +1464,6 @@ class ShardedDatabase:
             shards=self.shards,
             start_method=self._start_method,
             kernel=route.kernel,
-            kernel_buckets=route.kernel_buckets,
         )
         for shard_stats in per_shard:
             shard_stats.start_method = stats.start_method

@@ -77,7 +77,7 @@ from .database import TrajectoryDatabase
 from .edr import _points
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE, TrajectoryLike, iter_length_buckets
 from .edr_bitparallel import edr_many_bitparallel
-from .kernels import check_kernel_choice, length_bucket
+from .kernels import check_kernel_choice
 from .search import Pruner, SearchStats, _ResultList
 from .trajectory import Trajectory
 
@@ -549,9 +549,8 @@ def subknn_search(
     proven farther than the frozen threshold.
 
     ``edr_kernel`` is accepted for interface symmetry and validated
-    against the kernel choices (no plan is resolved, so ``"auto"`` runs
-    no autotune race): the filter is always bit-parallel and the DP
-    always the batched :data:`WINDOW_KERNEL`.
+    against the kernel choices: the filter is always bit-parallel and
+    the DP always the batched :data:`WINDOW_KERNEL`.
     """
     started = time.perf_counter()
     query_points = _points(query)
@@ -649,9 +648,6 @@ def subknn_search(
                     int(m * cells_per_row[batch].sum()),
                     time.perf_counter() - tick,
                 )
-                stats.kernel_buckets[
-                    str(length_bucket(int(member_lengths[int(bucket[-1])])))
-                ] = WINDOW_KERNEL
                 for slot, member in enumerate(batch):
                     stats.true_distance_computations += 1
                     stats.windows_evaluated += int(evaluated[slot])

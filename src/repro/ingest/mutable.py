@@ -162,7 +162,7 @@ class _MergedView(TrajectoryDatabase):
     Instances are built only through :meth:`MutableDatabase.view`; the
     overridden Q-gram and histogram accessors take their artifacts from
     the owning :class:`MutableDatabase`, which derives them from the
-    previous view's.  The other artifacts (trees, kernel tables) inherit
+    previous view's.  The other artifacts (the Q-gram trees) inherit
     the stock lazy builders, which consume the overridden accessors —
     the same code path a cold build runs.
     """

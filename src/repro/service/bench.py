@@ -183,9 +183,8 @@ def _run_mode(
     config = ServiceConfig(
         port=0,
         pruners=args.pruners,
-        # The engine and kernel its committed baseline was recorded with.
+        # The engine its committed baseline was recorded with.
         engine="search",
-        edr_kernel="auto",
         k_default=args.k,
         max_batch=max_batch,
         max_delay_ms=args.max_delay_ms,

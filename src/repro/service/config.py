@@ -13,7 +13,6 @@ from typing import Optional
 
 from ..core.batch import BATCH_ENGINES
 from ..core.edr_batch import DEFAULT_REFINE_BATCH_SIZE
-from ..core.kernels import DEFAULT_KERNEL, KERNEL_CHOICES
 
 __all__ = ["ServiceConfig"]
 
@@ -33,9 +32,7 @@ class ServiceConfig:
     the k-th distance.  Every engine keeps the k smallest
     ``(distance, index)`` pairs, so served answers equal
     :func:`repro.knn_search`'s byte for byte, ties included; only the
-    counters differ.  ``edr_kernel`` is the refine-phase EDR kernel; the
-    default is the fixed bit-parallel kernel, and ``"auto"`` instead
-    races the kernels per length bucket at warm time.
+    counters differ.  Refinement runs the bit-parallel EDR kernel.
 
     Micro-batching
     --------------
@@ -67,9 +64,6 @@ class ServiceConfig:
     early_abandon: bool = False
     refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE
     matrix_workers: Optional[int] = None
-    # Refine-phase EDR kernel ("auto" autotunes per length bucket at
-    # warm time; any fixed choice returns byte-identical answers).
-    edr_kernel: str = DEFAULT_KERNEL
 
     # Intra-query sharding (``shards > 1`` routes supported k-NN specs
     # through the resident shared-memory ShardedDatabase engine; answers
@@ -142,11 +136,6 @@ class ServiceConfig:
             )
         if self.k_default < 1:
             raise ValueError("k_default must be at least 1")
-        if self.edr_kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown edr_kernel {self.edr_kernel!r}; choose from "
-                f"{', '.join(KERNEL_CHOICES)}"
-            )
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
         if self.shard_workers is not None and self.shard_workers < 1:

@@ -202,7 +202,6 @@ class QueryEngine:
             self.chain(spec),
             early_abandon=self.config.early_abandon,
             refine_batch_size=self.config.refine_batch_size,
-            edr_kernel=self.config.edr_kernel,
         )
         self.metrics.record_search_stats([stats])
         return {
@@ -275,7 +274,6 @@ class QueryEngine:
             engine=self.config.engine,
             early_abandon=self.config.early_abandon,
             refine_batch_size=self.config.refine_batch_size,
-            edr_kernel=self.config.edr_kernel,
             **window,
         )
         self.metrics.record_search_stats(
@@ -408,9 +406,6 @@ class TrajectoryService:
             per_axis="histogram-1d" in spec,
             references=50 if "nti" in spec else 0,
             workers=self.config.matrix_workers,
-            # "auto" autotunes the refine kernel table now, off the
-            # request path (fixed kernels need no timing at all).
-            kernels=self.config.edr_kernel == "auto",
         )
 
     @property
@@ -675,9 +670,7 @@ class TrajectoryService:
             "max_length": self.database.max_length,
         }
         snapshot["config"] = self.config.public()
-        snapshot["kernels"] = kernel_report(
-            self.database, self.config.edr_kernel
-        )
+        snapshot["kernels"] = kernel_report()
         snapshot.setdefault("replicas", {})["enabled"] = (
             self._fleet is not None
         )
@@ -858,7 +851,7 @@ class TrajectoryService:
         :meth:`QueryEngine.execute` answers.
         """
         config = self.config
-        refine = (config.early_abandon, config.refine_batch_size, config.edr_kernel)
+        refine = (config.early_abandon, config.refine_batch_size)
         if op == "distance":
             return self._parse_distance(request)
         query = self._trajectory(request, "query")

@@ -25,7 +25,6 @@ import errno
 import json
 import signal
 import threading
-from functools import partial
 from typing import Optional
 
 from ..core.database import TrajectoryDatabase

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Trajectory, edr
-from repro.core.alignment import EditOperation, edr_alignment, subtrajectory_edr
+from repro import edr
+from repro.core.alignment import edr_alignment, subtrajectory_edr
 
 
 def trajectory_strategy(max_length=10, ndim=2, min_size=0):

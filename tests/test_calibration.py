@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Trajectory
-from repro.eval.calibration import CalibrationResult, calibrate_epsilon
+from repro.eval.calibration import calibrate_epsilon
 
 
 def clustered_set(seed=0, classes=4, per_class=5, scale=5.0, jitter=0.05):

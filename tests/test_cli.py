@@ -47,13 +47,6 @@ class TestParser:
             "command", "handler", "file", "epsilon"
         }
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["knn", "x.npz"], ["knn-batch", "x.npz"], ["range", "x.npz", "--radius", "1"]],
-    )
-    def test_query_commands_default_to_the_fixed_kernel(self, argv):
-        assert build_parser().parse_args(argv).edr_kernel == "bitparallel"
-
 
 class TestGenerate:
     @pytest.mark.parametrize("kind", ["random-walk", "asl", "cameramouse"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval.clustering import complete_linkage
-from repro.eval.dendrogram import Merge, cut_tree, linkage_tree, render_dendrogram
+from repro.eval.dendrogram import cut_tree, linkage_tree, render_dendrogram
 
 
 def block_matrix():

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ShardedDatabase, Trajectory, TrajectoryDatabase, subknn_search
-from repro.core import kernels
+from repro import Trajectory, TrajectoryDatabase, subknn_search
 from repro.core.batch import warm_pruners
 from repro.core.edr_bitparallel import edr_many_bitparallel
 from repro.core.subtrajectory import FREE_START_STAGE, resolve_window_range
@@ -216,36 +215,3 @@ def test_the_filter_halves_the_priced_candidates():
         filtered += stats.true_distance_computations
         unfiltered += computed
     assert filtered * 2 <= unfiltered, (filtered, unfiltered)
-
-
-class TestKernelKnobRunsNoRace:
-    """The window paths validate ``edr_kernel`` without resolving a plan."""
-
-    def _no_race(self, monkeypatch):
-        def race(*args, **kwargs):
-            raise AssertionError("the window path ran the autotune race")
-
-        monkeypatch.setattr(kernels, "autotune_kernels", race)
-        monkeypatch.delenv(kernels.FORCE_ENV, raising=False)
-
-    def test_serial_and_sharded(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        database = TrajectoryDatabase(random_walk_trajectories(rng, 10, 6, 20), 0.5)
-        query = database.trajectories[4]
-        with ShardedDatabase(database, 2, specs=["qgram"], mode="inline") as sharded:
-            self._no_race(monkeypatch)
-            want, _ = subknn_search(database, query, 3, edr_kernel="auto")
-            got, _ = sharded.subknn_search(query, 3, spec="qgram", edr_kernel="auto")
-            assert window_answers(got) == window_answers(want)
-            for engine in (
-                lambda kernel: subknn_search(database, query, 3, edr_kernel=kernel),
-                lambda kernel: sharded.subknn_search(query, 3, edr_kernel=kernel),
-            ):
-                with pytest.raises(ValueError, match="unknown EDR kernel"):
-                    engine("fastest")
-                monkeypatch.setenv(kernels.FORCE_ENV, "batched")
-                engine("fastest")  # the override wins over the knob
-                monkeypatch.setenv(kernels.FORCE_ENV, "turbo")
-                with pytest.raises(ValueError, match=kernels.FORCE_ENV):
-                    engine("auto")
-                monkeypatch.delenv(kernels.FORCE_ENV)

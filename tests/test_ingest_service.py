@@ -76,7 +76,6 @@ def server(root, shards):
         port=0,
         ingest_root=str(root.root),
         pruners=SPEC,
-        edr_kernel="batched",
         cache_size=64,
         max_batch=4,
         max_delay_ms=2.0,

@@ -1,11 +1,11 @@
-"""Kernel selection: autotuner determinism, routing, and byte-equality.
+"""Refine kernels: name resolution and byte-equality.
 
 The load-bearing invariant of the whole kernel subsystem: answers AND
 pruner counters are a pure function of the query — every kernel choice,
 shard count, and batch size produces byte-identical results.  These
 tests pin that across the serial, sorted, range, and sharded engines,
-plus the autotuner's determinism contract (seeded samples, injectable
-clock, no wall-clock under ``REPRO_KERNEL_FORCE``).
+and that every entry taking ``edr_kernel`` accepts only the kernel
+names.
 """
 
 import json
@@ -13,18 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from repro import Trajectory, TrajectoryDatabase
+from repro import Trajectory, TrajectoryDatabase, knn_batch
 from repro.core.edr_batch import edr_many
 from repro.core.kernels import (
     DEFAULT_KERNEL,
-    FORCE_ENV,
     KERNEL_CHOICES,
-    LEGACY_KERNEL,
-    KernelSelection,
-    autotune_kernels,
+    check_kernel_choice,
     kernel_report,
-    length_bucket,
-    resolve_kernel_plan,
     run_kernel,
 )
 from repro.core.rangequery import range_scan, range_search
@@ -36,6 +31,9 @@ from repro.core.search import (
     knn_search,
     knn_sorted_search,
 )
+from repro.core.sharding import ShardedDatabase
+from repro.core.subtrajectory import subknn_search
+from repro.storage.tiered import TieredDatabase, build_store
 from tests.conftest import random_walk_trajectories
 
 
@@ -79,189 +77,145 @@ class TestRunKernel:
             run_kernel("simd", np.zeros((2, 2)), [np.zeros((2, 2))], 0.5)
 
 
-class TestAutotuner:
-    def test_deterministic_under_injected_clock(self, workload):
-        database, _ = workload
-        ticks = iter(range(10_000))
-
-        def fake_clock():
-            return float(next(ticks))
-
-        first = autotune_kernels(database, time_fn=fake_clock)
-        ticks = iter(range(10_000))
-        second = autotune_kernels(database, time_fn=fake_clock)
-        assert first.table == second.table
-        assert first.default == second.default
-        # Every bucket present in the database is tuned.
-        want_buckets = {length_bucket(int(n)) for n in database.lengths}
-        assert set(first.table) == want_buckets
-        assert all(kernel in ("scalar", "batched", "bitparallel")
-                   for kernel in first.table.values())
-
-    def test_equal_timings_break_toward_legacy(self, workload):
-        database, _ = workload
-        selection = autotune_kernels(database, time_fn=lambda: 0.0)
-        assert all(kernel == LEGACY_KERNEL for kernel in selection.table.values())
-        assert selection.default == LEGACY_KERNEL
-
-    @staticmethod
-    def _scripted_race(monkeypatch, costs, slowdown_after=None):
-        """Drive the autotuner with a fake clock: each kernel call takes
-        ``costs[kernel]`` (``(first, later)``) fake seconds, tripled from
-        call number ``slowdown_after`` on.  Returns the calls made."""
-        from repro.core import kernels
-
-        now = [0.0]
-        calls = []
-
-        def fake_run(kernel, *args, **kwargs):
-            first, later = costs[kernel]
-            cost = first if kernel not in calls else later
-            if slowdown_after is not None and len(calls) >= slowdown_after:
-                cost *= 3.0
-            calls.append(kernel)
-            now[0] += cost
-
-        monkeypatch.setattr(kernels, "run_kernel", fake_run)
-        return calls, lambda: now[0]
-
-    def test_first_call_cost_does_not_decide(self, monkeypatch):
-        database = TrajectoryDatabase(
-            [Trajectory(np.zeros((20, 2))) for _ in range(4)], epsilon=0.5
-        )
-        costs = {"batched": (1.0, 1.0), "bitparallel": (50.0, 0.9)}
-        calls, clock = self._scripted_race(monkeypatch, costs)
-        selection = autotune_kernels(
-            database, trials=1, kernels=("batched", "bitparallel"), time_fn=clock
-        )
-        assert set(selection.table.values()) == {"bitparallel"}
-
-    def test_trials_round_robin_through_a_slowdown(self, monkeypatch):
-        # The host slows 3x after the warm-up calls and the first round:
-        # racing each kernel's trials back to back would time batched fast
-        # and bitparallel slow, and pick the wrong kernel.
-        database = TrajectoryDatabase(
-            [Trajectory(np.zeros((20, 2))) for _ in range(4)], epsilon=0.5
-        )
-        costs = {"batched": (1.0, 1.0), "bitparallel": (0.9, 0.9)}
-        calls, clock = self._scripted_race(monkeypatch, costs, slowdown_after=4)
-        selection = autotune_kernels(
-            database, trials=5, kernels=("batched", "bitparallel"), time_fn=clock
-        )
-        assert selection.table == {length_bucket(20): "bitparallel"}
-        assert calls[:4] == ["batched", "bitparallel"] * 2
-
-    def test_hopeless_kernel_sits_out_later_rounds(self, monkeypatch):
-        database = TrajectoryDatabase(
-            [Trajectory(np.zeros((20, 2))) for _ in range(4)], epsilon=0.5
-        )
-        costs = {
-            "scalar": (10.0, 10.0),
-            "batched": (1.0, 1.0),
-            "bitparallel": (1.1, 1.1),
-        }
-        calls, clock = self._scripted_race(monkeypatch, costs)
-        selection = autotune_kernels(database, trials=5, time_fn=clock)
-        assert selection.table == {length_bucket(20): "batched"}
-        # Warm-up plus one timed round for scalar; all five for the rest.
-        assert calls.count("scalar") == 2
-        assert calls.count("batched") == calls.count("bitparallel") == 6
-
-    def test_validates_arguments(self, workload):
-        database, _ = workload
-        with pytest.raises(ValueError):
-            autotune_kernels(database, trials=0)
-        with pytest.raises(ValueError):
-            autotune_kernels(database, sample=0)
-        with pytest.raises(ValueError):
-            autotune_kernels(database, kernels=("auto",))
-
-    def test_selection_json_round_trip(self, workload):
-        database, _ = workload
-        selection = autotune_kernels(database, time_fn=lambda: 0.0)
-        copy = KernelSelection.from_json(selection.to_json())
-        assert copy.table == selection.table
-        assert copy.default == selection.default
-        assert copy.trials == selection.trials
-
-
 class TestResolution:
     def test_none_is_bitparallel(self):
-        plan = resolve_kernel_plan(None, None)
-        assert plan.default == DEFAULT_KERNEL == "bitparallel"
-        assert not plan.table and plan.source == "fixed"
+        assert check_kernel_choice(None) == DEFAULT_KERNEL == "bitparallel"
 
     def test_fixed_names(self):
         for kernel in ("scalar", "batched", "bitparallel"):
-            plan = resolve_kernel_plan(None, kernel)
-            assert plan.default == kernel and plan.source == "fixed"
+            assert check_kernel_choice(kernel) == kernel
 
     def test_invalid_name_raises(self):
         with pytest.raises(ValueError):
-            resolve_kernel_plan(None, "gpu")
+            check_kernel_choice("gpu")
 
-    def test_auto_without_database_is_legacy(self):
-        plan = resolve_kernel_plan(None, "auto")
-        assert plan.default == LEGACY_KERNEL
-
-    def test_auto_uses_cached_selection(self, workload):
-        database, _ = workload
-        plan = resolve_kernel_plan(database, "auto")
-        assert plan.requested == "auto"
-        assert set(plan.table) == {
-            length_bucket(int(n)) for n in database.lengths
-        }
-        # Second resolution reuses the cached table (no re-tune).
-        again = resolve_kernel_plan(database, "auto")
-        assert again.table == plan.table
-
-    def test_force_env_overrides_everything(self, workload, monkeypatch):
-        database, _ = workload
-        monkeypatch.setenv(FORCE_ENV, "bitparallel")
-        plan = resolve_kernel_plan(database, "auto")
-        assert plan.source == "forced"
-        assert plan.default == "bitparallel" and not plan.table
-        plan = resolve_kernel_plan(database, "scalar")
-        assert plan.default == "bitparallel"
-
-    def test_force_env_rejects_invalid(self, monkeypatch):
-        monkeypatch.setenv(FORCE_ENV, "auto")
-        with pytest.raises(ValueError, match=FORCE_ENV):
-            resolve_kernel_plan(None, None)
-
-    def test_kernel_report_shape(self, workload):
-        database, _ = workload
-        report = kernel_report(database, "auto")
-        assert report["requested"] == "auto"
+    def test_kernel_report_shape(self):
+        report = kernel_report()
+        assert report["kernel"] == DEFAULT_KERNEL
         assert report["choices"] == list(KERNEL_CHOICES)
-        assert set(report["table"]) == {
-            str(length_bucket(int(n))) for n in database.lengths
-        }
+        assert report["table"] == {}  # the key perfbench/serve.py reads
         json.dumps(report)  # must be JSON-serializable for /stats
 
 
+@pytest.fixture(scope="module")
+def entries(workload, tmp_path_factory):
+    """Every entry that takes ``edr_kernel``, as ``kernel -> result``."""
+    database, queries = workload
+    query = queries[0]
+    chain = [HistogramPruner(database), QgramMergeJoinPruner(database, q=1)]
+    store = tmp_path_factory.mktemp("kernel-names") / "store"
+    build_store(database.trajectories, store, database.epsilon, summary_block=8)
+    tiered = TieredDatabase.open(store)
+    sharded = ShardedDatabase(database, 2, specs=["histogram,qgram"], mode="inline")
+    tiered_chain = [
+        HistogramPruner(tiered.database),
+        QgramMergeJoinPruner(tiered.database, q=1),
+    ]
+    yield {
+        "knn_scan": lambda kernel: knn_scan(database, query, 3, edr_kernel=kernel),
+        "knn_search": lambda kernel: knn_search(
+            database, query, 3, chain, edr_kernel=kernel
+        ),
+        "knn_sorted_search": lambda kernel: knn_sorted_search(
+            database, query, 3, chain[0], chain[1:], edr_kernel=kernel
+        ),
+        "range_search": lambda kernel: range_search(
+            database, query, 8.0, chain, edr_kernel=kernel
+        ),
+        "subknn_search": lambda kernel: subknn_search(
+            database, query, 3, chain, edr_kernel=kernel
+        ),
+        "knn_batch": lambda kernel: knn_batch(
+            database, [query], 3, chain, executor="serial", edr_kernel=kernel
+        ),
+        "tiered knn_sorted_search": lambda kernel: tiered.knn_sorted_search(
+            query, 3, tiered_chain[0], tiered_chain[1:], edr_kernel=kernel
+        ),
+        "sharded knn": lambda kernel: sharded.knn_search(query, 3, edr_kernel=kernel),
+        "sharded range": lambda kernel: sharded.range_search(
+            query, 8.0, edr_kernel=kernel
+        ),
+        "sharded subknn": lambda kernel: sharded.subknn_search(
+            query, 3, edr_kernel=kernel
+        ),
+    }
+    sharded.close()
+    tiered.close()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "knn_scan", "knn_search", "knn_sorted_search", "range_search",
+        "subknn_search", "knn_batch", "tiered knn_sorted_search",
+        "sharded knn", "sharded range", "sharded subknn",
+    ],
+)
+def test_every_entry_accepts_only_kernel_names(entries, entry):
+    run = entries[entry]
+    for kernel in ("auto", "simd"):
+        with pytest.raises(ValueError, match="unknown EDR kernel"):
+            run(kernel)
+    run("batched")  # a kernel name runs
+
+
+def _manifest(path):
+    with np.load(path, allow_pickle=False) as archive:
+        return json.loads(str(archive["manifest"]))
+
+
 class TestDatabaseIntegration:
-    def test_warm_builds_and_save_load_round_trips(self, tmp_path):
-        rng = np.random.default_rng(13)
-        trajectories = random_walk_trajectories(rng, 25, 5, 30)
-        database = TrajectoryDatabase(trajectories, epsilon=0.4)
-        report = database.warm(kernels=True)
-        assert "kernel_selection" in report
-        selection = database.kernel_selection()
-        database.save(tmp_path / "db.npz")
-        loaded = TrajectoryDatabase.load(tmp_path / "db.npz")
-        restored = loaded.kernel_selection()
-        assert restored.table == selection.table
-        assert restored.default == selection.default
-        assert restored.source == "loaded"
+    #: The "kernels" manifest entry that ``save`` wrote after
+    #: ``warm(kernels=True)`` while kernels were autotuned per bucket.
+    OLD_KERNELS_ENTRY = {
+        "table": {"3": "batched", "4": "bitparallel", "5": "bitparallel"},
+        "default": "bitparallel",
+        "throughput": {
+            "scalar": 589749.9254007201,
+            "batched": 1557529.4285216387,
+            "bitparallel": 1615361.1751809213,
+        },
+        "trials": 5,
+        "source": "autotune",
+    }
+
+    @staticmethod
+    def _answers(database, query):
+        pruners = [HistogramPruner(database), QgramMergeJoinPruner(database, q=1)]
+        neighbors, stats = knn_search(database, query, 4, pruners)
+        return _answer_key(neighbors), _stats_key(stats)
 
     def test_load_without_kernels_is_backward_compatible(self, tmp_path):
         rng = np.random.default_rng(14)
         trajectories = random_walk_trajectories(rng, 10, 5, 20)
         database = TrajectoryDatabase(trajectories, epsilon=0.4)
-        database.save(tmp_path / "db.npz")  # never tuned: manifest has no table
+        database.save(tmp_path / "db.npz")
+        assert "kernels" not in _manifest(tmp_path / "db.npz")
         loaded = TrajectoryDatabase.load(tmp_path / "db.npz")
-        assert loaded._kernel_selection is None
+        assert self._answers(loaded, trajectories[2]) == self._answers(
+            database, trajectories[2]
+        )
+
+    def test_archive_with_a_kernel_table_loads_and_drops_it(self, tmp_path):
+        rng = np.random.default_rng(14)
+        trajectories = random_walk_trajectories(rng, 10, 5, 20)
+        database = TrajectoryDatabase(trajectories, epsilon=0.4)
+        database.warm()
+        old = tmp_path / "old.npz"
+        database.save(old)
+        with np.load(old, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        manifest = json.loads(str(arrays["manifest"]))
+        manifest["kernels"] = self.OLD_KERNELS_ENTRY
+        arrays["manifest"] = np.array(json.dumps(manifest))
+        np.savez_compressed(old, **arrays)
+
+        loaded = TrajectoryDatabase.load(old, warm=True)
+        fresh = TrajectoryDatabase(trajectories, epsilon=0.4)
+        for query in (trajectories[2], trajectories[7]):
+            assert self._answers(loaded, query) == self._answers(fresh, query)
+        loaded.save(tmp_path / "resaved.npz")
+        assert "kernels" not in _manifest(tmp_path / "resaved.npz")
 
 
 class TestEngineByteEquality:
@@ -409,17 +363,6 @@ class TestShardedByteEquality:
                 )
                 baseline = baseline or key
                 assert key == baseline, kernel
-
-
-class TestServiceConfig:
-    def test_accepts_choices_and_rejects_garbage(self):
-        from repro.service.config import ServiceConfig
-
-        for kernel in KERNEL_CHOICES:
-            config = ServiceConfig(edr_kernel=kernel).validated()
-            assert config.public()["edr_kernel"] == kernel
-        with pytest.raises(ValueError, match="edr_kernel"):
-            ServiceConfig(edr_kernel="simd").validated()
 
 
 class TestEdrManyCompactionFix:

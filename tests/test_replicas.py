@@ -33,7 +33,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.metrics import summarize_samples
-from repro.service.pruning import build_pruners, canonical_pruner_spec
+from repro.service.pruning import build_pruners
 from repro.service.replicas import (
     FLEET_COUNTER_BY_KIND,
     _signature_hash,
@@ -212,16 +212,14 @@ def _tiny_database(seed=7, count=40, reverse=False):
 def _oracle_knn(database, query, k, spec=SPEC):
     chain = build_pruners(database, spec)
     warm_pruners(chain, database.trajectories[0])
-    neighbors, _ = knn_search(database, query, k, chain, edr_kernel="auto")
+    neighbors, _ = knn_search(database, query, k, chain)
     return payload_answers(neighbors)
 
 
 def _oracle_range(database, query, radius, spec=SPEC):
     chain = build_pruners(database, spec)
     warm_pruners(chain, database.trajectories[0])
-    results, _ = range_search(
-        database, query, radius, chain, edr_kernel="auto"
-    )
+    results, _ = range_search(database, query, radius, chain)
     return payload_answers(results)
 
 

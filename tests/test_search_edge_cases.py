@@ -1,7 +1,6 @@
 """Edge-case tests for the search engines."""
 
 import numpy as np
-import pytest
 
 from repro import (
     HistogramPruner,

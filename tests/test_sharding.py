@@ -170,25 +170,6 @@ class TestInlineExactness:
             )
             assert _answers(got) == _answers(want)
 
-    @pytest.mark.parametrize("policy", ["always", "never"])
-    def test_exact_stage_policy_is_pure_scheduling(
-        self, workload, inline_engines, policy
-    ):
-        database, queries = workload
-        with ShardedDatabase(
-            database,
-            3,
-            specs=["histogram,qgram"],
-            mode="inline",
-            exact_stage=policy,
-        ) as engine:
-            for query in queries:
-                got, _ = engine.knn_search(query, 5, spec="histogram,qgram")
-                want, _ = inline_engines[3].knn_search(
-                    query, 5, spec="histogram,qgram"
-                )
-                assert _answers(got) == _answers(want)
-
     def test_range_radius_must_be_non_negative(self, workload, inline_engines):
         _, queries = workload
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from repro import (
     subknn_search,
 )
 from repro.core.subtrajectory import (
-    DEFAULT_WINDOW_ALPHA,
     WINDOW_KERNEL,
     WindowMatch,
     edr_windows,
