@@ -238,9 +238,11 @@ SECTIONS = [
         "(`max_batch=1`) versus on, with served `/knn` answers "
         "oracle-asserted equal to direct `knn_search`.  The `skewed` "
         "workload (Zipf-weighted hot queries, the result cache disabled) "
-        "shows in-window duplicate coalescing; the `distinct` workload "
-        "isolates pure batch dispatch, which on a single-core host is "
-        "expected to be near 1x.  Generated by "
+        "shows duplicates coalescing onto a queued or computing query; "
+        "the `distinct` workload isolates pure batch dispatch, which is "
+        "expected to be near 1x.  The batcher dispatches at once when "
+        "idle and batches only what queues while a batch computes.  "
+        "Generated by "
         "`python benchmarks/bench_service.py` (also writes "
         "`BENCH_service.json`).",
     ),

@@ -52,7 +52,7 @@ def _payload(neighbors) -> list:
 def smoke_round_trip(database: TrajectoryDatabase, port: int = 0) -> None:
     pruners = build_pruners(database, "histogram,qgram")
     warm_pruners(pruners, database.trajectories[0])
-    config = ServiceConfig(port=port, max_batch=4, max_delay_ms=2.0)
+    config = ServiceConfig(port=port, max_batch=4)
     with ServerHandle.start(database, config) as handle:
         with ServiceClient(handle.host, handle.port) as client:
             health = client.healthz()

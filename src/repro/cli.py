@@ -656,7 +656,6 @@ SERVE_CONFIG_FIELDS = {
     "engine": "engine",
     "k": "k_default",
     "max_batch": "max_batch",
-    "max_delay_ms": "max_delay_ms",
     "cache_size": "cache_size",
     "queue_limit": "queue_limit",
     "request_timeout": "request_timeout_s",
@@ -906,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--engine", choices=BATCH_ENGINES)
     serve.add_argument("--k", type=int, help="default k for /knn")
     serve.add_argument("--max-batch", type=int)
-    serve.add_argument("--max-delay-ms", type=float)
     serve.add_argument("--cache-size", type=int)
     serve.add_argument("--queue-limit", type=int)
     serve.add_argument("--request-timeout", type=float)

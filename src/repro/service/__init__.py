@@ -8,10 +8,10 @@ resident and serves k-NN / range / distance queries over a small
 stdlib-only HTTP/JSON protocol:
 
 * :mod:`~repro.service.config` — :class:`ServiceConfig`, every knob.
-* :mod:`~repro.service.batcher` — the micro-batcher: concurrent k-NN
-  requests are collected for a short window and dispatched through
-  :func:`repro.knn_batch`, with duplicate in-window queries coalesced
-  into one computation.
+* :mod:`~repro.service.batcher` — the micro-batcher: a k-NN request
+  to an idle batcher is dispatched at once, requests that arrive while
+  a batch computes go out together through :func:`repro.knn_batch`,
+  and duplicates of a queued or computing query share one computation.
 * :mod:`~repro.service.cache` — LRU result cache with hit/miss
   accounting.
 * :mod:`~repro.service.metrics` — request counters, latency percentiles

@@ -1,28 +1,32 @@
-"""Micro-batching of concurrent k-NN requests.
+"""Dispatch-when-idle batching of concurrent k-NN requests.
 
 The point of serving from one resident database is amortization; the
-micro-batcher adds the per-request half of it.  Concurrent requests with
-the same search parameters (one *group* per parameter signature) are
-collected for a short window — until ``max_batch`` distinct queries are
-pending or ``max_delay`` has elapsed since the group opened — and then
-dispatched as a single :func:`repro.knn_batch` call on the dispatch
-executor, so the vectorized bulk-bound and batched-EDR kernels run once
-per batch instead of once per request.
+batcher adds the per-request half of it without ever holding a request
+back.  Requests with the same search parameters (one *group* per
+parameter signature, the ``key``) share batches:
 
-Two things fall out of the window for free:
+* **Dispatch when idle** — a submission that arrives while no batch is
+  outstanding is dispatched at once, as a batch of one, on the dispatch
+  executor.  There is no timer: an idle server never waits.
+* **Batch what queued while busy** — submissions that arrive while a
+  batch computes queue per key.  When the outstanding work finishes they
+  go out as one :func:`repro.knn_batch` call per key, in arrival order,
+  so the vectorized bulk-bound and batched-EDR kernels run once per
+  batch.  A key whose queue reaches ``max_batch`` distinct queries goes
+  out at once.  A closed-loop client population therefore
+  self-organizes into full batches exactly when the engine is the
+  bottleneck, and into batches of one when it is not.
+* **Single flight** — a request whose query digest matches one already
+  queued *or already computing* attaches to that future and is answered
+  by the same computation.  Under skewed (hot-query) traffic this is the
+  dominant saving; the LRU cache catches repeats after an answer lands,
+  the batcher catches them while it is still being computed.  Attached
+  duplicates count as ``coalesced`` in the batch meta and in
+  ``/stats`` ``batcher``.
 
-* **Duplicate coalescing** — requests whose query digest matches one
-  already pending in the window attach to the same future and are
-  answered by the same single computation.  Under skewed (hot-query)
-  traffic this is the dominant saving; the LRU cache catches repeats
-  *across* windows, the batcher catches them *within* one.
-* **Backpressure shaping** — while a batch computes, the next window
-  fills; a closed-loop client population therefore self-organizes into
-  full batches without any explicit coordination.
-
-``max_batch=1`` disables both: every request dispatches alone the
-moment it arrives.  That configuration is the baseline the
-``bench-serve`` harness measures against.
+``max_batch=1`` disables batching and coalescing: every request
+dispatches alone the moment it arrives.  That configuration is the
+baseline the ``bench-serve`` harness measures against.
 
 The batcher is event-loop-confined: every method except the executor-run
 batch body must be called from the loop thread.  Waiters are handed
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import Executor
+from functools import partial
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 __all__ = ["MicroBatcher"]
@@ -42,16 +47,15 @@ BatchRunner = Callable[[List[object]], Sequence[object]]
 
 
 class _Group:
-    """One open batching window: the pending distinct queries of a key."""
+    """The distinct queries of one key, queued or computing as a batch."""
 
-    __slots__ = ("runner", "order", "futures", "submitted", "timer")
+    __slots__ = ("runner", "order", "futures", "submitted")
 
     def __init__(self, runner: BatchRunner) -> None:
         self.runner = runner
         self.order: List[Tuple[Hashable, object]] = []  # (digest, payload)
         self.futures: Dict[Hashable, asyncio.Future] = {}
         self.submitted = 0
-        self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class MicroBatcher:
@@ -59,20 +63,19 @@ class MicroBatcher:
         self,
         *,
         max_batch: int,
-        max_delay: float,
         executor: Executor,
         on_batch: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_delay < 0.0:
-            raise ValueError("max_delay must be non-negative")
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self._executor = executor
         self._on_batch = on_batch
-        self._groups: Dict[Hashable, _Group] = {}
-        self._outstanding: "set[asyncio.Future]" = set()
+        self._queued: Dict[Hashable, _Group] = {}
+        # Single-flight map: (key, digest) -> the computing batch.  Left
+        # empty when max_batch is 1, which never coalesces.
+        self._computing: Dict[Tuple[Hashable, Hashable], _Group] = {}
+        self._outstanding: Dict[asyncio.Future, _Group] = {}
 
     # ------------------------------------------------------------------
     # Submission
@@ -84,7 +87,7 @@ class MicroBatcher:
         payload: object,
         runner: BatchRunner,
     ) -> Tuple[object, dict]:
-        """Enqueue one request; resolves to ``(result, batch_meta)``.
+        """Serve one request; resolves to ``(result, batch_meta)``.
 
         ``key`` groups requests that may legally share one batch (same
         k, pruners, engine...); ``digest`` identifies the query content
@@ -94,96 +97,94 @@ class MicroBatcher:
         payload; all submissions for a key must pass an equivalent
         runner.
         """
-        loop = asyncio.get_running_loop()
-        group = self._groups.get(key)
+        group = self._computing.get((key, digest))
         if group is None:
-            group = self._groups[key] = _Group(runner)
-            if self.max_batch > 1:
-                group.timer = loop.call_later(
-                    self.max_delay, self._flush, key
-                )
+            group = self._queued.get(key)
+            if group is None:
+                group = self._queued[key] = _Group(runner)
         group.submitted += 1
         future = group.futures.get(digest)
         if future is None:
-            future = loop.create_future()
+            future = asyncio.get_running_loop().create_future()
             group.futures[digest] = future
             group.order.append((digest, payload))
-            if len(group.order) >= self.max_batch:
-                self._flush(key)
+            if not self._outstanding or len(group.order) >= self.max_batch:
+                self._dispatch(key)
         return await asyncio.shield(future)
 
     # ------------------------------------------------------------------
-    # Flushing
+    # Dispatch and delivery
     # ------------------------------------------------------------------
-    def _flush(self, key: Hashable) -> None:
-        group = self._groups.pop(key, None)
-        if group is None:
-            return
-        if group.timer is not None:
-            group.timer.cancel()
+    def _dispatch(self, key: Hashable) -> None:
+        group = self._queued.pop(key)
+        if self.max_batch > 1:
+            for digest in group.futures:
+                self._computing[key, digest] = group
         payloads = [payload for _, payload in group.order]
-        meta = {
-            "batch_size": len(payloads),
-            "submitted": group.submitted,
-            "coalesced": group.submitted - len(payloads),
-        }
-        if self._on_batch is not None:
-            self._on_batch(group.submitted, len(payloads))
         loop = asyncio.get_running_loop()
         work = loop.run_in_executor(self._executor, group.runner, payloads)
-        self._outstanding.add(work)
-        work.add_done_callback(
-            lambda done, group=group, meta=meta: self._deliver(group, meta, done)
-        )
+        self._outstanding[work] = group
+        work.add_done_callback(partial(self._deliver, key))
 
-    def _deliver(
-        self, group: _Group, meta: dict, work: asyncio.Future
-    ) -> None:
-        self._outstanding.discard(work)
+    def _dispatch_queued(self) -> None:
+        for key in list(self._queued):
+            self._dispatch(key)
+
+    def _deliver(self, key: Hashable, work: asyncio.Future) -> None:
+        group = self._outstanding.pop(work)
+        for digest in group.futures:
+            self._computing.pop((key, digest), None)
+        unique = len(group.order)
+        meta = {
+            "batch_size": unique,
+            "submitted": group.submitted,
+            "coalesced": group.submitted - unique,
+        }
+        if self._on_batch is not None:
+            self._on_batch(group.submitted, unique)
         try:
             results = work.result()
-            if len(results) != len(group.order):
+            if len(results) != unique:
                 raise RuntimeError(
                     f"batch runner returned {len(results)} results "
-                    f"for {len(group.order)} queries"
+                    f"for {unique} queries"
                 )
         except BaseException as error:  # delivered, not swallowed
-            for _, future in group.futures.items():
+            for future in group.futures.values():
                 if not future.done():
                     future.set_exception(error)
-            return
-        for (digest, _), result in zip(group.order, results):
-            future = group.futures[digest]
-            if not future.done():
-                future.set_result((result, meta))
+        else:
+            for (digest, _), result in zip(group.order, results):
+                future = group.futures[digest]
+                if not future.done():
+                    future.set_result((result, meta))
+        if not self._outstanding:
+            self._dispatch_queued()
 
     # ------------------------------------------------------------------
     # Drain
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Distinct queries waiting in open windows (not yet dispatched)."""
-        return sum(len(group.order) for group in self._groups.values())
+        """Distinct queries queued behind the outstanding batches."""
+        return sum(len(group.order) for group in self._queued.values())
 
     @property
     def outstanding(self) -> int:
         """Dispatched batches still computing."""
         return len(self._outstanding)
 
-    def flush_pending(self) -> None:
-        """Dispatch every open window now (used by graceful drain)."""
-        for key in list(self._groups):
-            self._flush(key)
-
     async def drain(self, timeout: Optional[float] = None) -> bool:
-        """Flush open windows and wait for dispatched batches to finish.
+        """Dispatch queued work and wait for every batch to finish.
 
         Returns True when everything completed within ``timeout``.
         """
-        self.flush_pending()
-        if not self._outstanding:
-            return True
-        done, pending = await asyncio.wait(
-            list(self._outstanding), timeout=timeout
-        )
-        return not pending
+        loop = asyncio.get_running_loop()
+        deadline = None if timeout is None else loop.time() + timeout
+        self._dispatch_queued()
+        while self._outstanding:
+            remaining = None if deadline is None else deadline - loop.time()
+            if remaining is not None and remaining <= 0.0:
+                return False
+            await asyncio.wait(list(self._outstanding), timeout=remaining)
+        return True

@@ -11,9 +11,9 @@ Methodology
 
   - ``skewed`` — clients draw from a pool of distinct queries under a
     Zipf law, the classic hot-query traffic shape.  This is where the
-    micro-batcher's in-window duplicate coalescing pays: one
-    computation answers every copy of a hot query that lands in the
-    same batch window.
+    micro-batcher's duplicate coalescing pays: one computation answers
+    every copy of a hot query that arrives while it is queued or
+    computing.
   - ``distinct`` — every request is a different query (no duplicates
     anywhere), isolating the pure batch-dispatch effect (amortized
     dispatch and, on multi-core hosts, ``knn_batch``'s thread-parallel
@@ -21,7 +21,7 @@ Methodology
 
 * The result cache is disabled by default (``--cache-size 0``) so the
   comparison isolates the batcher; caching helps both modes equally and
-  across-window repeats would otherwise mask it.
+  repeats after an answer lands would otherwise mask it.
 * Before timing, served ``/knn`` responses are asserted equal — ids,
   distances, tie order — to direct :func:`repro.knn_search` calls on
   the same database and parameters (a benchmark that compares different
@@ -72,7 +72,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--requests", type=int, default=8, help="requests per client per run"
     )
     parser.add_argument("--max-batch", type=int, default=16)
-    parser.add_argument("--max-delay-ms", type=float, default=25.0)
     parser.add_argument("--cache-size", type=int, default=0)
     parser.add_argument(
         "--pool", type=int, default=48, help="distinct queries in the skewed pool"
@@ -187,7 +186,6 @@ def _run_mode(
         engine="search",
         k_default=args.k,
         max_batch=max_batch,
-        max_delay_ms=args.max_delay_ms,
         cache_size=args.cache_size,
         queue_limit=4 * args.clients + 8,
         request_timeout_s=600.0,
@@ -319,7 +317,6 @@ def run(args: argparse.Namespace) -> dict:
             "pruners": args.pruners,
             "engine": "search",
             "k": args.k,
-            "max_delay_ms": args.max_delay_ms,
             "cache_size": args.cache_size,
             "clients": args.clients,
             "requests_per_client": args.requests,

@@ -36,12 +36,14 @@ class ServiceConfig:
 
     Micro-batching
     --------------
-    Concurrent k-NN requests are collected until ``max_batch`` distinct
-    queries are pending or ``max_delay_ms`` has passed since the first,
-    then dispatched as one :func:`repro.knn_batch` call.  ``max_batch=1``
-    disables batching (and with it duplicate coalescing): every request
-    dispatches alone, which is the baseline ``bench-serve`` measures
-    against.
+    A k-NN request that reaches an idle batcher is dispatched at once;
+    requests that arrive while a batch computes queue and go out as one
+    :func:`repro.knn_batch` call per parameter signature when it
+    finishes, or as soon as ``max_batch`` distinct queries are queued.
+    Duplicates of a queued or computing query share its computation.
+    ``max_batch=1`` disables batching (and with it duplicate
+    coalescing): every request dispatches alone, which is the baseline
+    ``bench-serve`` measures against.
 
     Admission control
     -----------------
@@ -109,7 +111,6 @@ class ServiceConfig:
 
     # Micro-batching
     max_batch: int = 16
-    max_delay_ms: float = 5.0
 
     # Result cache
     cache_size: int = 256
@@ -162,8 +163,6 @@ class ServiceConfig:
             raise ValueError("follow_poll_s must be positive")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.max_delay_ms < 0.0:
-            raise ValueError("max_delay_ms must be non-negative")
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
         if self.queue_limit < 1:
@@ -179,10 +178,6 @@ class ServiceConfig:
         if self.latency_window < 1:
             raise ValueError("latency_window must be at least 1")
         return self
-
-    @property
-    def max_delay_seconds(self) -> float:
-        return self.max_delay_ms / 1000.0
 
     def public(self) -> dict:
         """The configuration as echoed on ``/stats``."""

@@ -346,7 +346,6 @@ class TrajectoryService:
         )
         self.batcher = MicroBatcher(
             max_batch=config.max_batch,
-            max_delay=config.max_delay_seconds,
             executor=self._executor,
             on_batch=self.metrics.record_batch,
         )
@@ -712,8 +711,10 @@ class TrajectoryService:
         """Answer one query request: through the fleet, or on the engine.
 
         Locally, ``/knn`` and ``/subknn`` share the cached, micro-batched
-        path, ``/range`` is cached and runs alone, and ``/distance`` is
-        one direct computation with neither.
+        path: dispatched at once when the batcher is idle, batched with
+        whatever queued while it was busy, and coalesced onto a queued or
+        computing duplicate.  ``/range`` is cached and runs alone, and
+        ``/distance`` is one direct computation with neither.
         """
         signature, payload = self._parse(op, request)
         engine_name = {"knn": self.config.engine, "subknn": "subknn"}.get(op)

@@ -78,7 +78,6 @@ def server(root, shards):
         pruners=SPEC,
         cache_size=64,
         max_batch=4,
-        max_delay_ms=2.0,
         shards=shards,
     )
     with ServerHandle.start(None, config) as handle:

@@ -4,16 +4,22 @@
 (``vars(owner)[attr]``), so renaming or moving one of those names
 breaks every ``--trace 1`` benchmark run with a ``KeyError``.  This
 installs the full hook set, including the service layer, runs one
-blocked sorted k-NN on a tiered store under it, and undoes it.
+blocked sorted k-NN on a tiered store under it, and undoes it.  A
+second test serves one ``/knn`` under the hooks, so the benchmark's
+``service.batch_wait_ms`` (engine span start minus batch-submit span
+start, per request id) stays measurable.
 """
 
+import json
 import sys
+import urllib.request
 from pathlib import Path
 
 import numpy as np
 
-from repro import Trajectory
+from repro import Trajectory, TrajectoryDatabase
 from repro.core import search
+from repro.service import ServerHandle, ServiceConfig
 from repro.service.pruning import build_pruners
 from repro.storage.tiered import TieredDatabase, build_store
 
@@ -46,3 +52,33 @@ def test_hooks_install_record_and_undo(tmp_path):
     assert neighbors[0].index == 3
     names = {span.name for span in recorder.spans}
     assert {"histogram.bound", "search.knn"} <= names
+
+
+def test_served_knn_records_submit_then_engine_spans():
+    rng = np.random.default_rng(6)
+    database = TrajectoryDatabase(
+        [
+            Trajectory(np.cumsum(rng.normal(size=(int(rng.integers(10, 30)), 2)), axis=0))
+            for _ in range(40)
+        ],
+        epsilon=0.5,
+    )
+    recorder = Recorder()
+    undo = install(recorder, service=True)
+    try:
+        with ServerHandle.start(database, ServiceConfig(port=0)) as handle:
+            request = urllib.request.Request(
+                f"{handle.base_url}/knn?rid=7",
+                data=json.dumps({"query": 3, "k": 3}).encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                body = json.loads(response.read())
+    finally:
+        undo()
+    assert body["neighbors"][0]["index"] == 3
+    spans = [span for span in recorder.spans if span.request == 7]
+    submits = [span for span in spans if span.name == "service.batch_submit"]
+    engines = [span for span in spans if span.name == "search.knn"]
+    assert len(submits) == 1 and engines
+    assert submits[0].start <= engines[0].start <= submits[0].end

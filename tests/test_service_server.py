@@ -22,6 +22,7 @@ from repro import (
     knn_search,
     knn_sorted_search,
     range_search,
+    subknn_search,
 )
 from repro.core.batch import warm_pruners
 from repro.service import (
@@ -31,6 +32,8 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.pruning import build_pruners
+
+from .oracles import payload_windows
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +45,7 @@ def database(service_database):
 
 @pytest.fixture(scope="module")
 def server(database):
-    config = ServiceConfig(
-        port=0, max_batch=4, max_delay_ms=2.0, cache_size=32
-    )
+    config = ServiceConfig(port=0, max_batch=4, cache_size=32)
     with ServerHandle.start(database, config) as handle:
         yield handle
 
@@ -152,6 +153,110 @@ class TestExactness:
             assert served["neighbors"] == _direct_knn(
                 database, database.trajectories[index], 3
             )
+
+
+# ----------------------------------------------------------------------
+# Dispatch when idle: a lone request never waits for a batch to fill,
+# and duplicates of queued or computing queries compute once.
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def idle_server(database):
+    config = ServiceConfig(port=0, max_batch=16, cache_size=0)
+    with ServerHandle.start(database, config) as handle:
+        yield handle
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestDispatchWhenIdle:
+    def test_sequential_requests_dispatch_alone(self, database, idle_server):
+        pruners = build_pruners(database, "histogram,qgram")
+        warm_pruners(pruners, database.trajectories[0])
+        with ServiceClient(idle_server.host, idle_server.port) as client:
+            for index in (0, 7, 23):
+                query = database.trajectories[index]
+                knn = client.knn(query, k=5)
+                assert knn["neighbors"] == _direct_knn(database, query, 5)
+                subknn = client.subknn(query, k=3)
+                want, _ = subknn_search(database, query, 3, pruners)
+                assert subknn["matches"] == payload_windows(want)
+                for body in (knn, subknn):
+                    assert body["meta"]["batch_size"] == 1
+                    assert body["meta"]["coalesced"] == 0
+            batcher = client.stats()["batcher"]
+        assert batcher["batches"] == 6
+        assert batcher["max_batch_size"] == 1
+        assert batcher["coalesced"] == 0
+
+    def test_concurrent_duplicates_compute_once(
+        self, database, idle_server, monkeypatch
+    ):
+        service = idle_server.service
+        gate = threading.Event()
+        batches = []
+        by_points = {
+            database.trajectories[index].points.tobytes(): index
+            for index in (4, 9)
+        }
+        execute = service.engine.execute
+
+        def gated_execute(op, payloads):
+            batches.append(
+                [
+                    by_points[np.asarray(p["points"], dtype=float).tobytes()]
+                    for p in payloads
+                ]
+            )
+            gate.wait(timeout=30.0)
+            return execute(op, payloads)
+
+        monkeypatch.setattr(service.engine, "execute", gated_execute)
+        indices = [4, 4, 4, 9, 9, 9]
+        outcomes = [None] * len(indices)
+
+        def fetch(position):
+            with ServiceClient(idle_server.host, idle_server.port) as client:
+                outcomes[position] = client.knn(indices[position], k=3)
+
+        threads = [
+            threading.Thread(target=fetch, args=(position,))
+            for position in range(len(indices))
+        ]
+        try:
+            threads[0].start()
+            _wait_until(lambda: batches)  # the first 4 is computing
+            for thread in threads[1:]:
+                thread.start()
+            _wait_until(
+                lambda: service._inflight == len(indices)
+                and service.batcher.pending == 1
+            )
+            time.sleep(0.05)  # let the last duplicates attach
+        finally:
+            gate.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        # Each distinct query computed once: the 4s attached to the
+        # computing batch, the 9s queued behind it as one.
+        assert batches == [[4], [9]]
+        for index, body in zip(indices, outcomes):
+            assert body["neighbors"] == _direct_knn(
+                database, database.trajectories[index], 3
+            )
+            assert body["meta"] == outcomes[indices.index(index)]["meta"]
+        assert outcomes[0]["meta"]["coalesced"] == 2
+        assert outcomes[3]["meta"]["coalesced"] == 2
+        with ServiceClient(idle_server.host, idle_server.port) as client:
+            batcher = client.stats()["batcher"]
+        assert batcher["requests"] == 6
+        assert batcher["unique_computed"] == 2
+        assert batcher["coalesced"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +554,7 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_graceful_stop_completes_inflight_work(self, database):
-        config = ServiceConfig(port=0, max_batch=4, max_delay_ms=20.0)
+        config = ServiceConfig(port=0, max_batch=4)
         handle = ServerHandle.start(database, config)
         outcomes = []
 
@@ -476,9 +581,7 @@ class TestLifecycle:
         pools and all), not just the thread-pool dispatch, and the
         drained answer must equal the direct serial search.
         """
-        config = ServiceConfig(
-            port=0, shards=2, max_batch=1, cache_size=0, max_delay_ms=20.0
-        )
+        config = ServiceConfig(port=0, shards=2, max_batch=1, cache_size=0)
         handle = ServerHandle.start(database, config)
         outcomes = []
 

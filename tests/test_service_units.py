@@ -1,6 +1,9 @@
 """Unit tests for the service building blocks: cache, metrics, batcher."""
 
 import asyncio
+import inspect
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -136,13 +139,14 @@ class TestMetricsRegistry:
 class TestServiceConfig:
     def test_defaults_validate(self):
         config = ServiceConfig().validated()
-        assert config.max_delay_seconds == pytest.approx(0.005)
+        assert config.max_batch == 16
+        # The batcher never waits, so there is no delay knob to set.
+        assert not [name for name in config.public() if "delay" in name]
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("max_batch", 0),
-            ("max_delay_ms", -1.0),
             ("cache_size", -1),
             ("queue_limit", 0),
             ("request_timeout_s", 0.0),
@@ -175,146 +179,197 @@ def _run(coroutine):
     return asyncio.run(coroutine)
 
 
-class TestMicroBatcher:
-    def test_window_batches_concurrent_submissions(self):
-        calls = []
+class _GatedRunner:
+    """A batch runner that records each batch and blocks on ``gate``.
 
-        def runner(payloads):
-            calls.append(list(payloads))
-            return [payload * 10 for payload in payloads]
+    While it blocks, the batcher has a batch outstanding, so every
+    submission made meanwhile must queue (or attach to it).
+    """
+
+    def __init__(self, fail=False):
+        self.gate = threading.Event()
+        self.calls = []
+        self.fail = fail
+
+    def __call__(self, payloads):
+        self.calls.append(list(payloads))
+        if not self.gate.wait(timeout=10.0):
+            raise TimeoutError("gate never opened")
+        if self.fail:
+            raise RuntimeError("kaboom")
+        return [payload * 10 for payload in payloads]
+
+
+async def _submit_all(batcher, runner, submissions):
+    """Submit ``(key, digest, payload)`` triples in order, one task each,
+    letting each register before the next."""
+    tasks = []
+    for key, digest, payload in submissions:
+        tasks.append(
+            asyncio.create_task(batcher.submit(key, digest, payload, runner))
+        )
+        await asyncio.sleep(0)
+    return tasks
+
+
+async def _gated(runner, submissions, max_batch=8, on_batch=None, check=None):
+    """Run ``submissions`` while ``runner`` blocks on its first batch.
+
+    ``check(batcher)`` sees the batcher with that batch computing and
+    the rest queued; then the gate opens and every outcome is returned
+    (exceptions included), in submission order.
+    """
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        batcher = MicroBatcher(
+            max_batch=max_batch, executor=executor, on_batch=on_batch
+        )
+        try:
+            tasks = await _submit_all(batcher, runner, submissions)
+            if check is not None:
+                check(batcher)
+        finally:
+            runner.gate.set()
+        return await asyncio.gather(*tasks, return_exceptions=True)
+
+
+class TestMicroBatcher:
+    def test_lone_submission_dispatches_as_a_batch_of_one(self):
+        runner = _GatedRunner()
+        runner.gate.set()
 
         async def scenario():
             with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    max_batch=8, max_delay=0.05, executor=executor
+                batcher = MicroBatcher(max_batch=8, executor=executor)
+                return await asyncio.wait_for(
+                    batcher.submit("key", "a", 1, runner), timeout=5.0
                 )
-                results = await asyncio.gather(
-                    batcher.submit("key", "a", 1, runner),
-                    batcher.submit("key", "b", 2, runner),
-                    batcher.submit("key", "c", 3, runner),
-                )
-                return results
 
-        results = _run(scenario())
-        assert calls == [[1, 2, 3]]  # one dispatch, arrival order
-        values = [value for value, _ in results]
-        assert values == [10, 20, 30]
-        assert all(meta["batch_size"] == 3 for _, meta in results)
+        value, meta = _run(scenario())
+        assert runner.calls == [[1]]
+        assert value == 10
+        assert meta == {"batch_size": 1, "submitted": 1, "coalesced": 0}
+
+    def test_submissions_while_busy_share_the_next_batch(self):
+        runner = _GatedRunner()
+
+        def check(batcher):
+            assert batcher.outstanding == 1
+            assert batcher.pending == 3
+
+        outcomes = _run(
+            _gated(
+                runner,
+                [("key", "a", 1), ("key", "b", 2), ("key", "c", 3),
+                 ("key", "d", 4)],
+                check=check,
+            )
+        )
+        # The first went out alone; the rest queued behind it and went
+        # out together, in arrival order.
+        assert runner.calls == [[1], [2, 3, 4]]
+        assert [value for value, _ in outcomes] == [10, 20, 30, 40]
+        assert outcomes[0][1]["batch_size"] == 1
+        assert all(meta["batch_size"] == 3 for _, meta in outcomes[1:])
 
     def test_duplicate_digests_coalesce(self):
-        calls = []
-
-        def runner(payloads):
-            calls.append(list(payloads))
-            return [payload * 10 for payload in payloads]
-
-        async def scenario():
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    max_batch=8, max_delay=0.05, executor=executor
-                )
-                return await asyncio.gather(
-                    batcher.submit("key", "same", 7, runner),
-                    batcher.submit("key", "same", 7, runner),
-                    batcher.submit("key", "same", 7, runner),
-                    batcher.submit("key", "other", 1, runner),
-                )
-
-        results = _run(scenario())
-        assert calls == [[7, 1]]  # duplicates computed once
-        assert [value for value, _ in results] == [70, 70, 70, 10]
-        meta = results[0][1]
+        runner = _GatedRunner()
+        outcomes = _run(
+            _gated(
+                runner,
+                [("key", "first", 5), ("key", "same", 7), ("key", "same", 7),
+                 ("key", "same", 7), ("key", "other", 1)],
+            )
+        )
+        assert runner.calls == [[5], [7, 1]]  # queued duplicates computed once
+        assert [value for value, _ in outcomes] == [50, 70, 70, 70, 10]
+        meta = outcomes[1][1]
         assert meta["submitted"] == 4
         assert meta["coalesced"] == 2
 
-    def test_full_window_flushes_before_delay(self):
-        def runner(payloads):
-            return list(payloads)
+    def test_duplicate_of_a_computing_digest_attaches_to_it(self):
+        runner = _GatedRunner()
 
-        async def scenario():
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    max_batch=2, max_delay=30.0, executor=executor
-                )
-                return await asyncio.wait_for(
-                    asyncio.gather(
-                        batcher.submit("key", "a", 1, runner),
-                        batcher.submit("key", "b", 2, runner),
-                    ),
-                    timeout=5.0,
-                )
+        def check(batcher):
+            assert batcher.pending == 0  # nothing queued: it attached
 
-        results = _run(scenario())  # would hang for 30s if delay governed
-        assert [value for value, _ in results] == [1, 2]
+        outcomes = _run(
+            _gated(runner, [("key", "a", 1), ("key", "a", 1)], check=check)
+        )
+        assert runner.calls == [[1]]
+        assert [value for value, _ in outcomes] == [10, 10]
+        assert all(
+            meta == {"batch_size": 1, "submitted": 2, "coalesced": 1}
+            for _, meta in outcomes
+        )
+
+    def test_full_queue_dispatches_while_busy(self):
+        runner = _GatedRunner()
+
+        def check(batcher):
+            # b and c filled a max_batch=2 queue and went out at once,
+            # although the first batch is still computing.
+            assert batcher.outstanding == 2
+            assert batcher.pending == 0
+
+        outcomes = _run(
+            _gated(
+                runner,
+                [("key", "a", 1), ("key", "b", 2), ("key", "c", 3)],
+                max_batch=2,
+                check=check,
+            )
+        )
+        assert runner.calls == [[1], [2, 3]]
+        assert [value for value, _ in outcomes] == [10, 20, 30]
 
     def test_distinct_keys_never_share_a_batch(self):
-        calls = []
-
-        def runner(payloads):
-            calls.append(sorted(payloads))
-            return list(payloads)
-
-        async def scenario():
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    max_batch=8, max_delay=0.02, executor=executor
-                )
-                await asyncio.gather(
-                    batcher.submit(("k", 3), "a", 1, runner),
-                    batcher.submit(("k", 5), "a", 2, runner),
-                )
-
-        _run(scenario())
-        assert sorted(calls) == [[1], [2]]
+        runner = _GatedRunner()
+        outcomes = _run(
+            _gated(
+                runner,
+                [(("k", 1), "z", 9), (("k", 3), "a", 1), (("k", 5), "a", 2)],
+            )
+        )
+        assert runner.calls == [[9], [1], [2]]
+        assert [value for value, _ in outcomes] == [90, 10, 20]
 
     def test_max_batch_one_dispatches_immediately(self):
-        calls = []
+        runner = _GatedRunner()
 
-        def runner(payloads):
-            calls.append(list(payloads))
-            return list(payloads)
+        def check(batcher):
+            assert batcher.outstanding == 3
+            assert batcher.pending == 0
 
-        async def scenario():
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    max_batch=1, max_delay=30.0, executor=executor
-                )
-                await asyncio.gather(
-                    batcher.submit("key", "a", 1, runner),
-                    batcher.submit("key", "b", 2, runner),
-                )
-
-        _run(scenario())
-        assert calls in ([[1], [2]], [[2], [1]])
+        outcomes = _run(
+            _gated(
+                runner,
+                [("key", "a", 1), ("key", "a", 1), ("key", "b", 2)],
+                max_batch=1,
+                check=check,
+            )
+        )
+        # Neither batching nor coalescing: the duplicate computes again.
+        assert runner.calls == [[1], [1], [2]]
+        assert all(meta["coalesced"] == 0 for _, meta in outcomes)
 
     def test_runner_failure_reaches_every_waiter(self):
-        def runner(payloads):
-            raise RuntimeError("kaboom")
-
-        async def scenario():
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    max_batch=4, max_delay=0.01, executor=executor
-                )
-                return await asyncio.gather(
-                    batcher.submit("key", "a", 1, runner),
-                    batcher.submit("key", "a", 1, runner),
-                    return_exceptions=True,
-                )
-
-        outcomes = _run(scenario())
-        assert len(outcomes) == 2
+        runner = _GatedRunner(fail=True)
+        outcomes = _run(
+            _gated(runner, [("key", "a", 1), ("key", "a", 1), ("key", "b", 2)])
+        )
+        # The computing batch and the duplicate attached to it, and the
+        # batch queued behind it, all deliver the error.
+        assert runner.calls == [[1], [2]]
+        assert len(outcomes) == 3
         assert all(isinstance(out, RuntimeError) for out in outcomes)
 
     def test_wrong_result_count_is_an_error(self):
         def runner(payloads):
-            return [1]  # one short
+            return list(payloads)[1:]  # one short
 
         async def scenario():
             with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    max_batch=2, max_delay=0.01, executor=executor
-                )
+                batcher = MicroBatcher(max_batch=2, executor=executor)
                 return await asyncio.gather(
                     batcher.submit("key", "a", 1, runner),
                     batcher.submit("key", "b", 2, runner),
@@ -325,61 +380,159 @@ class TestMicroBatcher:
         assert all(isinstance(out, RuntimeError) for out in outcomes)
 
     def test_timeout_of_one_waiter_spares_the_batch(self):
-        started = []
+        runner = _GatedRunner()
+
+        async def scenario():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(max_batch=8, executor=executor)
+                try:
+                    impatient = asyncio.create_task(
+                        asyncio.wait_for(
+                            batcher.submit("key", "a", 1, runner),
+                            timeout=0.02,
+                        )
+                    )
+                    await asyncio.sleep(0)
+                    patient = asyncio.create_task(
+                        batcher.submit("key", "a", 1, runner)
+                    )
+                    with pytest.raises(asyncio.TimeoutError):
+                        await impatient
+                finally:
+                    runner.gate.set()
+                value, meta = await patient
+                return value, meta
+
+        value, meta = _run(scenario())
+        assert value == 10
+        # One uninterrupted computation answered the patient duplicate.
+        assert runner.calls == [[1]]
+        assert meta["coalesced"] == 1
+
+    def test_drain_dispatches_queued_work_and_waits(self):
+        runner = _GatedRunner()
+
+        async def scenario():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(max_batch=8, executor=executor)
+                try:
+                    tasks = await _submit_all(
+                        batcher, runner, [("key", "a", 1), ("key", "b", 2)]
+                    )
+                    assert (batcher.outstanding, batcher.pending) == (1, 1)
+                    # Bounded: a blocked batch makes drain report failure.
+                    assert not await batcher.drain(timeout=0.05)
+                    assert batcher.pending == 0  # the queue went out
+                finally:
+                    runner.gate.set()
+                assert await batcher.drain(timeout=5.0)
+                assert batcher.outstanding == 0
+                return [value for value, _ in await asyncio.gather(*tasks)]
+
+        assert _run(scenario()) == [10, 20]
+        assert runner.calls == [[1], [2]]
+
+    def test_never_arms_a_timer(self, monkeypatch):
+        def no_timers(*args, **kwargs):
+            raise AssertionError("the batcher must not wait on a timer")
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_later", no_timers)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_at", no_timers)
+
+        async def scenario():
+            runner = _GatedRunner()
+            outcomes = await _gated(
+                runner,
+                [("key", "a", 1), ("key", "a", 1), ("key", "b", 2),
+                 ("key", "b", 2), ("other", "c", 3)],
+            )
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(max_batch=8, executor=executor)
+                lone = await batcher.submit("key", "d", 4, runner)
+                assert await batcher.drain()
+            return runner.calls, outcomes + [lone]
+
+        calls, outcomes = _run(scenario())
+        assert calls == [[1], [2], [3], [4]]
+        assert [value for value, _ in outcomes] == [10, 10, 20, 20, 30, 40]
+
+    def test_metrics_count_every_submission_once(self):
+        metrics = MetricsRegistry()
+        runner = _GatedRunner()
+        _run(
+            _gated(
+                runner,
+                [("key", "a", 1), ("key", "a", 1), ("key", "b", 2),
+                 ("key", "b", 2), ("key", "c", 3)],
+                on_batch=metrics.record_batch,
+            )
+        )
+        batcher = metrics.snapshot()["batcher"]
+        assert batcher["requests"] == 5
+        assert batcher["unique_computed"] == 3
+        assert batcher["coalesced"] == 2
+        assert batcher["requests"] == (
+            batcher["unique_computed"] + batcher["coalesced"]
+        )
+        assert batcher["batches"] == 2
+
+    def test_many_interleaved_submissions_stay_consistent(self):
+        """Hundreds of submissions over a few keys and a small digest
+        pool, arriving while batches compute: every waiter gets its own
+        answer, and the accounting adds up."""
+        rng = np.random.default_rng(29)
+        draws = [
+            (int(key), int(digest))
+            for key, digest in zip(
+                rng.integers(0, 3, size=300), rng.integers(0, 12, size=300)
+            )
+        ]
+        metrics = MetricsRegistry()
+        computed = []
 
         def runner(payloads):
-            started.append(list(payloads))
-            import time as time_module
-
-            time_module.sleep(0.1)
+            computed.extend(payloads)
+            time.sleep(0.0005)
             return [payload * 10 for payload in payloads]
 
         async def scenario():
             with ThreadPoolExecutor(max_workers=1) as executor:
                 batcher = MicroBatcher(
-                    max_batch=2, max_delay=0.01, executor=executor
+                    max_batch=4, executor=executor,
+                    on_batch=metrics.record_batch,
                 )
-                impatient = asyncio.create_task(
-                    asyncio.wait_for(
-                        batcher.submit("key", "a", 1, runner), timeout=0.02
+                tasks = []
+                for position, (key, digest) in enumerate(draws):
+                    payload = key * 100 + digest
+                    tasks.append(
+                        asyncio.create_task(
+                            batcher.submit(key, digest, payload, runner)
+                        )
                     )
-                )
-                patient = asyncio.create_task(
-                    batcher.submit("key", "b", 2, runner)
-                )
-                with pytest.raises(asyncio.TimeoutError):
-                    await impatient
-                value, _ = await patient
-                return value
-
-        assert _run(scenario()) == 20
-        # One uninterrupted computation covering both queries.
-        assert len(started) == 1
-        assert sorted(started[0]) == [1, 2]
-
-    def test_drain_flushes_open_windows(self):
-        def runner(payloads):
-            return list(payloads)
-
-        async def scenario():
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    max_batch=8, max_delay=30.0, executor=executor
-                )
-                waiter = asyncio.create_task(
-                    batcher.submit("key", "a", 1, runner)
-                )
-                await asyncio.sleep(0)  # let the submission register
-                assert batcher.pending == 1
+                    if position % 7 == 0:
+                        await asyncio.sleep(0.001)
+                results = await asyncio.gather(*tasks)
                 assert await batcher.drain(timeout=5.0)
-                value, _ = await waiter
-                return value
+                assert (batcher.pending, batcher.outstanding) == (0, 0)
+                return results
 
-        assert _run(scenario()) == 1
+        results = _run(scenario())
+        for (key, digest), (value, meta) in zip(draws, results):
+            assert value == (key * 100 + digest) * 10
+            assert 1 <= meta["batch_size"] <= 4
+        batcher = metrics.snapshot()["batcher"]
+        assert batcher["requests"] == len(draws)
+        assert batcher["unique_computed"] == len(computed)
+        assert batcher["requests"] == (
+            batcher["unique_computed"] + batcher["coalesced"]
+        )
+        assert batcher["coalesced"] > 0
 
     def test_invalid_parameters_rejected(self):
         with ThreadPoolExecutor(max_workers=1) as executor:
             with pytest.raises(ValueError, match="max_batch"):
-                MicroBatcher(max_batch=0, max_delay=0.01, executor=executor)
-            with pytest.raises(ValueError, match="max_delay"):
-                MicroBatcher(max_batch=2, max_delay=-0.1, executor=executor)
+                MicroBatcher(max_batch=0, executor=executor)
+        # max_batch is the only batching knob: there is no delay.
+        assert list(inspect.signature(MicroBatcher).parameters) == [
+            "max_batch", "executor", "on_batch"
+        ]

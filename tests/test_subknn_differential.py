@@ -199,7 +199,7 @@ class TestServiceDifferential:
         database, queries = workload
         spec = "histogram,qgram"
         config = ServiceConfig(
-            port=0, max_batch=4, max_delay_ms=2.0, cache_size=16, pruners=spec
+            port=0, max_batch=4, cache_size=16, pruners=spec
         )
         with ServerHandle.start(database, config) as server:
             with ServiceClient(server.host, server.port) as client:
