@@ -42,6 +42,7 @@ from typing import List, Optional, Sequence
 
 from .database import TrajectoryDatabase
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE
+from .kernels import check_kernel_choice
 from .mp import process_context
 from .search import (
     Neighbor,
@@ -110,7 +111,6 @@ def _run_engine(
             max_window=max_window,
             early_abandon=early_abandon,
             refine_batch_size=refine_batch_size,
-            edr_kernel=edr_kernel,
         )
     if engine == "scan" or not pruners:
         return knn_scan(database, query, k, edr_kernel=edr_kernel)
@@ -238,7 +238,9 @@ def knn_batch(
     edr_kernel:
         The refine kernel's name (see :mod:`repro.core.kernels`);
         ``None`` runs the bit-parallel kernel.  Answers are
-        byte-identical for every choice.
+        byte-identical for every choice.  Validated for every mode, but
+        the window engines (``sub=True``) ignore it: their kernels are
+        fixed by role.
     shards / shard_workers / sharded:
         The *intra*-query parallelism axis.  ``shards > 1`` partitions
         the database and runs every query through the shared-memory
@@ -268,6 +270,7 @@ def knn_batch(
             f"unknown batch engine {engine!r}; "
             f"choose from {', '.join(BATCH_ENGINES)}"
         )
+    check_kernel_choice(edr_kernel)
     queries = list(queries)
     pruners = list(pruners)
     if sharded is not None or (shards is not None and shards > 1):
@@ -404,7 +407,6 @@ def _knn_batch_sharded(
                     min_window=min_window, max_window=max_window,
                     early_abandon=early_abandon,
                     refine_batch_size=refine_batch_size,
-                    edr_kernel=edr_kernel,
                 )
                 for query in queries
             ]

@@ -120,6 +120,15 @@ class TrajectoryDatabase:
     def __len__(self) -> int:
         return len(self.trajectories)
 
+    def rows(self, indices: Sequence[int]) -> List[Trajectory]:
+        """Trajectories ``indices``, in order.  Disk-resident lists expose
+        ``fetch_many`` for one batched, extent-ordered read; plain lists
+        are indexed."""
+        fetch_many = getattr(self.trajectories, "fetch_many", None)
+        if fetch_many is not None:
+            return fetch_many(indices)
+        return [self.trajectories[index] for index in indices]
+
     @property
     def max_length(self) -> int:
         return int(self.lengths.max())

@@ -58,7 +58,7 @@ best distance over every start, and its masked minimum
 ``m + min(0, min_j prefix_j)`` is ``min over all windows w of EDR(query,
 w)`` — the same ``_min_prefixes`` read the bound checks use.  The
 best-window search uses it as a filter ahead of its banded DP
-(:func:`repro.core.subtrajectory.free_start_phases`).
+(``repro.core.subtrajectory._WindowRoute.phases``).
 
 Exactness contract: every value is computed in exact small-integer
 arithmetic and converted to ``float64`` at the end, so results are

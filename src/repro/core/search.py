@@ -1113,13 +1113,7 @@ def _refine_batch(
     """
     best = result.best_so_far
     bound = best if early_abandon and np.isfinite(best) else None
-    # Disk-resident trajectory lists expose ``fetch_many`` for batched,
-    # extent-ordered readahead; plain lists take the comprehension path.
-    fetch_many = getattr(database.trajectories, "fetch_many", None)
-    if fetch_many is not None:
-        candidates = fetch_many(candidate_indices)
-    else:
-        candidates = [database.trajectories[index] for index in candidate_indices]
+    candidates = database.rows(candidate_indices)
     start = time.perf_counter()
     distances = run_kernel(
         kernel, query, candidates, database.epsilon, bounds=bound
@@ -1219,13 +1213,15 @@ def _knn(
     started: Optional[float] = None,
 ) -> SearchResult:
     """Figure 6's filter-and-refine loop of the resident k-NN and range
-    engines and of the tiered store's blocked ones.  (``disk_knn_search``
-    and :func:`knn_qgram_index` still keep loops of their own.)
+    engines, of the tiered store's blocked ones and of the page store's
+    ``disk_knn_search``.  (:func:`knn_qgram_index` keeps a loop of its
+    own: its counter-floor break is not a ``bound > best`` break.)
 
     ``result`` is the result policy: a top-k :class:`_ResultList`, whose
     k-th distance is the threshold, or a :class:`_RadiusList`, whose
     threshold is the radius.  ``source`` is the visit source: resident
-    arrays (:class:`_Chain`) or a tiered store's summary blocks.  Its
+    arrays (:class:`_Chain`, which the page store extends to count the
+    pages a prune avoids) or a tiered store's summary blocks.  Its
     ``walk(stats)`` yields ``(candidate_index, bound)``, where ``bound``
     is a sound lower bound from the first pruner (-inf when unknown);
     its ``pruner_for(candidate_index, rank, threshold)`` names the

@@ -23,8 +23,10 @@ shards instead.  The layout:
   batched EDR kernel.  Because every decision is a pure function of
   ``(candidate, B)`` and the sequence of ``B`` values is derived from
   the global order alone, both the answers *and* the per-pruner
-  counters are independent of the shard count.  The best-window search
-  runs the same loop as another route: its window-sound bounds and its
+  counters are independent of the shard count.  The loop itself lives
+  in :mod:`repro.core.rounds`; this coordinator supplies its round
+  executor.  The best-window search runs the same loop as another
+  route, the serial engine's own: its window-sound bounds and its
   free-start filter are priced by the coordinator, and its workers run
   the windowed DP.
 
@@ -54,7 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +75,7 @@ from .histogram import HistogramArrayStore, HistogramSpace
 from .kernels import check_kernel_choice, run_kernel
 from .mp import process_context, terminate_pool
 from .rangequery import range_search
+from .rounds import _Route, round_stats, run_rounds
 from .search import (
     HistogramPruner,
     NearTrianglePruning,
@@ -87,13 +90,9 @@ from .search import (
 from .shm import SharedArrayBlock
 from .subtrajectory import (
     DEFAULT_WINDOW_ALPHA,
-    FREE_START_STAGE,
-    WINDOW_KERNEL,
     WindowMatch,
-    edr_windows_many,
-    free_start_phases,
-    resolve_window_range,
-    window_counts,
+    refine_windows,
+    window_route,
 )
 from .subtrajectory import subknn_search as _serial_subknn_search
 from .trajectory import Trajectory
@@ -557,40 +556,15 @@ class _ShardRuntime:
         batch_size: int,
         early_abandon: bool,
     ) -> List[Tuple[float, int, int, int, int]]:
-        """Best banded window of each member, against the shard view.
-
-        No pruner state is involved — the coordinator evaluates the
-        (single-stage, static) window bounds and the free-start filter
-        itself, so the task needs only the corpus rows of the members
-        the filter let through.  With ``early_abandon`` rows abandon
-        against the phase ``threshold`` the coordinator froze; there is
-        deliberately no cooperative mid-round tightening, which is what
-        keeps the window counters byte-equal to the serial engine's.
-        Outcomes align with ``members``: ``(distance, start, end,
-        evaluated, abandoned)`` per member, with ``inf`` distance when
-        every window was abandoned.
-        """
-        outcomes: List[Optional[Tuple[float, int, int, int, int]]] = (
-            [None] * len(members)
+        """Best banded window of each member, against the shard view
+        (:func:`~repro.core.subtrajectory.refine_windows`).  No pruner
+        state is involved: the coordinator evaluated the window bounds
+        and the free-start filter itself."""
+        trajectories = self.database.trajectories
+        return refine_windows(
+            query_points, [trajectories[i] for i in members],
+            self.database.epsilon, lo, hi, threshold, batch_size, early_abandon,
         )
-        limit = float(threshold) if early_abandon and np.isfinite(threshold) else None
-        lengths = self.database.lengths[members]
-        for bucket in iter_length_buckets(lengths, batch_size):
-            indices = [members[int(position)] for position in bucket]
-            candidates = [self.database.trajectories[i] for i in indices]
-            distances, starts, ends, evaluated, abandoned = edr_windows_many(
-                query_points, candidates, self.database.epsilon, lo, hi,
-                bounds=limit,
-            )
-            for slot, position in enumerate(bucket):
-                outcomes[int(position)] = (
-                    float(distances[slot]),
-                    int(starts[slot]),
-                    int(ends[slot]),
-                    int(evaluated[slot]),
-                    int(abandoned[slot]),
-                )
-        return outcomes  # type: ignore[return-value]
 
     def close(self) -> None:
         self.block.close()
@@ -698,131 +672,6 @@ class _InlineValue:
 
     def __init__(self, value: float = float("inf")) -> None:
         self.value = value
-
-
-# ----------------------------------------------------------------------
-# Query routes through the one round loop
-# ----------------------------------------------------------------------
-@dataclass
-class _Route:
-    """The whole-trajectory route (k-NN or range) through the rounds.
-
-    :meth:`ShardedDatabase._rounds` is one loop for every route; a route
-    holds only what differs between them: the visit order and the
-    per-position bounds (``None`` asks a dynamic pruner itself), the
-    windows each pruned trajectory retires (``weights``), how a round's
-    chunk splits into refine waves, the refine wave's runtime method and
-    its fixed arguments, the result offer, the per-outcome stats, and
-    whether a merge republishes the cooperative bound.
-    """
-
-    method: ClassVar[str] = "refine"
-    republish: ClassVar[bool] = True
-
-    query_pruners: List[QueryPruner]
-    bounds: List[Optional[np.ndarray]]
-    order_keys: np.ndarray
-    result: Optional[_ResultList]
-    args: tuple
-    radius: Optional[float] = None
-    weights: Optional[np.ndarray] = None
-    kernel: Optional[str] = None
-    hits: List[Neighbor] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.names = [query_pruner.name for query_pruner in self.query_pruners]
-
-    def threshold(self) -> float:
-        """The current k-th best distance, or the range radius."""
-        return self.radius if self.result is None else self.result.best_so_far
-
-    def pruned_at(self, candidate: int, threshold: float) -> Optional[int]:
-        """The first chain position whose bound exceeds ``threshold``."""
-        for position, bounds in enumerate(self.bounds):
-            if bounds is None:
-                bound = self.query_pruners[position].lower_bound(candidate, threshold)
-            else:
-                bound = bounds[candidate]
-            if bound > threshold:
-                return position
-        return None
-
-    def phases(
-        self,
-        chunk: List[int],
-        threshold: float,
-        retire: Callable[[int, str], None],
-    ) -> Iterator[Tuple[List[int], float]]:
-        """The round's refine waves: the whole chunk at the frozen
-        threshold.  ``retire(candidate, stage)`` charges a prune."""
-        yield chunk, threshold
-
-    def offer(self, candidate: int, outcome) -> None:
-        """Merge one verified outcome into the result (commutative)."""
-        if self.result is not None and outcome[0] == "d":
-            self.result.offer(candidate, float(outcome[1]))
-
-    def note(self, stats: SearchStats, candidate: int, outcome) -> None:
-        """Account one outcome; called in global chunk order."""
-        kind, payload = outcome
-        if kind == "p":
-            stats.credit(self.names[int(payload)])
-            return
-        stats.true_distance_computations += 1
-        distance = float(payload)
-        if np.isfinite(distance):
-            for query_pruner in self.query_pruners:
-                query_pruner.record(candidate, distance)
-            if self.radius is not None and distance <= self.radius:
-                self.hits.append(Neighbor(candidate, distance))
-
-    def answer(self) -> list:
-        if self.result is None:
-            return sorted(self.hits, key=lambda neighbor: neighbor.index)
-        return self.result.neighbors()
-
-
-@dataclass
-class _WindowRoute(_Route):
-    """The best-window route.  The coordinator runs each round's
-    survivors through the serial engine's free-start filter
-    (:func:`~repro.core.subtrajectory.free_start_phases`) against the
-    parent ``database``, so the same candidates are pruned, and the same
-    phase thresholds frozen, as in the serial engine.  A window task then
-    prices each phase member's banded windows in one
-    ``edr_windows_many`` pass.  Merges never republish the cooperative
-    bound, so workers abandon rows against the phase threshold only —
-    which keeps ``windows_abandoned`` byte-equal to the serial
-    engine's."""
-
-    method: ClassVar[str] = "refine_windows"
-    republish: ClassVar[bool] = False
-
-    database: Optional[TrajectoryDatabase] = None
-
-    def phases(self, chunk, threshold, retire):
-        query_points = self.args[0]  # the window task's leading argument
-        trajectories = self.database.trajectories
-        yield from free_start_phases(
-            query_points,
-            chunk,
-            [trajectories[candidate] for candidate in chunk],
-            self.database.epsilon,
-            threshold,
-            self.result,
-            lambda candidate: retire(candidate, FREE_START_STAGE),
-        )
-
-    def offer(self, candidate: int, outcome) -> None:
-        distance, start, end = outcome[:3]
-        self.result.offer(
-            candidate, distance, WindowMatch(candidate, start, end, distance)
-        )
-
-    def note(self, stats: SearchStats, candidate: int, outcome) -> None:
-        stats.true_distance_computations += 1
-        stats.windows_evaluated += outcome[3]
-        stats.windows_abandoned += outcome[4]
 
 
 #: Counters the coordinator sums over ``per_shard``.
@@ -1117,7 +966,7 @@ class ShardedDatabase:
         """Exact k-NN, byte-for-byte equal to the serial ``knn_search``."""
         return self._execute(
             knn_search, self._whole_route, query, spec, refine_batch_size,
-            edr_kernel, k=k, early_abandon=early_abandon,
+            k=k, early_abandon=early_abandon, edr_kernel=edr_kernel,
         )
 
     def knn_sorted_search(
@@ -1152,7 +1001,8 @@ class ShardedDatabase:
             raise ValueError("radius must be non-negative")
         return self._execute(
             range_search, self._whole_route, query, spec, refine_batch_size,
-            edr_kernel, radius=float(radius), early_abandon=early_abandon,
+            radius=float(radius), early_abandon=early_abandon,
+            edr_kernel=edr_kernel,
         )
 
     def subknn_search(
@@ -1165,16 +1015,24 @@ class ShardedDatabase:
         max_window: Optional[int] = None,
         early_abandon: bool = False,
         refine_batch_size: Optional[int] = None,
-        edr_kernel: Optional[str] = None,
     ) -> Tuple[List[WindowMatch], ShardedSearchStats]:
         """Exact top-k banded-window search, byte-equal to the serial
         :func:`repro.core.subtrajectory.subknn_search` — answers and the
-        window counters alike (the round engine never tightens a
-        worker's bound mid-round, so abandonment decisions match)."""
+        window counters alike: both run the same route through the same
+        round loop (the round engine never tightens a worker's bound
+        mid-round, so abandonment decisions match)."""
+        # The serial engine's route over the parent chain.  Window bounds
+        # are single-stage static arrays, so the coordinator prices them
+        # itself: no filter wave, and window tasks ship no pruner state.
+        def build_route(query, spec, round_size, recovery, **params):
+            return window_route(
+                self._database, query, self._parent_chain(spec), round_size=round_size,
+                **params,
+            )
+
         return self._execute(
-            _serial_subknn_search, self._window_route, query, spec,
-            refine_batch_size, edr_kernel, k=k, alpha=alpha,
-            min_window=min_window, max_window=max_window,
+            _serial_subknn_search, build_route, query, spec, refine_batch_size,
+            k=k, alpha=alpha, min_window=min_window, max_window=max_window,
             early_abandon=early_abandon,
         )
 
@@ -1188,12 +1046,11 @@ class ShardedDatabase:
         query: Trajectory,
         spec: Optional[str],
         refine_batch_size: Optional[int],
-        edr_kernel: Optional[str],
         **params,
     ) -> Tuple[list, ShardedSearchStats]:
         """One query through the rounds, or through its serial engine.
 
-        ``build_route`` prices the query's bounds into a :class:`_Route`;
+        ``build_route`` prices the query's bounds into a route;
         ``serial`` is the route's serial engine, rerun when a shard
         exhausts its retry budget.  Both take the route's ``params``.
         """
@@ -1212,15 +1069,34 @@ class ShardedDatabase:
         )
         recovery = {name: 0 for name in RECOVERY_FIELDS}
         try:
-            route = build_route(
-                query, spec, round_size, recovery, edr_kernel, **params
+            route = build_route(query, spec, round_size, recovery, **params)
+            per_shard = round_stats(route, self._starts)
+            if self._value is not None:
+                self._value.value = route.threshold()
+            rounds = run_rounds(
+                route, self._shard_ids, per_shard, round_size,
+                lambda route, groups, threshold: self._dispatch_round(
+                    route, groups, threshold, recovery
+                ),
             )
-            answer, stats = self._rounds(route, round_size, recovery)
+            answer = route.answer()
+            stats = ShardedSearchStats(
+                database_size=len(self._database),
+                per_shard=per_shard,
+                rounds=rounds,
+                shards=self.shards,
+                start_method=self._start_method,
+                kernel=route.kernel,
+            )
+            for shard_stats in per_shard:
+                shard_stats.start_method = stats.start_method
+                for name in _SUMMED_FIELDS:
+                    setattr(stats, name, getattr(stats, name) + getattr(shard_stats, name))
+                for name, count in shard_stats.pruned_by.items():
+                    stats.pruned_by[name] = stats.pruned_by.get(name, 0) + count
             self._degraded = False
         except _ShardFailure:
-            answer, stats = self._degrade(
-                serial, query, spec, round_size, edr_kernel, **params
-            )
+            answer, stats = self._degrade(serial, query, spec, round_size, **params)
         for name in RECOVERY_FIELDS:
             setattr(stats, name, recovery[name])
             self._lifetime[name] += recovery[name]
@@ -1235,7 +1111,6 @@ class ShardedDatabase:
         query: Trajectory,
         spec: str,
         round_size: int,
-        edr_kernel: Optional[str],
         **params,
     ) -> Tuple[list, ShardedSearchStats]:
         """Last resort: rerun the whole query on the serial engine.
@@ -1249,7 +1124,7 @@ class ShardedDatabase:
         """
         answer, serial_stats = serial(
             self._database, query, pruners=self._parent_chain(spec),
-            refine_batch_size=round_size, edr_kernel=edr_kernel, **params
+            refine_batch_size=round_size, **params
         )
         self._degraded = True
         copied = {f.name: getattr(serial_stats, f.name) for f in fields(SearchStats)}
@@ -1264,8 +1139,8 @@ class ShardedDatabase:
         spec: str,
         round_size: int,
         recovery: Dict[str, int],
-        edr_kernel: Optional[str],
         early_abandon: bool,
+        edr_kernel: Optional[str],
         k: Optional[int] = None,
         radius: Optional[float] = None,
     ) -> _Route:
@@ -1324,154 +1199,6 @@ class ShardedDatabase:
             radius=radius,
             kernel=kernel,
         )
-
-    def _window_route(
-        self,
-        query: Trajectory,
-        spec: str,
-        round_size: int,
-        recovery: Dict[str, int],
-        edr_kernel: Optional[str],
-        k: int,
-        alpha: float,
-        min_window: Optional[int],
-        max_window: Optional[int],
-        early_abandon: bool,
-    ) -> _Route:
-        """The best-window route.  Window bounds are single-stage static
-        arrays, so the coordinator prices them against the parent chain
-        itself: no filter wave, and window tasks ship no pruner state."""
-        result = _ResultList(k)
-        # Validation only: the window kernels are fixed by role.
-        check_kernel_choice(edr_kernel)
-        query_points = np.ascontiguousarray(query.points)
-        lo, hi = resolve_window_range(
-            int(query_points.shape[0]), alpha, min_window, max_window
-        )
-        query_pruners = [
-            pruner.for_query(query) for pruner in self._parent_chain(spec)
-        ]
-        bounds = [
-            np.asarray(query_pruner.bulk_window_lower_bounds(), dtype=np.float64)
-            for query_pruner in query_pruners
-        ]
-        return _WindowRoute(
-            query_pruners,
-            bounds,
-            bounds[0] if bounds else np.zeros(len(self._database), dtype=np.float64),
-            result,
-            (query_points, lo, hi, round_size, early_abandon),
-            weights=window_counts(
-                np.asarray(self._database.lengths, dtype=np.int64), lo, hi
-            ),
-            kernel=WINDOW_KERNEL,
-            database=self._database,
-        )
-
-    def _rounds(
-        self, route: _Route, round_size: int, recovery: Dict[str, int]
-    ) -> Tuple[list, ShardedSearchStats]:
-        """Walk ``route``'s visit order in frozen-threshold rounds."""
-        total = len(self._database)
-        names = route.names
-        weights = route.weights
-        per_shard: List[SearchStats] = []
-        for shard_id in range(self.shards):
-            start, stop = int(self._starts[shard_id]), int(self._starts[shard_id + 1])
-            shard_stats = SearchStats(database_size=stop - start)
-            if weights is not None:
-                shard_stats.windows_total = int(weights[start:stop].sum())
-                shard_stats.kernel = route.kernel
-            per_shard.append(shard_stats)
-        if self._value is not None:
-            self._value.value = route.threshold()
-        order = np.argsort(route.order_keys, kind="stable")
-
-        def retire(candidate: int, stage: str) -> None:
-            shard_stats = per_shard[int(self._shard_ids[candidate])]
-            shard_stats.credit(stage)
-            if weights is not None:
-                shard_stats.windows_pruned += int(weights[candidate])
-
-        position_in_order = 0
-        rounds = 0
-        while position_in_order < total:
-            threshold = route.threshold()
-            finite = np.isfinite(threshold)
-            chunk: List[int] = []
-            while position_in_order < total and len(chunk) < round_size:
-                candidate = int(order[position_in_order])
-                if finite and names:
-                    if route.order_keys[candidate] > threshold:
-                        # Sorted break: every remaining ordered bound
-                        # also exceeds the frozen threshold, retiring
-                        # the remaining candidates and all their windows.
-                        remaining = order[position_in_order:]
-                        owners = self._shard_ids[remaining]
-                        counts = np.bincount(owners, minlength=self.shards)
-                        if weights is not None:
-                            windows = np.bincount(
-                                owners,
-                                weights=weights[remaining].astype(np.float64),
-                                minlength=self.shards,
-                            )
-                        for shard_id, count in enumerate(counts.tolist()):
-                            if count:
-                                shard_stats = per_shard[shard_id]
-                                shard_stats.pruned_by[names[0]] = (
-                                    shard_stats.pruned_by.get(names[0], 0) + count
-                                )
-                                if weights is not None:
-                                    shard_stats.windows_pruned += int(windows[shard_id])
-                        position_in_order = total
-                        break
-                    pruned_at = route.pruned_at(candidate, threshold)
-                    if pruned_at is not None:
-                        retire(candidate, names[pruned_at])
-                        position_in_order += 1
-                        continue
-                chunk.append(candidate)
-                position_in_order += 1
-            if not chunk:
-                continue
-            rounds += 1
-
-            for members, phase_threshold in route.phases(chunk, threshold, retire):
-                groups: Dict[int, List[int]] = {}
-                for candidate in members:
-                    groups.setdefault(int(self._shard_ids[candidate]), []).append(
-                        candidate
-                    )
-                outcomes = {
-                    shard_id: iter(shard_outcomes)
-                    for shard_id, shard_outcomes in self._dispatch_round(
-                        route, groups, phase_threshold, recovery
-                    ).items()
-                }
-                # Deterministic pass in global member order: stats, range
-                # hits, and dynamic-pruner records all follow the
-                # partition-independent order, not completion order.
-                for candidate in members:
-                    shard_id = int(self._shard_ids[candidate])
-                    route.note(
-                        per_shard[shard_id], candidate, next(outcomes[shard_id])
-                    )
-
-        stats = ShardedSearchStats(
-            database_size=total,
-            per_shard=per_shard,
-            rounds=rounds,
-            shards=self.shards,
-            start_method=self._start_method,
-            kernel=route.kernel,
-        )
-        for shard_stats in per_shard:
-            shard_stats.start_method = stats.start_method
-            for name in _SUMMED_FIELDS:
-                setattr(stats, name, getattr(stats, name) + getattr(shard_stats, name))
-            for name, count in shard_stats.pruned_by.items():
-                stats.pruned_by[name] = stats.pruned_by.get(name, 0) + count
-        return route.answer(), stats
 
     # ------------------------------------------------------------------
     # Dispatch (process pool or inline), with bounded recovery

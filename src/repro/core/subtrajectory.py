@@ -46,7 +46,7 @@ Soundness per family (property-tested in
   forces the minimizing window into ``[lo, hi]`` and ``F`` *is* the
   best banded distance (property-tested in
   ``tests/test_free_start.py``).  It runs on each round's survivors of
-  the bounds above (:func:`free_start_phases`); the banded DP then runs
+  the bounds above (``_WindowRoute.phases``); the banded DP then runs
   only on candidates whose ``F`` does not exceed the threshold, and
   still owns every distance and the ``(start, end)`` tie-break.
 
@@ -62,14 +62,19 @@ fills a not-yet-full result is chosen from the free-start values
 alone), so ``windows_evaluated`` / ``windows_pruned`` /
 ``windows_abandoned`` are byte-identical across the serial, sharded, and
 tiered engines — the invariant the differential fuzz suite asserts,
-together with ``evaluated + pruned + abandoned == windows_total``.
+together with ``evaluated + pruned + abandoned == windows_total``.  The
+serial and sharded engines share more than the rules: both run one
+route (:func:`window_route`) through one loop
+(:func:`~repro.core.rounds.run_rounds`) and one refine
+(:func:`refine_windows`); only the round executor differs.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,7 +82,7 @@ from .database import TrajectoryDatabase
 from .edr import _points
 from .edr_batch import DEFAULT_REFINE_BATCH_SIZE, TrajectoryLike, iter_length_buckets
 from .edr_bitparallel import edr_many_bitparallel
-from .kernels import check_kernel_choice
+from .rounds import _Route, round_stats, run_rounds
 from .search import Pruner, SearchStats, _ResultList
 from .trajectory import Trajectory
 
@@ -91,7 +96,8 @@ __all__ = [
     "window_dp_cells",
     "edr_windows",
     "edr_windows_many",
-    "free_start_phases",
+    "refine_windows",
+    "window_route",
     "subknn_search",
 ]
 
@@ -103,7 +109,7 @@ DEFAULT_WINDOW_ALPHA = 0.25
 # pass is the batched (``edr_many``-family) kernel with per-start rows:
 # it owns every answer's distance and its ``(start, end)`` tie-break.
 # The bit-parallel kernel serves the free-start filter ahead of it
-# (:func:`free_start_phases`); it never materializes the per-start rows
+# (``_WindowRoute.phases``); it never materializes the per-start rows
 # the per-end extraction needs, so it cannot replace the DP.
 WINDOW_KERNEL = "windowed"
 
@@ -465,52 +471,150 @@ def edr_windows(
     return float(distances[0]), int(starts[0]), int(ends[0])
 
 
-def free_start_phases(
+def refine_windows(
     query_points: np.ndarray,
-    chunk: Sequence[int],
-    candidates: Sequence[TrajectoryLike],
+    rows: Sequence[TrajectoryLike],
     epsilon: float,
+    lo: int,
+    hi: int,
     threshold: float,
-    result: _ResultList,
-    prune: Callable[[int], None],
-) -> Iterator[Tuple[List[int], float]]:
-    """The free-start filter of one frozen round: its banded-DP phases.
+    batch_size: int,
+    early_abandon: bool,
+) -> List[Tuple[float, int, int, int, int]]:
+    """Best banded window of each row, through length-bucketed
+    :func:`edr_windows_many` batches.
 
-    Prices every ``chunk`` member (``candidates`` holds their points,
-    aligned) in one bit-parallel free-start pass — ``min over all
-    windows w of EDR(query, w)``, a sound lower bound of the best banded
-    window — and yields ``(members, threshold)`` groups for the caller
-    to run through :func:`edr_windows_many`, in ascending order of that
-    bound (chunk order breaks ties).  Every member whose bound exceeds
-    the phase threshold goes to ``prune`` instead.
-
-    At a finite ``threshold`` there is one phase.  At ``inf`` (``result``
-    not yet full) the round first yields the members it needs to fill
-    the result — the smallest bounds — and, once the caller has offered
-    their windows, checks the rest against the threshold they set.  A
-    free-start pass abandons past a finite threshold (row minima never
-    decrease); an abandoned bound is ``inf`` and prunes like any other.
-    Every decision is a function of the chunk, the threshold and the
-    result alone, so the serial and sharded engines share it.
+    The refine wave of both round executors: serial
+    :func:`subknn_search` and the shard workers.  With ``early_abandon``
+    rows abandon against the frozen phase ``threshold``.  Outcomes align
+    with ``rows``: ``(distance, start, end, evaluated, abandoned)``, with
+    ``inf`` distance when every window was abandoned.
     """
-    limit = threshold if np.isfinite(threshold) else None
-    floors = edr_many_bitparallel(
-        query_points, candidates, epsilon, bounds=limit, free_start=True
+    outcomes: List[Optional[Tuple[float, int, int, int, int]]] = [None] * len(rows)
+    limit = float(threshold) if early_abandon and np.isfinite(threshold) else None
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    for bucket in iter_length_buckets(lengths, batch_size):
+        distances, starts, ends, evaluated, abandoned = edr_windows_many(
+            query_points, [rows[int(slot)] for slot in bucket], epsilon, lo, hi,
+            bounds=limit,
+        )
+        for position, slot in enumerate(bucket):
+            outcomes[int(slot)] = (
+                float(distances[position]),
+                int(starts[position]),
+                int(ends[position]),
+                int(evaluated[position]),
+                int(abandoned[position]),
+            )
+    return outcomes  # type: ignore[return-value]
+
+
+@dataclass
+class _WindowRoute(_Route):
+    """The best-window route.  Merges never republish the cooperative
+    bound, so shard workers abandon rows against the phase threshold
+    only — which keeps ``windows_abandoned`` independent of the shard
+    count."""
+
+    method: ClassVar[str] = "refine_windows"
+    republish: ClassVar[bool] = False
+
+    database: Optional[TrajectoryDatabase] = None
+    rows: Dict[int, TrajectoryLike] = field(default_factory=dict)
+
+    def phases(self, chunk, threshold, retire):
+        """The free-start filter of one frozen round: its refine phases.
+
+        Fetches the chunk's rows from ``database`` once, in one batch
+        (:meth:`~repro.core.database.TrajectoryDatabase.rows`), and keeps
+        them in ``rows`` for an in-process refine.  Prices every member in one bit-parallel
+        free-start pass — ``min over all windows w of EDR(query, w)``, a
+        sound lower bound of the best banded window — and yields
+        ``(members, threshold)`` phases in ascending order of that bound
+        (chunk order breaks ties).  Every member whose bound exceeds the
+        phase threshold is retired as :data:`FREE_START_STAGE` instead.
+
+        At a finite ``threshold`` there is one phase.  At ``inf`` (result
+        not yet full) the round first yields the members it needs to fill
+        the result — the smallest bounds — and, once their windows are
+        offered, checks the rest against the threshold they set.  A
+        free-start pass abandons past a finite threshold (row minima
+        never decrease); an abandoned bound is ``inf`` and prunes like
+        any other.  Every decision is a function of the chunk, the
+        threshold and the result alone, so it is shard-count-independent.
+        """
+        fetched = self.database.rows(chunk)
+        self.rows = dict(zip(chunk, fetched))
+        floors = edr_many_bitparallel(
+            self.args[0],  # the window task's leading argument: the query
+            fetched,
+            self.database.epsilon,
+            bounds=threshold if np.isfinite(threshold) else None,
+            free_start=True,
+        )
+        ranked = np.argsort(floors, kind="stable")
+        if not np.isfinite(threshold):
+            head = self.result.k - len(self.result)
+            yield [chunk[int(slot)] for slot in ranked[:head]], threshold
+            ranked = ranked[head:]
+            threshold = self.result.best_so_far
+        survivors: List[int] = []
+        for slot in ranked:
+            if floors[slot] > threshold:
+                retire(chunk[int(slot)], FREE_START_STAGE)
+            else:
+                survivors.append(chunk[int(slot)])
+        if survivors:
+            yield survivors, threshold
+
+    def offer(self, candidate: int, outcome) -> None:
+        distance, start, end = outcome[:3]
+        self.result.offer(
+            candidate, distance, WindowMatch(candidate, start, end, distance)
+        )
+
+    def note(self, stats: SearchStats, candidate: int, outcome) -> None:
+        stats.true_distance_computations += 1
+        stats.windows_evaluated += outcome[3]
+        stats.windows_abandoned += outcome[4]
+
+
+def window_route(
+    database: TrajectoryDatabase,
+    query: Trajectory,
+    pruners: Sequence[Pruner],
+    k: int,
+    round_size: int,
+    alpha: float = DEFAULT_WINDOW_ALPHA,
+    min_window: Optional[int] = None,
+    max_window: Optional[int] = None,
+    early_abandon: bool = False,
+) -> _WindowRoute:
+    """The best-window route of one query over ``database``.
+
+    Visits candidates in ascending order of the first pruner's
+    window-sound bulk bound; every pruner's window bounds are static
+    arrays priced here, so a sharded coordinator needs no filter wave.
+    The route's ``args`` are the window task's fixed arguments.
+    """
+    query_points = np.ascontiguousarray(_points(query))
+    lo, hi = resolve_window_range(len(query_points), alpha, min_window, max_window)
+    result = _ResultList(k)
+    query_pruners = [pruner.for_query(query) for pruner in pruners]
+    bounds = [
+        np.asarray(query_pruner.bulk_window_lower_bounds(), dtype=np.float64)
+        for query_pruner in query_pruners
+    ]
+    return _WindowRoute(
+        query_pruners,
+        bounds,
+        bounds[0] if bounds else np.zeros(len(database), dtype=np.float64),
+        result,
+        (query_points, lo, hi, round_size, early_abandon),
+        weights=window_counts(np.asarray(database.lengths, dtype=np.int64), lo, hi),
+        kernel=WINDOW_KERNEL,
+        database=database,
     )
-    ranked = np.argsort(floors, kind="stable")
-    if not np.isfinite(threshold):
-        head = result.k - len(result)
-        yield [chunk[int(slot)] for slot in ranked[:head]], threshold
-        ranked = ranked[head:]
-        threshold = result.best_so_far
-    survivors: List[int] = []
-    for slot in ranked:
-        if floors[slot] > threshold:
-            prune(chunk[int(slot)])
-        else:
-            survivors.append(chunk[int(slot)])
-    if survivors:
-        yield survivors, threshold
 
 
 def subknn_search(
@@ -523,141 +627,57 @@ def subknn_search(
     max_window: Optional[int] = None,
     early_abandon: bool = False,
     refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE,
-    edr_kernel: Optional[str] = None,
 ) -> WindowSearchResult:
     """Exact top-k subtrajectory search: the k closest banded windows.
 
-    Runs the same frozen-round sorted scan as the sharded engine:
-    candidates are visited in ascending order of the primary pruner's
-    *window-sound* bulk bound; each round freezes the current k-th best
-    window distance as the threshold and prunes whole trajectories whose
-    window bound exceeds it (charging all their windows to
-    ``windows_pruned``).  The round's survivors then pass the
-    bit-parallel free-start filter (:func:`free_start_phases`, credited
-    as :data:`FREE_START_STAGE`), and only the candidates it cannot rule
-    out have their windows priced through :func:`edr_windows_many` in
-    length-ordered batches — the banded DP still owns every distance
-    and the ``(start, end)`` tie-break.  A sorted break — the primary
-    bound of the next candidate exceeding the threshold — retires every
-    remaining candidate at once, exactly like the whole-trajectory
-    sorted engines.
+    Runs :func:`window_route` through the sharded engine's frozen-round
+    loop (:func:`~repro.core.rounds.run_rounds`) on one in-process
+    shard: candidates are visited in ascending order of the primary
+    pruner's *window-sound* bulk bound; each round freezes the current
+    k-th best window distance, prunes whole trajectories whose window
+    bound exceeds it (charging all their windows to ``windows_pruned``)
+    or, in a sorted break, every remaining one; the free-start filter
+    (``_WindowRoute.phases``, credited as :data:`FREE_START_STAGE`)
+    retires more, and :func:`refine_windows` prices the rest — the
+    banded DP owns every distance and the ``(start, end)`` tie-break.
 
     Answers are byte-for-byte those of the brute-force window oracle:
     pruning compares sound per-window lower bounds strictly against the
     threshold, so a window that could enter the result is never skipped,
     and abandonment (enabled by ``early_abandon``) only discards windows
-    proven farther than the frozen threshold.
-
-    ``edr_kernel`` is accepted for interface symmetry and validated
-    against the kernel choices: the filter is always bit-parallel and
-    the DP always the batched :data:`WINDOW_KERNEL`.
+    proven farther than the frozen threshold.  Rounds hold
+    ``refine_batch_size`` candidates (at least 2; ``None`` is the
+    default size).
     """
     started = time.perf_counter()
-    query_points = _points(query)
-    m = len(query_points)
-    lo, hi = resolve_window_range(m, alpha, min_window, max_window)
-    total = len(database)
-    lengths = np.asarray(database.lengths, dtype=np.int64)
-    counts = window_counts(lengths, lo, hi)
-    cells_per_row = window_dp_cells(lengths, lo, hi)
-    stats = SearchStats(database_size=total)
-    stats.windows_total = int(counts.sum())
-    stats.kernel = WINDOW_KERNEL
-    check_kernel_choice(edr_kernel)
-    result = _ResultList(k)
     if refine_batch_size is None:
         refine_batch_size = DEFAULT_REFINE_BATCH_SIZE
     round_size = max(2, int(refine_batch_size))
+    route = window_route(
+        database, query, pruners, k, round_size, alpha, min_window, max_window,
+        early_abandon,
+    )
+    query_points, lo, hi = route.args[:3]
+    total = len(database)
+    cells_per_row = window_dp_cells(database.lengths, lo, hi)
+    (stats,) = per_shard = round_stats(route, [0, total])
 
-    names: List[str] = []
-    bound_arrays: List[np.ndarray] = []
-    for pruner in pruners:
-        query_pruner = pruner.for_query(query)
-        names.append(query_pruner.name)
-        bound_arrays.append(
-            np.asarray(query_pruner.bulk_window_lower_bounds(), dtype=np.float64)
+    def execute(route, groups, threshold):
+        (members,) = groups.values()
+        tick = time.perf_counter()
+        outcomes = refine_windows(
+            query_points, [route.rows[candidate] for candidate in members],
+            database.epsilon, lo, hi, threshold, round_size, early_abandon,
         )
-    order_keys = bound_arrays[0] if bound_arrays else np.zeros(total)
-    order = np.argsort(order_keys, kind="stable")
+        stats.note_kernel(
+            WINDOW_KERNEL,
+            int(len(query_points) * cells_per_row[members].sum()),
+            time.perf_counter() - tick,
+        )
+        for candidate, outcome in zip(members, outcomes):
+            route.offer(candidate, outcome)
+        return {0: outcomes}
 
-    def prune(candidate: int) -> None:
-        stats.credit(FREE_START_STAGE)
-        stats.windows_pruned += int(counts[candidate])
-
-    fetch_many = getattr(database.trajectories, "fetch_many", None)
-    position = 0
-    while position < total:
-        threshold = result.best_so_far
-        finite = np.isfinite(threshold)
-        chunk: List[int] = []
-        while position < total and len(chunk) < round_size:
-            candidate = int(order[position])
-            if finite:
-                if order_keys[candidate] > threshold:
-                    # Sorted break: the primary bound only grows from
-                    # here, so the primary retires every remaining
-                    # candidate — and all of their windows.
-                    remaining = order[position:]
-                    stats.pruned_by[names[0]] = (
-                        stats.pruned_by.get(names[0], 0) + int(remaining.size)
-                    )
-                    stats.windows_pruned += int(counts[remaining].sum())
-                    position = total
-                    break
-                pruned = False
-                for name, bounds in zip(names[1:], bound_arrays[1:]):
-                    if bounds[candidate] > threshold:
-                        stats.credit(name)
-                        stats.windows_pruned += int(counts[candidate])
-                        pruned = True
-                        break
-                if pruned:
-                    position += 1
-                    continue
-            chunk.append(candidate)
-            position += 1
-        if not chunk:
-            continue
-        if fetch_many is not None:
-            fetched = fetch_many(chunk)
-        else:
-            fetched = [database.trajectories[index] for index in chunk]
-        points_of = dict(zip(chunk, fetched))
-        for members, phase_threshold in free_start_phases(
-            query_points, chunk, fetched, database.epsilon, threshold, result, prune
-        ):
-            bound = (
-                float(phase_threshold)
-                if early_abandon and np.isfinite(phase_threshold)
-                else None
-            )
-            member_lengths = lengths[np.asarray(members, dtype=np.int64)]
-            for bucket in iter_length_buckets(member_lengths, round_size):
-                batch = [members[int(slot)] for slot in bucket]
-                tick = time.perf_counter()
-                distances, starts_, ends_, evaluated, abandoned = edr_windows_many(
-                    query_points,
-                    [points_of[index] for index in batch],
-                    database.epsilon,
-                    lo,
-                    hi,
-                    bounds=bound,
-                )
-                stats.note_kernel(
-                    WINDOW_KERNEL,
-                    int(m * cells_per_row[batch].sum()),
-                    time.perf_counter() - tick,
-                )
-                for slot, member in enumerate(batch):
-                    stats.true_distance_computations += 1
-                    stats.windows_evaluated += int(evaluated[slot])
-                    stats.windows_abandoned += int(abandoned[slot])
-                    distance = float(distances[slot])
-                    result.offer(
-                        member,
-                        distance,
-                        WindowMatch(member, starts_[slot], ends_[slot], distance),
-                    )
-
+    run_rounds(route, np.zeros(total, dtype=np.int64), per_shard, round_size, execute)
     stats.elapsed_seconds = time.perf_counter() - started
-    return result.neighbors(), stats
+    return route.answer(), stats

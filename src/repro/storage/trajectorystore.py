@@ -14,6 +14,7 @@ import json
 import os
 import struct
 import time
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from ..core.database import TrajectoryDatabase
 from ..core.edr import edr
-from ..core.search import Neighbor, Pruner, SearchStats, _ResultList
+from ..core.search import Neighbor, Pruner, SearchStats, _Chain, _knn, _ResultList
 from ..core.trajectory import Trajectory
 from .bufferpool import BufferPool
 from .pagefile import DEFAULT_PAGE_SIZE, PageFile
@@ -278,13 +279,27 @@ class TrajectoryStoreWriter:
         self._file.close()
 
 
+@dataclass
 class DiskSearchStats(SearchStats):
     """Search stats extended with physical-I/O accounting."""
 
-    def __init__(self, database_size: int) -> None:
-        super().__init__(database_size=database_size)
-        self.page_reads = 0
+    page_reads: int = 0
+    pages_avoided: int = 0
+
+
+class _PagedChain(_Chain):
+    """The index-order chain, tallying the pages its prunes leave unread."""
+
+    def __init__(self, query_pruners, store: TrajectoryStore) -> None:
+        super().__init__(query_pruners, len(store))
+        self._store = store
         self.pages_avoided = 0
+
+    def pruner_for(self, candidate_index, rank, threshold):
+        pruner = super().pruner_for(candidate_index, rank, threshold)
+        if pruner is not None:
+            self.pages_avoided += self._store.pages_of(candidate_index)
+        return pruner
 
 
 def disk_knn_scan(
@@ -320,34 +335,30 @@ def disk_knn_search(
     trajectory set (its histograms / Q-gram means / reference columns
     fit in memory; the paper's setting).  Lower bounds are evaluated
     from the artifacts alone, so a pruned candidate's pages are never
-    read — the stats report the physical reads avoided.
+    read — the stats report the physical reads avoided.  The loop is
+    the resident engines' (:func:`repro.core.search._knn`), visiting in
+    index order with scalar refinement.
     """
+    from .tiered import PagedTrajectoryList  # tiered imports this module
+
     if len(store) != len(artifacts):
         raise ValueError("store and artifact database must align")
     start = time.perf_counter()
-    stats = DiskSearchStats(database_size=len(store))
-    result = _ResultList(k)
     query_pruners = [pruner.for_query(query) for pruner in pruners]
+    source = _PagedChain(query_pruners, store)
+    # Scalar refine reads each verified candidate through the store, in
+    # visit order, exactly when it is verified.
+    database = TrajectoryDatabase._shell(
+        PagedTrajectoryList(store), artifacts.ndim, artifacts.epsilon,
+        artifacts.lengths,
+    )
     reads_before = store.pool.misses
-    for index in range(len(store)):
-        best = result.best_so_far
-        pruned = False
-        if np.isfinite(best):
-            for query_pruner in query_pruners:
-                if query_pruner.lower_bound(index, best) > best:
-                    stats.credit(query_pruner.name)
-                    stats.pages_avoided += store.pages_of(index)
-                    pruned = True
-                    break
-        if pruned:
-            continue
-        candidate = store.get(index)
-        stats.true_distance_computations += 1
-        distance = edr(query, candidate, artifacts.epsilon)
-        if np.isfinite(distance):
-            for query_pruner in query_pruners:
-                query_pruner.record(index, distance)
-        result.offer(index, distance)
-    stats.page_reads = store.pool.misses - reads_before
-    stats.elapsed_seconds = time.perf_counter() - start
-    return result.neighbors(), stats
+    neighbors, stats = _knn(
+        database, query, _ResultList(k), query_pruners, source,
+        refine_batch_size=None, started=start,
+    )
+    return neighbors, DiskSearchStats(
+        **{f.name: getattr(stats, f.name) for f in fields(SearchStats)},
+        page_reads=store.pool.misses - reads_before,
+        pages_avoided=source.pages_avoided,
+    )

@@ -32,7 +32,6 @@ from repro.core.search import (
     knn_sorted_search,
 )
 from repro.core.sharding import ShardedDatabase
-from repro.core.subtrajectory import subknn_search
 from repro.storage.tiered import TieredDatabase, build_store
 from tests.conftest import random_walk_trajectories
 
@@ -122,11 +121,13 @@ def entries(workload, tmp_path_factory):
         "range_search": lambda kernel: range_search(
             database, query, 8.0, chain, edr_kernel=kernel
         ),
-        "subknn_search": lambda kernel: subknn_search(
-            database, query, 3, chain, edr_kernel=kernel
-        ),
         "knn_batch": lambda kernel: knn_batch(
             database, [query], 3, chain, executor="serial", edr_kernel=kernel
+        ),
+        # The window engines take no kernel; knn_batch still checks it.
+        "knn_batch sub": lambda kernel: knn_batch(
+            database, [query], 3, chain, executor="serial", edr_kernel=kernel,
+            sub=True,
         ),
         "tiered knn_sorted_search": lambda kernel: tiered.knn_sorted_search(
             query, 3, tiered_chain[0], tiered_chain[1:], edr_kernel=kernel
@@ -134,9 +135,6 @@ def entries(workload, tmp_path_factory):
         "sharded knn": lambda kernel: sharded.knn_search(query, 3, edr_kernel=kernel),
         "sharded range": lambda kernel: sharded.range_search(
             query, 8.0, edr_kernel=kernel
-        ),
-        "sharded subknn": lambda kernel: sharded.subknn_search(
-            query, 3, edr_kernel=kernel
         ),
     }
     sharded.close()
@@ -147,8 +145,8 @@ def entries(workload, tmp_path_factory):
     "entry",
     [
         "knn_scan", "knn_search", "knn_sorted_search", "range_search",
-        "subknn_search", "knn_batch", "tiered knn_sorted_search",
-        "sharded knn", "sharded range", "sharded subknn",
+        "knn_batch", "knn_batch sub", "tiered knn_sorted_search",
+        "sharded knn", "sharded range",
     ],
 )
 def test_every_entry_accepts_only_kernel_names(entries, entry):

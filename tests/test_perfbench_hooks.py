@@ -7,7 +7,9 @@ installs the full hook set, including the service layer, runs one
 blocked sorted k-NN on a tiered store under it, and undoes it.  A
 second test serves one ``/knn`` under the hooks, so the benchmark's
 ``service.batch_wait_ms`` (engine span start minus batch-submit span
-start, per request id) stays measurable.
+start, per request id) stays measurable.  A third checks that both
+window engines, serial and sharded, price windows through the hooked
+``subtrajectory.edr_windows_many``.
 """
 
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import Trajectory, TrajectoryDatabase
+from repro import ShardedDatabase, Trajectory, TrajectoryDatabase, subknn_search
 from repro.core import search
 from repro.service import ServerHandle, ServiceConfig
 from repro.service.pruning import build_pruners
@@ -82,3 +84,32 @@ def test_served_knn_records_submit_then_engine_spans():
     engines = [span for span in spans if span.name == "search.knn"]
     assert len(submits) == 1 and engines
     assert submits[0].start <= engines[0].start <= submits[0].end
+
+
+def test_both_window_engines_record_window_dp_spans():
+    rng = np.random.default_rng(8)
+    database = TrajectoryDatabase(
+        [
+            Trajectory(np.cumsum(rng.normal(size=(int(rng.integers(10, 30)), 2)), axis=0))
+            for _ in range(40)
+        ],
+        epsilon=0.5,
+    )
+    query = database.trajectories[3]
+    pruners = build_pruners(database, "histogram,qgram")
+    recorder = Recorder()
+    undo = install(recorder)
+
+    def window_dp_spans() -> int:
+        return sum(span.name == "subtrajectory.window_dp" for span in recorder.spans)
+
+    try:
+        subknn_search(database, query, 3, pruners)
+        serial = window_dp_spans()
+        with ShardedDatabase(database, 2, mode="inline") as sharded:
+            sharded.subknn_search(query, 3)
+        sharded_spans = window_dp_spans() - serial
+    finally:
+        undo()
+    assert serial > 0
+    assert sharded_spans > 0

@@ -3,8 +3,8 @@
 One seeded generator produces the corpus and query stream; the serial
 :func:`repro.subknn_search` is the reference, and every other surface
 that serves the workload — the frozen-round sharded engine at shard
-counts {1, 2, 3}, the tiered store, ``knn_batch`` executors, and the
-HTTP service — must return byte-identical ``(index, start, end,
+counts {1, 2, 3}, the tiered store (serial, and sharded over its own
+files), ``knn_batch`` executors, and the HTTP service — must return byte-identical ``(index, start, end,
 distance)`` answers *and* byte-identical pruner/window counters,
 including the free-start filter stage's ``pruned_by`` entry.  The
 serial engine itself is anchored to the brute-force oracle in
@@ -171,6 +171,28 @@ class TestTieredDifferential:
             got, got_stats = tiered.subknn_search(query, K, store_chain)
             assert window_answers(got) == window_answers(want), spec
             assert _counters(got_stats) == _counters(want_stats), spec
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_sharded_store_answers_byte_equal(
+        self, workload, chains, tiered, shards
+    ):
+        """Shards that map the store's own files run the same rounds."""
+        database, queries = workload
+        with tiered.sharded(shards, specs=SPECS, mode="inline") as engine:
+            for spec in SPECS:
+                for query in queries:
+                    want, want_stats = subknn_search(
+                        database, query, K, chains[spec]
+                    )
+                    got, got_stats = engine.subknn_search(query, K, spec=spec)
+                    assert window_answers(got) == window_answers(want), (
+                        spec,
+                        shards,
+                    )
+                    assert _counters(got_stats) == _counters(want_stats), (
+                        spec,
+                        shards,
+                    )
 
 
 class TestBatchDifferential:
