@@ -5,6 +5,10 @@ query batch, timing a sequential scan once per query and asserting that
 every engine returns scan-identical answers (the no-false-dismissal
 check), then reports pruning power and speedup ratio per engine — the
 two series every efficiency figure in the paper plots.
+
+The paper's sequential methods (HSE, the Q-gram scans, NTR and the
+Figure 11 application orders) run :func:`repro.knn_search` with
+``order="index"``; its default bound order is the paper's HSR.
 """
 
 from __future__ import annotations
@@ -85,11 +89,14 @@ def qgram_engines(database: TrajectoryDatabase, sizes=(1, 2, 3, 4)) -> Dict[str,
             lambda db, query, k, q=q: knn_qgram_index(db, query, k, q=q, structure="bptree")
         )
         engines[f"PS2-q{q}"] = (
-            lambda db, query, k, q=q: knn_search(db, query, k, [QgramMergeJoinPruner(db, q=q)])
+            lambda db, query, k, q=q: knn_search(
+                db, query, k, [QgramMergeJoinPruner(db, q=q)], order="index"
+            )
         )
         engines[f"PS1-q{q}"] = (
             lambda db, query, k, q=q: knn_search(
-                db, query, k, [QgramMergeJoinPruner(db, q=q, two_dimensional=False)]
+                db, query, k, [QgramMergeJoinPruner(db, q=q, two_dimensional=False)],
+                order="index",
             )
         )
     return engines
@@ -105,7 +112,7 @@ def histogram_engines(database: TrajectoryDatabase) -> Dict[str, Engine]:
     for label, kwargs in variants:
         pruner = HistogramPruner(database, **kwargs)
         engines[f"HSE-{label}"] = (
-            lambda db, query, k, p=pruner: knn_search(db, query, k, [p])
+            lambda db, query, k, p=pruner: knn_search(db, query, k, [p], order="index")
         )
         engines[f"HSR-{label}"] = (
             lambda db, query, k, p=pruner: knn_sorted_scan(db, query, k, p)
@@ -134,7 +141,9 @@ def combination_engines(
         "NP2H": [nti, qgram, histogram],
     }
     return {
-        name: (lambda db, query, k, ps=pruners: knn_search(db, query, k, ps))
+        name: (
+            lambda db, query, k, ps=pruners: knn_search(db, query, k, ps, order="index")
+        )
         for name, pruners in orders.items()
     }
 
@@ -151,8 +160,8 @@ def combined_vs_single_engines(
     qgram = QgramMergeJoinPruner(database, q=1)
     nti = NearTrianglePruning(database, max_triangle=max_triangle)
     return {
-        "NTR": lambda db, query, k: knn_search(db, query, k, [nti]),
-        "PS2": lambda db, query, k: knn_search(db, query, k, [qgram]),
+        "NTR": lambda db, query, k: knn_search(db, query, k, [nti], order="index"),
+        "PS2": lambda db, query, k: knn_search(db, query, k, [qgram], order="index"),
         "HSR-2HE": lambda db, query, k: knn_sorted_scan(db, query, k, histogram_2d),
         "1HPN": lambda db, query, k: knn_sorted_search(
             db, query, k, histogram_1d, [qgram, nti]

@@ -104,9 +104,7 @@ def bench_batch(database, queries, k: int, workers: int, repeats: int) -> dict:
         return [knn_search(database, query, k, pruners) for query in queries]
 
     def batched():
-        return knn_batch(
-            database, queries, k, pruners, engine="sorted", workers=workers
-        )
+        return knn_batch(database, queries, k, pruners, workers=workers)
 
     sequential_seconds = best_of(repeats, sequential)
     batch_seconds = best_of(repeats, batched)

@@ -166,8 +166,6 @@ def _run_config(
     config = ServiceConfig(
         port=0,
         pruners=args.pruners,
-        # The engine its committed baseline was recorded with.
-        engine="search",
         k_default=args.k,
         cache_size=args.cache_size,
         replicas=replicas,
@@ -314,7 +312,6 @@ def run(args: argparse.Namespace) -> dict:
         },
         "serving": {
             "pruners": args.pruners,
-            "engine": "search",
             "k": args.k,
             "cache_size": args.cache_size,
             "clients": args.clients,

@@ -3,8 +3,13 @@
 Measures single-query k-NN latency of the shared-memory
 :class:`repro.ShardedDatabase` (process mode, cooperative bound
 tightening on) at 1, 2, and 4 shards against serial
-:func:`repro.knn_search` with the same ``histogram,qgram`` pruner
-chain, on a synthetic random-walk database.
+:func:`repro.knn_search` in index order (the paper's HSE) with the same
+``histogram,qgram`` pruner chain, on a synthetic random-walk database.
+The speedups and the ``--require-speedup`` gate are against that
+comparator, as the committed baseline was recorded.  The serial
+engine's default bound order is timed too and printed as an extra,
+ungated line: the rounds refine a whole first round at an infinite
+threshold, so serial bound order can beat the 1-shard engine.
 
 Every timed configuration is oracle-asserted first: the sharded answers
 must be byte-for-byte — same indices, same distances, same tie order —
@@ -75,7 +80,7 @@ def main() -> int:
         type=float,
         default=0.0,
         help="fail unless the largest shard count reaches this speedup "
-        "over serial knn_search (0 disables the gate)",
+        "over serial index-order knn_search (0 disables the gate)",
     )
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_shards.json"))
     args = parser.parse_args()
@@ -94,29 +99,36 @@ def main() -> int:
     # query path, not index construction.
     pruners[0].for_query(queries[0])
 
-    def serial_all():
+    def serial_all(order="index"):
         return [
             knn_search(
-                database, query, args.k, pruners, early_abandon=True
+                database, query, args.k, pruners, early_abandon=True,
+                order=order,
             )[0]
             for query in queries
         ]
 
     oracle = [_answers(neighbors) for neighbors in serial_all()]
+    assert [_answers(n) for n in serial_all("bound")] == oracle
     serial_seconds = best_of(args.repeats, serial_all)
     per_query_serial = serial_seconds / len(queries)
+    per_query_bound = best_of(args.repeats, lambda: serial_all("bound")) / len(
+        queries
+    )
 
     header = (
         f"{'shards':>6} {'per-query':>11} {'speedup':>9} {'start':>7} "
         f"{'exact':>6}"
     )
-    print(f"serial knn_search: {per_query_serial * 1e3:.1f} ms/query "
-          f"({args.count} trajectories, k={args.k})")
-    print(header)
     table_lines = [
-        f"serial knn_search: {per_query_serial * 1e3:.1f} ms/query",
+        f"serial knn_search, index order (the comparator): "
+        f"{per_query_serial * 1e3:.1f} ms/query",
+        f"serial knn_search, bound order (not gated): "
+        f"{per_query_bound * 1e3:.1f} ms/query",
         header,
     ]
+    print(f"{args.count} trajectories, k={args.k}")
+    print("\n".join(table_lines))
 
     rows = {}
     for shards in shard_counts:
@@ -161,7 +173,9 @@ def main() -> int:
         },
         "cpu_count": os.cpu_count(),
         "spec": SPEC,
+        "serial_order": "index",
         "serial_per_query_seconds": per_query_serial,
+        "serial_bound_order_per_query_seconds": per_query_bound,
         "shards": rows,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

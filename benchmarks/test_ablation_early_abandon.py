@@ -25,9 +25,9 @@ def abandon_sweep(kungfu_database):
     engines = {
         "full-edr": lambda db, q, k: knn_search(db, q, k, []),
         "abandon": lambda db, q, k: knn_search(db, q, k, [], early_abandon=True),
-        "hist+full": lambda db, q, k: knn_search(db, q, k, [histogram]),
+        "hist+full": lambda db, q, k: knn_search(db, q, k, [histogram], order="index"),
         "hist+abandon": lambda db, q, k: knn_search(
-            db, q, k, [histogram], early_abandon=True
+            db, q, k, [histogram], early_abandon=True, order="index"
         ),
     }
     return database, run_sweep(database, queries, K, engines)

@@ -31,7 +31,7 @@ def maxtriangle_sweep():
     for budget in BUDGETS:
         pruner = NearTrianglePruning(database, max_triangle=budget, policy="short")
         engines[f"maxTriangle={budget}"] = (
-            lambda db, query, k, p=pruner: knn_search(db, query, k, [p])
+            lambda db, query, k, p=pruner: knn_search(db, query, k, [p], order="index")
         )
     return database, run_sweep(database, queries, K, engines)
 
@@ -53,5 +53,7 @@ def test_maxtriangle_report(benchmark, maxtriangle_sweep):
     query = member_queries(database, count=1, seed=32)[0]
     pruner = NearTrianglePruning(database, max_triangle=50, policy="short")
     benchmark.pedantic(
-        lambda: knn_search(database, query, K, [pruner]), rounds=2, iterations=1
+        lambda: knn_search(database, query, K, [pruner], order="index"),
+        rounds=2,
+        iterations=1,
     )

@@ -37,7 +37,7 @@ RAND_COUNT = 300
 
 def nti_engine(database, policy):
     pruner = NearTrianglePruning(database, max_triangle=MAX_TRIANGLE, policy=policy)
-    return lambda db, query, k: knn_search(db, query, k, [pruner])
+    return lambda db, query, k: knn_search(db, query, k, [pruner], order="index")
 
 
 def rand_database(distribution, seed):

@@ -28,13 +28,13 @@ import numpy as np
 
 from . import __version__
 from .core.alignment import edr_alignment, subtrajectory_edr
-from .core.batch import BATCH_ENGINES, knn_batch
+from .core.batch import knn_batch
 from .core.database import TrajectoryDatabase
 from .core.edr_batch import DEFAULT_REFINE_BATCH_SIZE
 from .core.join import similarity_join
 from .core.kernels import DEFAULT_KERNEL
 from .core.rangequery import range_search
-from .core.search import Pruner, knn_scan, knn_sorted_search
+from .core.search import Pruner, knn_scan, knn_search
 from .core.subtrajectory import DEFAULT_WINDOW_ALPHA, subknn_search
 from .core.matching import suggest_epsilon
 from .core.trajectory import Trajectory
@@ -223,17 +223,14 @@ def cmd_knn(args: argparse.Namespace) -> int:
     if not pruners:
         scan = tiered.knn_scan if tiered is not None else partial(knn_scan, database)
         neighbors, stats = scan(query, args.k)
-    else:
-        search = (
-            tiered.knn_sorted_search
-            if tiered is not None
-            else partial(knn_sorted_search, database)
+    elif tiered is not None:
+        neighbors, stats = tiered.knn_sorted_search(
+            query, args.k, pruners[0], pruners[1:],
+            refine_batch_size=args.refine_batch_size,
         )
-        neighbors, stats = search(
-            query,
-            args.k,
-            pruners[0],
-            pruners[1:],
+    else:
+        neighbors, stats = knn_search(
+            database, query, args.k, pruners,
             refine_batch_size=args.refine_batch_size,
         )
     print(
@@ -291,7 +288,6 @@ def cmd_knn_batch(args: argparse.Namespace) -> int:
         queries,
         args.k,
         pruners,
-        engine=args.engine,
         workers=args.workers,
         executor=executor,
         refine_batch_size=args.refine_batch_size,
@@ -312,7 +308,7 @@ def cmd_knn_batch(args: argparse.Namespace) -> int:
         f"epsilon = {epsilon:.4f}; {len(queries)} queries in "
         f"{batch.elapsed_seconds:.3f}s "
         f"({batch.executor}, {batch.workers} worker(s), "
-        f"engine={args.engine}, kernel={DEFAULT_KERNEL}{shard_note})"
+        f"kernel={DEFAULT_KERNEL}{shard_note})"
     )
     print(
         f"true distance computations: {total_computed}/{total_candidates} "
@@ -496,7 +492,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.store:
         print(
             f"store = {args.store}; pruners = {config.pruners or 'none'}; "
-            f"engine = {config.engine}; kernel = {DEFAULT_KERNEL}"
+            f"kernel = {DEFAULT_KERNEL}"
         )
     elif args.ingest_root:
         print(
@@ -507,7 +503,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         print(
             f"epsilon = {epsilon:.4f}; pruners = {config.pruners or 'none'}; "
-            f"engine = {config.engine}; kernel = {DEFAULT_KERNEL}"
+            f"kernel = {DEFAULT_KERNEL}"
         )
     from .storage.tiered import StoreError
 
@@ -653,7 +649,6 @@ SERVE_CONFIG_FIELDS = {
     "host": "host",
     "port": "port",
     "pruners": "pruners",
-    "engine": "engine",
     "k": "k_default",
     "max_batch": "max_batch",
     "cache_size": "cache_size",
@@ -768,9 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     knn_batch_command.add_argument("--k", type=int, default=10)
     knn_batch_command.add_argument("--epsilon", type=float, default=None)
     knn_batch_command.add_argument("--pruners", default="histogram,qgram")
-    knn_batch_command.add_argument(
-        "--engine", choices=BATCH_ENGINES, default="sorted"
-    )
     knn_batch_command.add_argument("--workers", type=int, default=None)
     knn_batch_command.add_argument(
         "--executor",
@@ -902,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--pruners", help=f"comma list: {', '.join(PRUNER_CHOICES)}"
     )
-    serve.add_argument("--engine", choices=BATCH_ENGINES)
     serve.add_argument("--k", type=int, help="default k for /knn")
     serve.add_argument("--max-batch", type=int)
     serve.add_argument("--cache-size", type=int)

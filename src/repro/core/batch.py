@@ -28,8 +28,9 @@ Executor choice
 ``auto``
     ``serial`` when the effective worker count is 1, else ``thread``.
 
-Whatever the executor, the answers are exactly those of running the
-chosen single-query engine once per query, in query order.
+Whatever the executor, the answers are exactly those of running
+:func:`~repro.core.search.knn_search` (or :func:`knn_scan`, for an
+empty chain) once per query, in query order.
 """
 
 from __future__ import annotations
@@ -51,14 +52,11 @@ from .search import (
     SearchStats,
     knn_scan,
     knn_search,
-    knn_sorted_search,
 )
 from .subtrajectory import DEFAULT_WINDOW_ALPHA, subknn_search
 from .trajectory import Trajectory
 
-__all__ = ["knn_batch", "warm_pruners", "BatchResult", "BATCH_ENGINES"]
-
-BATCH_ENGINES = ("scan", "search", "sorted")
+__all__ = ["knn_batch", "warm_pruners", "BatchResult"]
 
 # Per-process state for the fork-based process pool: set in the parent
 # before forking so children inherit it without any per-task pickling.
@@ -88,7 +86,6 @@ def _run_engine(
     query: Trajectory,
     k: int,
     pruners: Sequence[Pruner],
-    engine: str,
     early_abandon: bool,
     refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE,
     edr_kernel: Optional[str] = None,
@@ -98,9 +95,7 @@ def _run_engine(
     max_window: Optional[int] = None,
 ):
     if sub:
-        # One engine family serves every ``engine`` label: the window
-        # scan is already the sorted pipeline, and with no pruners it
-        # degenerates to the full scan.
+        # With no pruners the window scan degenerates to the full scan.
         return subknn_search(
             database,
             query,
@@ -112,31 +107,16 @@ def _run_engine(
             early_abandon=early_abandon,
             refine_batch_size=refine_batch_size,
         )
-    if engine == "scan" or not pruners:
+    if not pruners:
         return knn_scan(database, query, k, edr_kernel=edr_kernel)
-    if engine == "search":
-        return knn_search(
-            database,
-            query,
-            k,
-            pruners,
-            early_abandon=early_abandon,
-            refine_batch_size=refine_batch_size,
-            edr_kernel=edr_kernel,
-        )
-    if engine == "sorted":
-        return knn_sorted_search(
-            database,
-            query,
-            k,
-            pruners[0],
-            pruners[1:],
-            early_abandon=early_abandon,
-            refine_batch_size=refine_batch_size,
-            edr_kernel=edr_kernel,
-        )
-    raise ValueError(
-        f"unknown batch engine {engine!r}; choose from {', '.join(BATCH_ENGINES)}"
+    return knn_search(
+        database,
+        query,
+        k,
+        pruners,
+        early_abandon=early_abandon,
+        refine_batch_size=refine_batch_size,
+        edr_kernel=edr_kernel,
     )
 
 
@@ -167,7 +147,6 @@ def _process_task(query_position: int) -> SearchResult:
         state["queries"][query_position],
         state["k"],
         state["pruners"],
-        state["engine"],
         state["early_abandon"],
         state["refine_batch_size"],
         state["edr_kernel"],
@@ -196,7 +175,6 @@ def knn_batch(
     queries: Sequence[Trajectory],
     k: int,
     pruners: Sequence[Pruner] = (),
-    engine: str = "sorted",
     workers: Optional[int] = None,
     executor: str = "auto",
     early_abandon: bool = False,
@@ -220,11 +198,9 @@ def knn_batch(
         The query trajectories; results come back in the same order.
     pruners:
         Shared pruner chain.  Built once by the caller, warmed once
-        here, reused by every query.  Empty means sequential scan.
-    engine:
-        ``"sorted"`` (default — :func:`knn_sorted_search` with the first
-        pruner in the primary role), ``"search"``
-        (:func:`knn_search`), or ``"scan"``.
+        here, reused by every query.  Each query runs
+        :func:`~repro.core.search.knn_search` in bound order; empty
+        means sequential scan.
     workers:
         Worker count for the pool; ``None`` means ``os.cpu_count()``.
         Ignored by the serial executor.
@@ -260,26 +236,20 @@ def knn_batch(
         corpus — instead of a :class:`Neighbor`.  ``alpha`` bands the
         window lengths to ``[m·(1−α), m·(1+α)]`` around each query's
         length ``m``; ``min_window``/``max_window`` override the band
-        edges explicitly.  The ``engine`` label is accepted unchanged
-        (the window scan *is* the sorted pipeline; with no pruners it
-        degenerates to a scan), and every executor — serial, thread,
-        process, sharded — answers byte-for-byte identically.
+        edges explicitly.  With no pruners the window scan degenerates
+        to a scan, and every executor — serial, thread, process,
+        sharded — answers byte-for-byte identically.
     """
-    if engine not in BATCH_ENGINES:
-        raise ValueError(
-            f"unknown batch engine {engine!r}; "
-            f"choose from {', '.join(BATCH_ENGINES)}"
-        )
     check_kernel_choice(edr_kernel)
     queries = list(queries)
     pruners = list(pruners)
     if sharded is not None or (shards is not None and shards > 1):
-        if engine == "scan" and not sub:
+        if not pruners and not sub:
             raise ValueError(
-                "sharded execution applies to the pruned engines, not 'scan'"
+                "sharded execution applies to a pruned chain, not a scan"
             )
         return _knn_batch_sharded(
-            database, queries, k, pruners, engine, early_abandon,
+            database, queries, k, pruners, early_abandon,
             refine_batch_size, shards, shard_workers, sharded, edr_kernel,
             sub, alpha, min_window, max_window,
         )
@@ -299,7 +269,7 @@ def knn_batch(
         chosen = "serial"
         results = [
             _run_engine(
-                database, query, k, pruners, engine, early_abandon,
+                database, query, k, pruners, early_abandon,
                 refine_batch_size, edr_kernel, sub, alpha,
                 min_window, max_window,
             )
@@ -310,7 +280,7 @@ def knn_batch(
             results = list(
                 pool.map(
                     lambda query: _run_engine(
-                        database, query, k, pruners, engine, early_abandon,
+                        database, query, k, pruners, early_abandon,
                         refine_batch_size, edr_kernel, sub, alpha,
                         min_window, max_window,
                     ),
@@ -323,7 +293,6 @@ def knn_batch(
             "queries": queries,
             "k": k,
             "pruners": pruners,
-            "engine": engine,
             "early_abandon": early_abandon,
             "refine_batch_size": refine_batch_size,
             "edr_kernel": edr_kernel,
@@ -344,7 +313,7 @@ def knn_batch(
             stats.start_method = start_method
 
     elapsed = time.perf_counter() - start
-    extra = {"warm_seconds": warm_seconds, "engine": engine}
+    extra = {"warm_seconds": warm_seconds}
     if sub:
         extra["sub"] = True
         extra["alpha"] = alpha
@@ -365,7 +334,6 @@ def _knn_batch_sharded(
     queries: Sequence[Trajectory],
     k: int,
     pruners: Sequence[Pruner],
-    engine: str,
     early_abandon: bool,
     refine_batch_size: Optional[int],
     shards: Optional[int],
@@ -377,12 +345,8 @@ def _knn_batch_sharded(
     min_window: Optional[int] = None,
     max_window: Optional[int] = None,
 ) -> BatchResult:
-    """Run the batch through the sharded intra-query engine.
-
-    ``engine`` ("search"/"sorted") is accepted for interface symmetry:
-    the sharded pipeline is a sorted scan whose answers equal both
-    serial engines, so the choice only labels the result.
-    """
+    """Run the batch through the sharded intra-query engine, whose
+    answers equal the serial ``knn_search``'s."""
     from .sharding import ShardedDatabase, pruner_spec_of
 
     spec = pruner_spec_of(pruners)
@@ -423,7 +387,6 @@ def _knn_batch_sharded(
             sharded.close()
     elapsed = time.perf_counter() - start
     extra = {
-        "engine": engine,
         "shards": sharded.shards,
         "shard_mode": sharded.mode,
         "start_method": sharded.start_method,

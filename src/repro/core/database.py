@@ -503,10 +503,7 @@ class TrajectoryDatabase:
                     keys = archive[f"hkeys_{tag}_{index}"]
                     counts = archive[f"hcounts_{tag}_{index}"]
                     histograms.append(
-                        {
-                            tuple(map(int, key)): int(value)
-                            for key, value in zip(keys.tolist(), counts.tolist())
-                        }
+                        space.shared(zip(map(tuple, keys.tolist()), counts.tolist()))
                     )
                 database._histograms[(float(delta), axis)] = (space, histograms)
             for reference_count, policy in manifest["references"]:

@@ -66,6 +66,10 @@ class HistogramSpace:
         for some ``delta >= 1`` **and** the histogram distance must treat
         adjacency at that same granularity — which this class guarantees
         by construction, since adjacency is defined on its own grid.
+
+    Every histogram built on one space shares one key object per
+    distinct bin: a corpus of N rows holds as many key tuples as it
+    occupies bins, not one per bin per row.
     """
 
     def __init__(self, origin: Sequence[float], bin_size: float) -> None:
@@ -73,6 +77,7 @@ class HistogramSpace:
             raise ValueError("bin size must be positive")
         self.origin = np.asarray(origin, dtype=np.float64).ravel()
         self.bin_size = float(bin_size)
+        self._keys: Dict[BinIndex, BinIndex] = {}
 
     @classmethod
     def for_trajectories(
@@ -112,10 +117,22 @@ class HistogramSpace:
             )
         return np.floor((points - self.origin) / self.bin_size).astype(np.int64)
 
+    def counts(self, trajectory: Union[Trajectory, np.ndarray]) -> Counter:
+        """Element count per occupied bin, keyed by fresh tuples rather
+        than the shared keys: for a histogram the corpus does not keep (a
+        query's, or one a store build writes out), so the key table holds
+        only corpus bins."""
+        return Counter(map(tuple, self.bin_indices(trajectory).tolist()))
+
     def histogram(self, trajectory: Union[Trajectory, np.ndarray]) -> TrajectoryHistogram:
         """Sparse histogram: map from occupied bin index to element count."""
-        indices = self.bin_indices(trajectory)
-        return dict(Counter(map(tuple, indices.tolist())))
+        return self.shared(self.counts(trajectory).items())
+
+    def shared(self, counts: Iterable[Tuple[BinIndex, int]]) -> TrajectoryHistogram:
+        """The histogram of ``(bin, count)`` pairs, keyed by this space's
+        shared key objects."""
+        keys = self._keys
+        return {keys.setdefault(key, key): count for key, count in counts}
 
 
 def _approximate_neighbors(bin_index: BinIndex) -> Iterable[BinIndex]:

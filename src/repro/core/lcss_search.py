@@ -88,7 +88,7 @@ class LcssHistogramBound(LcssUpperBound):
         bound.name = self.name
         bound._space = self._space
         bound._histograms = self._histograms
-        bound._matcher = HistogramMatcher(self._space.histogram(query))
+        bound._matcher = HistogramMatcher(dict(self._space.counts(query)))
         return bound
 
     def upper_bound(self, candidate_index: int) -> float:

@@ -12,12 +12,12 @@ The pruning methods share one interface: a :class:`Pruner` bound to a
 database produces, per query, a :class:`QueryPruner` exposing
 ``lower_bound(candidate_index)``; a candidate is skipped when its lower
 bound exceeds the current k-th best distance.  Three pruner families are
-provided (histograms, mean-value Q-grams, near triangle inequality) plus
-two specialized engines: :func:`knn_sorted_scan` (the paper's HSR —
-visit candidates in ascending lower-bound order and stop at the first
-bound that cannot beat the k-th distance) and :func:`knn_qgram_index`
-(Figure 3 — probe a Q-gram index, then visit candidates in descending
-common-count order).
+provided (histograms, mean-value Q-grams, near triangle inequality).
+:func:`knn_search` visits candidates in ascending lower-bound order and
+stops at the first bound that cannot beat the k-th distance (the
+paper's HSR); ``order="index"`` keeps the paper's HSE visit in database
+order.  :func:`knn_qgram_index` is Figure 3: probe a Q-gram index, then
+visit candidates in descending common-count order.
 """
 
 from __future__ import annotations
@@ -537,7 +537,7 @@ class HistogramPruner(Pruner):
         database_histograms = []
         for axis, (space, built) in enumerate(self._variants):
             projected = query.projection(axis) if self._per_axis else query
-            query_histograms.append(space.histogram(projected))
+            query_histograms.append(dict(space.counts(projected)))
             database_histograms.append(built)
         return _HistogramQuery(
             self.name, query_histograms, database_histograms, self._stores
@@ -1167,16 +1167,27 @@ def knn_search(
     early_abandon: bool = False,
     refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE,
     edr_kernel: Optional[str] = None,
+    order: str = "bound",
 ) -> SearchResult:
-    """Sequential k-NN with a chain of pruners (Figure 6's skeleton).
+    """Exact k-NN with a chain of pruners (Figure 6's skeleton).
 
-    Candidates are visited in database order.  The first k candidates
-    initialize the result with true distances; afterwards each pruner is
-    consulted in the given order and the first one whose lower bound
-    exceeds the current k-th distance prunes the candidate (and is
-    credited in the stats).  With ``early_abandon=True`` the EDR dynamic
-    program itself stops as soon as the k-th distance is unreachable;
-    abandoned candidates still count as true-distance computations.
+    ``order="bound"`` (the default) visits candidates in ascending order
+    of the first pruner's quick bound and stops at the first bound that
+    cannot beat the k-th distance: the paper's sorted histogram scan
+    (HSR, Section 5.4).  Only the first pruner's quick bounds are
+    computed for the whole database; later stages fill the visited
+    prefix window by window.  ``order="index"`` visits in database
+    order (the paper's HSE), kept for the experiments that compare the
+    two.  Answers and tie order are the same in both orders; only the
+    counters differ.  An empty chain refines every candidate.
+
+    The first k candidates visited initialize the result with true
+    distances; afterwards each pruner is consulted in the given order
+    and the first one whose lower bound exceeds the current k-th
+    distance prunes the candidate (and is credited in the stats).  With
+    ``early_abandon=True`` the EDR dynamic program itself stops as soon
+    as the k-th distance is unreachable; abandoned candidates still
+    count as true-distance computations.
 
     ``refine_batch_size`` controls the refinement phase: surviving
     candidates accumulate into length-bucketed batches of this size and
@@ -1193,8 +1204,11 @@ def knn_search(
     Answers and pruner counters are byte-for-byte identical for every
     choice.
     """
+    if order not in ("bound", "index"):
+        raise ValueError(f"unknown visit order {order!r}; choose bound or index")
     query_pruners = [pruner.for_query(query) for pruner in pruners]
-    source = _Chain(query_pruners, len(database))
+    sort = order == "bound" and bool(query_pruners)
+    source = _Chain(query_pruners, len(database), sort=sort)
     return _knn(
         database, query, _ResultList(k), query_pruners, source,
         early_abandon, refine_batch_size, edr_kernel,
@@ -1306,13 +1320,10 @@ def knn_sorted_scan(
     longer pays the expensive exact bound for every database member.
     Visited candidates of a two-stage pruner get the staged exact check
     before their true distance is computed, and a dynamic pruner is
-    re-evaluated at its current state.  This is
-    :func:`knn_sorted_search` with no secondary pruner and scalar
-    refinement.
+    re-evaluated at its current state.  This is :func:`knn_search` with
+    one pruner and scalar refinement.
     """
-    return knn_sorted_search(
-        database, query, k, pruner, (), early_abandon, None, edr_kernel
-    )
+    return knn_search(database, query, k, [pruner], early_abandon, None, edr_kernel)
 
 
 def knn_qgram_index(
@@ -1376,29 +1387,8 @@ def knn_sorted_search(
     refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE,
     edr_kernel: Optional[str] = None,
 ) -> SearchResult:
-    """Combined search with sorted access on the primary pruner.
-
-    The paper's combined methods (Section 5.4) run the histogram stage
-    in HSR form: all primary lower bounds are computed up front and
-    candidates are visited in ascending order, so the scan stops at the
-    first bound that cannot beat the k-th distance; the remaining
-    pruners filter the candidates that are actually visited.  This is
-    that engine with any pruner in the primary role.  Only the
-    primary's quick bounds are computed for the whole database: a
-    secondary's bounds are computed for the visited prefix, window by
-    window, and a two-stage primary's exact stage only for visited
-    candidates it can still prune.
-
-    ``refine_batch_size`` batches the refinement phase exactly as in
-    :func:`knn_search`: visited survivors are verified through the
-    batched EDR kernel in length-bucketed groups, with the sorted break
-    and all pruning checks unchanged.  ``None`` restores the scalar
-    per-candidate verification.
-    """
-    query_pruners = [primary.for_query(query)]
-    query_pruners += [pruner.for_query(query) for pruner in secondary]
-    source = _Chain(query_pruners, len(database), sort=True)
-    return _knn(
-        database, query, _ResultList(k), query_pruners, source,
-        early_abandon, refine_batch_size, edr_kernel,
+    """:func:`knn_search` over the chain ``[primary, *secondary]``."""
+    return knn_search(
+        database, query, k, [primary, *secondary], early_abandon,
+        refine_batch_size, edr_kernel,
     )

@@ -389,12 +389,12 @@ class _ShardRuntime:
                 for i in range(len(koffsets) - 1):
                     lo, hi = int(koffsets[i]), int(koffsets[i + 1])
                     histograms.append(
-                        {
-                            tuple(map(int, key)): int(count)
-                            for key, count in zip(
-                                keys[lo:hi].tolist(), kcounts[lo:hi].tolist()
+                        space.shared(
+                            zip(
+                                map(tuple, keys[lo:hi].tolist()),
+                                kcounts[lo:hi].tolist(),
                             )
-                        }
+                        )
                     )
             key = (float(variant["delta"]), axis)
             self.database._histograms[key] = (space, histograms)
@@ -963,28 +963,13 @@ class ShardedDatabase:
         refine_batch_size: Optional[int] = None,
         edr_kernel: Optional[str] = None,
     ) -> Tuple[List[Neighbor], ShardedSearchStats]:
-        """Exact k-NN, byte-for-byte equal to the serial ``knn_search``."""
+        """Exact k-NN: answers and tie order byte-equal to the serial
+        ``knn_search``'s.  The counters are the rounds' own: the first
+        round refines a whole round at an infinite threshold, so they
+        differ from the serial bound-order walk's."""
         return self._execute(
             knn_search, self._whole_route, query, spec, refine_batch_size,
             k=k, early_abandon=early_abandon, edr_kernel=edr_kernel,
-        )
-
-    def knn_sorted_search(
-        self,
-        query: Trajectory,
-        k: int,
-        spec: Optional[str] = None,
-        early_abandon: bool = False,
-        refine_batch_size: Optional[int] = None,
-        edr_kernel: Optional[str] = None,
-    ) -> Tuple[List[Neighbor], ShardedSearchStats]:
-        """Alias of :meth:`knn_search` — the sharded pipeline *is* a
-        sorted scan (global quick-bound order with a sorted break), and
-        the canonical result list makes the serial ``knn_search`` and
-        ``knn_sorted_search`` answers identical already."""
-        return self.knn_search(
-            query, k, spec=spec, early_abandon=early_abandon,
-            refine_batch_size=refine_batch_size, edr_kernel=edr_kernel,
         )
 
     def range_search(

@@ -57,7 +57,7 @@ __all__ = ["MutableDatabase"]
 class _HistogramState(NamedTuple):
     """One histogram variant of the last view that built it."""
 
-    origin: bytes  # the grid origin every row is binned on
+    space: HistogramSpace  # the grid every row is binned on
     uids: np.ndarray  # row order
     rows: Sequence[dict]  # per-row dict histograms
     store: HistogramArrayStore
@@ -217,9 +217,10 @@ class _MergedView(TrajectoryDatabase):
                 raise ValueError("histograms need a positive epsilon")
             minima = self._owner._merged_minima(self)
             origin = minima if axis is None else minima[axis : axis + 1]
-            space = HistogramSpace(origin, bin_size)
-            state = self._owner._histogram_state(self, key, space)
-            self._histograms[key] = (space, state.rows)
+            state = self._owner._histogram_state(
+                self, key, HistogramSpace(origin, bin_size)
+            )
+            self._histograms[key] = (state.space, state.rows)
             self._histogram_arrays[key] = state.store
         return self._histograms[key]
 
@@ -550,13 +551,14 @@ class MutableDatabase:
         key: Tuple[float, Optional[int]],
         space: HistogramSpace,
     ) -> _HistogramState:
-        """The view's dict histograms and CSR store on ``space``.
+        """The view's dict histograms and CSR store on ``space``'s grid.
 
-        While the grid origin stays put, rows surviving from the previous
-        view (or from the base generation, when the origin is back on
-        the base's) are reused and sliced out of its store, and only rows
-        new to this view are binned.  When the origin moved elsewhere,
-        every row is binned on the new one.
+        While the grid origin stays put, the previous view's space (or
+        the base generation's, when the origin is back on the base's) is
+        the view's, so every row shares its bin keys.  Rows surviving
+        from that view are reused and sliced out of its store, and only
+        rows new to this view are binned.  When the origin moved
+        elsewhere, every row is binned on ``space``, a new table.
         """
         axis = key[1]
         origin = space.origin.tobytes()
@@ -568,10 +570,13 @@ class MutableDatabase:
                     self._hist_cache.get(key),
                     self._base_histogram_state(key),
                 )
-                if candidate is not None and candidate.origin == origin
+                if candidate is not None
+                and candidate.space.origin.tobytes() == origin
             ),
             uids,
         )
+        if state is not None:
+            space = state.space
         rows = [] if state is None else list(compress(state.rows, keep.tolist()))
         fresh = [
             space.histogram(
@@ -583,7 +588,7 @@ class MutableDatabase:
             store = HistogramArrayStore(fresh, space.ndim)
         else:
             store = state.store.derive(keep, fresh)
-        state = _HistogramState(origin, uids, rows + fresh, store)
+        state = _HistogramState(space, uids, rows + fresh, store)
         self._hist_cache[key] = state
         return state
 
@@ -596,9 +601,7 @@ class MutableDatabase:
         if built is None or store is None:
             return None
         space, rows = built
-        return _HistogramState(
-            space.origin.tobytes(), self._base_uid_array, rows, store
-        )
+        return _HistogramState(space, self._base_uid_array, rows, store)
 
     def _merged_minima(self, view: _MergedView) -> np.ndarray:
         """The view's per-axis corpus minimum (the histogram grid origin),

@@ -182,8 +182,6 @@ def _run_mode(
     config = ServiceConfig(
         port=0,
         pruners=args.pruners,
-        # The engine its committed baseline was recorded with.
-        engine="search",
         k_default=args.k,
         max_batch=max_batch,
         cache_size=args.cache_size,
@@ -315,7 +313,6 @@ def run(args: argparse.Namespace) -> dict:
         },
         "serving": {
             "pruners": args.pruners,
-            "engine": "search",
             "k": args.k,
             "cache_size": args.cache_size,
             "clients": args.clients,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from ..core.batch import BATCH_ENGINES
 from ..core.edr_batch import DEFAULT_REFINE_BATCH_SIZE
 
 __all__ = ["ServiceConfig"]
@@ -24,15 +23,13 @@ class ServiceConfig:
     Search parameters
     -----------------
     ``pruners`` is the default pruner chain (same comma syntax as the
-    CLI; per-request override allowed); ``engine`` is the
-    :func:`repro.knn_batch` engine used for k-NN dispatch.  The default
-    ``"sorted"`` is :func:`repro.knn_sorted_search`, the paper's
-    bound-ordered (HSR) engine: it visits candidates in ascending
-    primary lower bound and stops at the first bound that cannot beat
-    the k-th distance.  Every engine keeps the k smallest
-    ``(distance, index)`` pairs, so served answers equal
-    :func:`repro.knn_search`'s byte for byte, ties included; only the
-    counters differ.  Refinement runs the bit-parallel EDR kernel.
+    CLI; per-request override allowed).  k-NN dispatch runs
+    :func:`repro.knn_batch`, that is :func:`repro.knn_search` in bound
+    order (the paper's HSR): candidates in ascending first-pruner lower
+    bound, stopping at the first bound that cannot beat the k-th
+    distance; an empty chain scans.  Served answers and counters equal
+    a direct :func:`repro.knn_search` call's byte for byte, ties
+    included.  Refinement runs the bit-parallel EDR kernel.
 
     Micro-batching
     --------------
@@ -61,7 +58,6 @@ class ServiceConfig:
 
     # Search parameters
     pruners: str = "histogram,qgram"
-    engine: str = "sorted"
     k_default: int = 10
     early_abandon: bool = False
     refine_batch_size: Optional[int] = DEFAULT_REFINE_BATCH_SIZE
@@ -131,10 +127,6 @@ class ServiceConfig:
 
     def validated(self) -> "ServiceConfig":
         """Return self after range-checking every knob (raises ValueError)."""
-        if self.engine not in BATCH_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {', '.join(BATCH_ENGINES)}"
-            )
         if self.k_default < 1:
             raise ValueError("k_default must be at least 1")
         if self.shards < 1:

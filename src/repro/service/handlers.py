@@ -256,13 +256,12 @@ class QueryEngine:
         """One ``knn_batch`` call (``window``: subknn's ``sub``, ``alpha``)."""
         pruners = self.chain(spec)
         sharded = self.sharded
-        # Window mode ignores the whole-trajectory engine choice (the
-        # banded DP is its own engine), so it runs partition-parallel
-        # whenever the coordinator can price the spec's bounds; whole
-        # trajectories also need a pruned, non-scan engine.
+        # Window mode runs partition-parallel whenever the coordinator
+        # can price the spec's bounds; whole trajectories also need a
+        # non-empty chain (an empty one is a scan).
         if (
             sharded is not None
-            and (window or (self.config.engine != "scan" and pruners))
+            and (window or pruners)
             and sharded.supports(spec)
         ):
             window["sharded"] = sharded
@@ -271,7 +270,6 @@ class QueryEngine:
             queries,
             k,
             pruners,
-            engine=self.config.engine,
             early_abandon=self.config.early_abandon,
             refine_batch_size=self.config.refine_batch_size,
             **window,
@@ -717,7 +715,6 @@ class TrajectoryService:
         ``/distance`` is one direct computation with neither.
         """
         signature, payload = self._parse(op, request)
-        engine_name = {"knn": self.config.engine, "subknn": "subknn"}.get(op)
         if self._fleet is not None:
             result, meta = await self._admitted(
                 partial(
@@ -728,8 +725,6 @@ class TrajectoryService:
                     min_epoch=self._min_epoch(request),
                 )
             )
-            if engine_name is not None:
-                meta = {**meta, "engine": engine_name}
             return {**result, "meta": meta}
         if op == "distance":
             (result,) = await self._admitted(
@@ -740,7 +735,7 @@ class TrajectoryService:
         cached = self.cache.get(cache_key)
         if cached is not None:
             return {**cached, "meta": {"cached": True}}
-        if engine_name is None:
+        if op == "range":
             (result,) = await self._admitted(
                 partial(self._on_dispatch, op, [payload])
             )
@@ -758,7 +753,6 @@ class TrajectoryService:
             )
             meta = {
                 "cached": False,
-                "engine": engine_name,
                 "batch_size": batch["batch_size"],
                 "coalesced": batch["coalesced"],
             }
@@ -866,7 +860,7 @@ class TrajectoryService:
         spec = self._spec(request)
         if op == "knn":
             payload = {"points": query.points, "k": k, "spec": spec}
-            return (op, digest, k, spec, config.engine) + refine, payload
+            return (op, digest, k, spec) + refine, payload
         alpha = self._alpha(request)
         payload = {"points": query.points, "k": k, "alpha": alpha, "spec": spec}
         return (op, digest, k, alpha, spec) + refine, payload

@@ -84,7 +84,6 @@ from ..core.search import (
     _ResultList,
     knn_scan as _knn_scan,
     knn_search as _knn_search,
-    knn_sorted_search as _knn_sorted_search,
 )
 from ..core.subtrajectory import (
     subknn_search as _subknn_search,
@@ -685,7 +684,7 @@ def build_store(
                 view = points_mm[offsets[index] : offsets[index + 1]]
                 if axis is not None:
                     view = view[:, axis : axis + 1]
-                histogram = space.histogram(np.asarray(view))
+                histogram = space.counts(np.asarray(view))
                 totals[index] = sum(histogram.values())
                 sorted_keys = sorted(histogram)
                 koffsets[index + 1] = koffsets[index] + len(sorted_keys)
@@ -1414,9 +1413,7 @@ class TieredDatabase:
         if summaries is not None:
             return self._blocked(query, _ResultList(k), pruners, summaries, **kwargs)
         return self._accounted(
-            lambda: _knn_sorted_search(
-                self.database, query, k, primary, secondary, **kwargs
-            ),
+            lambda: _knn_search(self.database, query, k, pruners, **kwargs),
             query,
             pruners,
         )

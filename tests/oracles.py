@@ -142,11 +142,13 @@ def eager_knn(database, query, k, pruners, early_abandon=False, sort=False):
     Candidates are visited in database order or, with ``sort``, in
     ascending order of the first pruner's scalar quick bound, stopping at
     the first quick bound above the k-th distance and crediting every
-    remaining candidate to that pruner (the sorted break of HSR).
+    remaining candidate to that pruner (the sorted break of HSR).  An
+    empty chain has no bound to sort by and walks in database order.
     Returns ``(answers, pruned_by, true_distance_computations)``.
     """
     query_pruners = [pruner.for_query(query) for pruner in pruners]
     order = list(range(len(database)))
+    sort = sort and bool(query_pruners)  # no first pruner: index order
     if sort:
         quick = [query_pruners[0].quick_lower_bound(index) for index in order]
         order.sort(key=quick.__getitem__)

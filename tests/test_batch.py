@@ -43,6 +43,9 @@ def _pruners(database):
 
 
 class TestEquivalence:
+    # The single-query engine the batch must equal: "scan" batches an
+    # empty chain, "search" and "sorted" (its alias over primary and
+    # secondaries) the pruned one.
     @pytest.mark.parametrize("engine", ["scan", "search", "sorted"])
     @pytest.mark.parametrize(
         "executor",
@@ -50,32 +53,36 @@ class TestEquivalence:
     )
     def test_matches_single_query_engines(self, workload, engine, executor):
         database, queries = workload
-        pruners = _pruners(database)
+        pruners = _pruners(database) if engine != "scan" else []
         batch = knn_batch(
             database,
             queries,
             4,
             pruners,
-            engine=engine,
             workers=2,
             executor=executor,
         )
         assert len(batch) == len(queries)
         for query, (neighbors, stats) in zip(queries, batch):
             if engine == "scan":
-                expected, _ = knn_scan(database, query, 4)
+                expected, want = knn_scan(database, query, 4)
             elif engine == "search":
-                expected, _ = knn_search(database, query, 4, pruners)
+                expected, want = knn_search(database, query, 4, pruners)
             else:
-                expected, _ = knn_sorted_search(
+                expected, want = knn_sorted_search(
                     database, query, 4, pruners[0], pruners[1:]
                 )
             assert same_answers(expected, neighbors)
             assert stats.database_size == len(database)
+            assert stats.pruned_by == want.pruned_by
+            assert (
+                stats.true_distance_computations
+                == want.true_distance_computations
+            )
 
     def test_no_pruners_means_scan(self, workload):
         database, queries = workload
-        batch = knn_batch(database, queries[:2], 3, engine="sorted")
+        batch = knn_batch(database, queries[:2], 3)
         for query, (neighbors, _) in zip(queries, batch):
             expected, _ = knn_scan(database, query, 3)
             assert same_answers(expected, neighbors)
@@ -134,13 +141,7 @@ class TestKnobs:
         database, queries = workload
         batch = knn_batch(database, queries[:2], 2, _pruners(database))
         assert batch.elapsed_seconds > 0.0
-        assert batch.extra["engine"] == "sorted"
         assert batch.extra["warm_seconds"] >= 0.0
-
-    def test_invalid_engine_raises(self, workload):
-        database, queries = workload
-        with pytest.raises(ValueError, match="unknown batch engine"):
-            knn_batch(database, queries, 2, engine="quantum")
 
     def test_invalid_executor_raises(self, workload):
         database, queries = workload

@@ -77,6 +77,29 @@ class TestRoundTrip:
         for key in original_refs:
             assert np.array_equal(original_refs[key], loaded_refs[key])
 
+    def test_saved_archive_is_byte_identical_after_a_round_trip(
+        self, built_database, tmp_path
+    ):
+        # Histograms are saved as arrays, so sharing bin key objects
+        # in memory cannot change what a save writes.
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        built_database.save(first)
+        TrajectoryDatabase.load(first).save(second)
+        with np.load(first) as a, np.load(second) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for name in a.files:
+                assert a[name].dtype == b[name].dtype
+                assert a[name].tobytes() == b[name].tobytes(), name
+
+    def test_loaded_histograms_share_bin_keys(self, built_database, tmp_path):
+        path = tmp_path / "db.npz"
+        built_database.save(path)
+        _, histograms = TrajectoryDatabase.load(path).histograms()
+        seen = {}
+        for histogram in histograms:
+            for key in histogram:
+                assert seen.setdefault(key, key) is key
+
     def test_loaded_database_searches_identically(self, built_database, tmp_path):
         path = tmp_path / "db.npz"
         built_database.save(path)

@@ -1,5 +1,9 @@
 """The serial engines decide exactly like the eager Figure 6 loop.
 
+``knn_search`` visits in bound order by default and in index order
+(the paper's HSE) with ``order="index"``; each order is held to the
+oracle's matching walk.
+
 The engines fill a later pruner's bounds only for the rows that can
 still reach it, and skip the exact histogram stage where its certified
 ceiling shows it cannot prune.  Neither may change a decision, so every
@@ -17,7 +21,7 @@ import pytest
 
 from repro import Trajectory, TrajectoryDatabase
 from repro.core.rangequery import range_search
-from repro.core.search import HistogramPruner, knn_search, knn_sorted_search
+from repro.core.search import HistogramPruner, knn_scan, knn_search, knn_sorted_search
 from repro.service.pruning import build_pruners
 from repro.storage.tiered import TieredDatabase, build_store
 
@@ -98,10 +102,12 @@ def test_engines_decide_like_the_eager_loop(
     for query in queries:
         for k in (1, 6):
             want = eager_knn(database, query, k, pruners, early_abandon)
-            got = knn_search(database, query, k, pruners, **knobs)
+            got = knn_search(database, query, k, pruners, order="index", **knobs)
             assert _engine_row(*got) == want
             credited |= set(want[1])
             want = eager_knn(database, query, k, pruners, early_abandon, sort=True)
+            got = knn_search(database, query, k, pruners, **knobs)
+            assert _engine_row(*got) == want
             got = knn_sorted_search(database, query, k, pruners[0], pruners[1:], **knobs)
             assert _engine_row(*got) == want
             for store, chain, store_knobs in tiered:
@@ -118,6 +124,38 @@ def test_engines_decide_like_the_eager_loop(
                 assert_store_row(got, store_knobs, want)
             credited |= set(want[1])
     assert {pruner.name for pruner in pruners[:2]} <= credited
+
+
+@pytest.mark.parametrize("spec", ["nti", "nti,histogram,qgram", "none"])
+@pytest.mark.parametrize("refine_batch_size", [None, 64])
+def test_default_order_without_a_static_first_stage(
+    routes_workload, spec, refine_batch_size
+):
+    """A near-triangle first stage has no bound to order by before the
+    first refinement (every bound is 0), and an empty chain has no first
+    stage at all: the default order must still answer like the scan and
+    decide like the oracle's sorted walk."""
+    database, queries = routes_workload
+    pruners = build_pruners(database, spec)
+    for query in queries:
+        for k in (1, 6):
+            scan, _ = knn_scan(database, query, k)
+            got = knn_search(
+                database, query, k, pruners, refine_batch_size=refine_batch_size
+            )
+            assert answers(got[0]) == answers(scan)
+            want = eager_knn(database, query, k, pruners, sort=True)
+            assert answers(got[0]) == want[0]
+            if refine_batch_size is None:
+                assert _engine_row(*got) == want
+            if not pruners:
+                assert got[1].true_distance_computations == len(database)
+
+
+def test_unknown_order_is_rejected(routes_workload):
+    database, queries = routes_workload
+    with pytest.raises(ValueError, match="visit order"):
+        knn_search(database, queries[0], 3, [], order="random")
 
 
 def test_later_stages_are_filled_on_demand(routes_workload):

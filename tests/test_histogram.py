@@ -1,5 +1,7 @@
 """Tests for trajectory histograms and the HD lower bound (Theorem 6)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,46 @@ def trajectory_strategy(max_length=12, ndim=2, min_size=1):
     return st.lists(point, min_size=min_size, max_size=max_length).map(
         lambda rows: np.array(rows, dtype=np.float64).reshape(-1, ndim)
     )
+
+
+class TestSharedBinKeys:
+    """A space hands out one key object per distinct bin."""
+
+    def test_histogram_equals_a_plain_counter(self):
+        rng = np.random.default_rng(5)
+        space = HistogramSpace(origin=[-3.0, -3.0], bin_size=0.7)
+        for _ in range(20):
+            points = rng.normal(size=(int(rng.integers(0, 40)), 2))
+            want = dict(Counter(map(tuple, space.bin_indices(points).tolist())))
+            got = space.histogram(points)
+            assert got == want
+            assert list(got) == list(want)  # first-occurrence key order too
+            assert all(type(count) is int for count in got.values())
+
+    def test_rows_on_one_space_share_key_objects(self):
+        space = HistogramSpace(origin=[0.0, 0.0], bin_size=1.0)
+        first = space.histogram(np.array([[1000.5, 2000.5], [3.5, 4.5]]))
+        second = space.histogram(np.array([[3.2, 4.9], [1000.1, 2000.7]]))
+        for key in second:
+            shared = next(own for own in first if own == key)
+            assert shared is key
+
+    def test_separate_spaces_keep_separate_tables(self):
+        points = np.array([[1000.5, 2000.5]])
+        one = HistogramSpace(origin=[0.0, 0.0], bin_size=1.0)
+        other = HistogramSpace(origin=[0.0, 0.0], bin_size=1.0)
+        (a,), (b,) = one.histogram(points), other.histogram(points)
+        assert a == b and a is not b
+
+    def test_counts_stay_out_of_the_key_table(self):
+        # Query histograms are built with counts(), so a stream of
+        # far-off queries cannot grow a corpus space's key table.
+        space = HistogramSpace(origin=[0.0, 0.0], bin_size=1.0)
+        points = np.array([[1000.5, 2000.5], [1000.2, 2000.9]])
+        (fresh,) = space.counts(points)
+        (shared,) = space.histogram(points)
+        assert fresh == shared and fresh is not shared
+        assert space.counts(points) == space.histogram(points)
 
 
 class TestHistogramSpace:

@@ -349,6 +349,40 @@ class TestMutableExactness:
         assert True in resized and False in resized  # grown and shrunk
         assert derived["store"] > 0 and derived["pool"] > 0
 
+    def test_views_on_one_origin_share_one_space(self, tmp_path):
+        # Inserts inside the corpus bounds leave the grid origin put, so
+        # each view bins its new rows on the previous view's space and
+        # every row shares its bin keys; an insert below the corpus
+        # minimum moves the origin and starts a new space.
+        rng = np.random.default_rng(405)
+        corpus = _corpus(15, count=16)
+        root = IngestRoot.init(tmp_path / "root", corpus, EPSILON)
+        mutable = root.open_mutable()
+        try:
+            space, _ = mutable.view().histograms()
+            for step in range(3):
+                # Reversed copies of corpus rows: the per-axis minimum,
+                # and with it the origin, stays put.
+                mutable.insert(Trajectory(corpus[step].points[::-1].copy()))
+                copy = mutable.insert(Trajectory(corpus[step + 1].points.copy()))
+                mutable.delete(copy)
+                now, rows = mutable.view().histograms()
+                assert now is space
+                seen = {}
+                for row in rows:
+                    for key in row:
+                        assert seen.setdefault(key, key) is key
+            mutable.insert(_walk(rng, 12, offset=-500.0))
+            moved, _ = mutable.view().histograms()
+            assert moved is not space
+            assert moved.origin.tobytes() != space.origin.tobytes()
+            assert_engines_match(
+                mutable.view(), _cold_oracle(mutable), [_walk(rng, 18)],
+                "histogram,qgram",
+            )
+        finally:
+            mutable.close()
+
     def test_origin_shifts_keep_one_histogram_cache(self, tmp_path):
         # Each insert below the corpus minimum moves the grid origin;
         # rows binned on an old origin must not pile up across views.
@@ -364,7 +398,7 @@ class TestMutableExactness:
                 state = mutable._hist_cache[(1.0, None)]
                 # Only the current origin's rows and store are held, and
                 # they cover exactly the view's uids.
-                assert state.origin == space.origin.tobytes()
+                assert state.space is space
                 assert state.uids.tolist() == view._uids
                 assert state.rows is rows and len(rows) == len(view)
                 assert state.store is view.histogram_arrays()

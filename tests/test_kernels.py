@@ -399,8 +399,9 @@ class TestEdrManyCompactionFix:
         The masked row minimum tested before the propagation pass equals
         the one the old code tested after it, so the abandonment pattern
         — and with it every counter — is pinned.  The expectations were
-        recorded against the pre-fix ``edr_many``; counters identical
-        across kernels at the same batch size is asserted separately.
+        recorded against the pre-fix ``edr_many`` in index order, the
+        visit order of the time; counters identical across kernels at
+        the same batch size is asserted separately.
         """
         database, queries = workload
         keys = []
@@ -408,6 +409,7 @@ class TestEdrManyCompactionFix:
             _, stats = knn_search(
                 database, queries[0], 5, [HistogramPruner(database)],
                 early_abandon=True, refine_batch_size=batch_size,
+                order="index",
             )
             keys.append(_stats_key(stats))
         assert keys == [

@@ -18,9 +18,7 @@ import pytest
 from repro import (
     Trajectory,
     TrajectoryDatabase,
-    knn_scan,
     knn_search,
-    knn_sorted_search,
     range_search,
     subknn_search,
 )
@@ -314,16 +312,9 @@ def tie_server(tie_database):
 
 
 def _direct(database, query, k, spec):
-    """``knn_search``'s answer and the counters of the engine the
-    service runs by default (the bound-ordered engine, or the scan when
-    the spec names no pruner)."""
-    chain = build_pruners(database, spec)
-    neighbors, _ = knn_search(database, query, k, chain)
-    if chain:
-        _, stats = knn_sorted_search(database, query, k, chain[0], chain[1:])
-    else:
-        _, stats = knn_scan(database, query, k)
-    return neighbors, stats
+    """``knn_search``'s answer and counters, in its default bound order
+    (an empty chain refines every candidate, as the served scan does)."""
+    return knn_search(database, query, k, build_pruners(database, spec))
 
 
 def _served_knn(handle, tie_queries, spec):
@@ -346,7 +337,7 @@ class TestServedTies:
                 {"index": int(n.index), "distance": float(n.distance)}
                 for n in neighbors
             ]
-            assert body["meta"]["engine"] == "sorted"
+            assert "engine" not in body["meta"]
             assert body["stats"]["true_distance_computations"] == (
                 stats.true_distance_computations
             )
@@ -413,7 +404,7 @@ class TestIntrospection:
         assert stats["search"]["queries"] >= 1
         assert 0.0 <= stats["search"]["pruning_power"] <= 1.0
         assert stats["cache"]["capacity"] == 32
-        assert stats["config"]["engine"] == "sorted"
+        assert "engine" not in stats["config"]
         assert stats["admission"]["queue_limit"] >= 1
 
 

@@ -140,8 +140,10 @@ class TestServiceConfig:
     def test_defaults_validate(self):
         config = ServiceConfig().validated()
         assert config.max_batch == 16
-        # The batcher never waits, so there is no delay knob to set.
+        # The batcher never waits, so there is no delay knob to set, and
+        # k-NN has one visit order, so there is no engine knob either.
         assert not [name for name in config.public() if "delay" in name]
+        assert "engine" not in config.public()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -150,7 +152,6 @@ class TestServiceConfig:
             ("cache_size", -1),
             ("queue_limit", 0),
             ("request_timeout_s", 0.0),
-            ("engine", "quantum"),
             ("k_default", 0),
         ],
     )

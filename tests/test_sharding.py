@@ -273,10 +273,10 @@ class TestKnnBatchShards:
         database, queries = workload
         pruners = build_pruners(database, "histogram,qgram")
         sharded = knn_batch(
-            database, queries, 5, pruners, engine="search", shards=2
+            database, queries, 5, pruners, shards=2
         )
         serial = knn_batch(
-            database, queries, 5, pruners, engine="search", executor="serial"
+            database, queries, 5, pruners, executor="serial"
         )
         assert sharded.executor == "sharded"
         assert sharded.extra["shards"] == 2
@@ -290,7 +290,7 @@ class TestKnnBatchShards:
             database, queries, 5, pruners, sharded=inline_engines[3]
         )
         serial = knn_batch(
-            database, queries, 5, pruners, executor="serial", engine="search"
+            database, queries, 5, pruners, executor="serial"
         )
         assert batch.extra["shard_mode"] == "inline"
         for got, want in zip(batch.neighbors, serial.neighbors):
@@ -299,7 +299,7 @@ class TestKnnBatchShards:
     def test_scan_engine_is_rejected(self, workload):
         database, queries = workload
         with pytest.raises(ValueError, match="scan"):
-            knn_batch(database, queries, 5, engine="scan", shards=2)
+            knn_batch(database, queries, 5, shards=2)
 
     def test_prebuilt_engine_must_support_the_spec(self, workload):
         database, queries = workload

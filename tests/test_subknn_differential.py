@@ -202,7 +202,7 @@ class TestBatchDifferential:
         want = [
             subknn_search(database, query, K, chain) for query in queries
         ]
-        for kwargs in ({"engine": "search"}, {"workers": 3}):
+        for kwargs in ({"executor": "serial"}, {"workers": 3}):
             batch = knn_batch(
                 database, queries, K, chain, sub=True, **kwargs
             )
