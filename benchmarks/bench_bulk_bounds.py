@@ -6,6 +6,10 @@ default):
 * the *filter phase* — computing every pruner's quick lower bound for
   the whole database — through the old scalar per-candidate path versus
   the vectorized bulk kernels, per pruner family;
+* the *exact histogram stage* on the candidates a bound-order k-NN
+  visits: the matcher (HD's max-flow) on every visit versus the greedy
+  matching ceilings, in the engines' 64-row windows, plus the matcher
+  only where a ceiling exceeds the threshold;
 * a 4-query serving workload answered by four sequential
   :func:`repro.knn_search` calls versus one :func:`repro.knn_batch`
   call with 4 workers.
@@ -35,6 +39,7 @@ from repro import (
     knn_batch,
     knn_search,
 )
+from repro.core.search import CEILING_WINDOW
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,6 +100,74 @@ def bench_filter_phase(database, query, repeats: int) -> dict:
     return results
 
 
+def bench_exact_stage(database, queries, k: int, repeats: int) -> dict:
+    """Matcher on every visit vs ceilings plus the remaining matcher calls.
+
+    A query's visits are the candidates a bound-order k-NN reaches: in
+    ascending quick bound, those whose quick bound is <= the k-th
+    distance, which is the threshold here.  Both sides decide, per
+    visit, whether the exact HD exceeds the threshold.
+    """
+    pruner = HistogramPruner(database)
+    cases = []
+    for query in queries:
+        neighbors, _ = knn_search(database, query, k, [pruner])
+        threshold = neighbors[-1].distance
+        quick = pruner.for_query(query).bulk_quick_lower_bounds()
+        order = np.argsort(quick, kind="stable")
+        cases.append((query, threshold, order[quick[order] <= threshold]))
+
+    def matcher_everywhere():
+        decisions = []
+        for query, threshold, visits in cases:
+            query_pruner = pruner.for_query(query)
+            decisions.append(
+                [query_pruner.exact_lower_bound(int(c)) > threshold for c in visits]
+            )
+        return decisions
+
+    matcher_calls = []
+
+    def with_ceilings():
+        decisions = []
+        matcher_calls.clear()
+        for query, threshold, visits in cases:
+            query_pruner = pruner.for_query(query)
+            ceilings = np.concatenate(
+                [np.empty(0)]
+                + [
+                    query_pruner.exact_ceilings(visits[start : start + CEILING_WINDOW])
+                    for start in range(0, len(visits), CEILING_WINDOW)
+                ]
+            )
+            unsettled = ceilings > threshold
+            matcher_calls.append(int(unsettled.sum()))
+            decisions.append(
+                [
+                    bool(open_) and query_pruner.exact_lower_bound(int(c)) > threshold
+                    for c, open_ in zip(visits, unsettled)
+                ]
+            )
+        return decisions
+
+    matcher_seconds = best_of(repeats, matcher_everywhere)
+    ceiling_seconds = best_of(repeats, with_ceilings)
+    # A ceiling <= the threshold proves the matcher could not prune.
+    assert with_ceilings() == matcher_everywhere()
+    visits = sum(len(case[2]) for case in cases)
+    return {
+        "queries": len(queries),
+        "k": k,
+        "visits": visits,
+        "matcher_calls_with_ceilings": sum(matcher_calls),
+        "matcher_seconds": matcher_seconds,
+        "ceiling_seconds": ceiling_seconds,
+        "speedup": matcher_seconds / ceiling_seconds
+        if ceiling_seconds
+        else float("inf"),
+    }
+
+
 def bench_batch(database, queries, k: int, workers: int, repeats: int) -> dict:
     """Sequential knn_search calls vs one knn_batch call."""
     pruners = [HistogramPruner(database), QgramMergeJoinPruner(database, q=1)]
@@ -152,6 +225,15 @@ def main() -> int:
             f"{row['bulk_seconds'] * 1e3:>8.1f}ms {row['speedup']:>8.1f}x"
         )
 
+    exact_results = bench_exact_stage(database, queries, args.k, args.repeats)
+    exact_line = (
+        f"{'exact_stage':<18} {exact_results['matcher_seconds'] * 1e3:>8.1f}ms "
+        f"{exact_results['ceiling_seconds'] * 1e3:>8.1f}ms "
+        f"{exact_results['speedup']:>8.1f}x  (matcher on {exact_results['visits']} "
+        f"visits vs ceilings + {exact_results['matcher_calls_with_ceilings']} calls)"
+    )
+    print(exact_line)
+
     batch_results = bench_batch(
         database, queries, args.k, args.workers, args.repeats
     )
@@ -171,6 +253,7 @@ def main() -> int:
         "database_size": args.count,
         "filter_phase": filter_results,
         "filter_phase_overall_speedup": overall,
+        "exact_stage": exact_results,
         "batch": batch_results,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -187,6 +270,7 @@ def main() -> int:
             f"{name:<18} {row['scalar_seconds'] * 1e3:>8.1f}ms "
             f"{row['bulk_seconds'] * 1e3:>8.1f}ms {row['speedup']:>8.1f}x"
         )
+    lines.append(exact_line)
     lines.append("")
     lines.append(
         f"{batch_results['queries']} queries, k={batch_results['k']}: "

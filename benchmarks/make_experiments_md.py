@@ -191,8 +191,11 @@ SECTIONS = [
         "Not a paper experiment: the filter phase (every pruner's lower "
         "bound over the whole database) rewritten as vectorized bulk "
         "kernels with bit-identical values, versus the scalar "
-        "per-candidate loop, plus `knn_batch` (shared warm pruners, "
-        "sorted engine) versus naive sequential `knn_search` calls. "
+        "per-candidate loop; the exact histogram stage on a bound-order "
+        "k-NN's visits, the matcher on every visit versus greedy-matching "
+        "ceilings plus the matcher where they exceed the threshold; plus "
+        "`knn_batch` (shared warm pruners, sorted engine) versus naive "
+        "sequential `knn_search` calls. "
         "Generated by `python benchmarks/bench_bulk_bounds.py` "
         "(also writes `BENCH_bulk_bounds.json`).",
     ),

@@ -26,6 +26,7 @@ these — callers choose the bin size and the projection.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Sequence as SequenceABC
 from itertools import chain, product
 from operator import add
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -39,6 +40,7 @@ __all__ = [
     "HistogramSpace",
     "HistogramArrayStore",
     "HistogramMatcher",
+    "HistogramRows",
     "QueryProbe",
     "histogram_distance",
     "histogram_distance_quick",
@@ -535,15 +537,17 @@ class QueryProbe(NamedTuple):
         ``upper_query[i]     = sum_u min(A[u], NS[i, u])``
         ``upper_candidate[i] = sum_v min(counts[i, v], QN[v])``
 
-    ``own`` maps each column to the query bin it is the own bin of, or
-    to -1; :meth:`ceilings` reads it.
+    ``steps`` drive :meth:`ceilings`' greedy matching: one
+    ``(query bins, columns)`` pair of index arrays per neighbour offset,
+    the zero offset first, pairing each query bin with the in-grid
+    column at that offset from it.
     """
 
     amounts: np.ndarray
     columns: np.ndarray
     indicator: sparse.csr_matrix
     neighborhood: np.ndarray
-    own: np.ndarray
+    steps: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     def query_cap(self, near: sparse.csr_matrix) -> np.ndarray:
         """``upper_query`` of every row of ``near``."""
@@ -560,21 +564,28 @@ class QueryProbe(NamedTuple):
         upper = np.minimum(self.query_cap(near), upper_candidate)
         return np.maximum(int(self.amounts.sum()), totals) - upper
 
-    def ceilings(self, near: sparse.csr_matrix, totals: np.ndarray) -> np.ndarray:
-        """``max(m_query, totals[i]) - sum_u min(A[u], counts[i, u])``.
+    def ceilings(self, near: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        """``max(m_query, totals[i]) - G[i]``, an integer ceiling of HD.
 
-        Pairing elements only within the same bin is a feasible matching,
-        so the pairs counted here are at most HD's ``M``, and each value
-        is an integer ceiling of the exact HD: when it is <= a threshold,
+        ``near`` is dense and column-major: ``near[c, i]`` is row ``i``'s
+        count at probe column ``c``; it is consumed.  ``G[i]`` is a
+        greedy matching: each step pairs ``min(residual query mass at u,
+        residual row mass at u + o)`` for one offset ``o``, the query
+        bins' own bins first.  Under one offset distinct query bins meet
+        distinct columns, so a step is one vectorised update for every
+        row at once.  A greedy matching is feasible, so ``G[i] <= M``
+        and each value is >= the exact HD: when it is <= a threshold,
         the exact stage cannot prune.
         """
-        own = self.own[near.indices]
-        paired = np.where(
-            own >= 0, np.minimum(near.data, self.amounts.take(own, mode="clip")), 0
-        )
-        return np.maximum(int(self.amounts.sum()), totals) - _row_sums(
-            paired, near.indptr
-        )
+        query = np.repeat(self.amounts[:, None], near.shape[1], axis=1)
+        for bins, columns in self.steps:
+            residual_query, residual_near = query[bins], near[columns]
+            take = np.minimum(residual_query, residual_near)
+            residual_query -= take
+            residual_near -= take
+            query[bins], near[columns] = residual_query, residual_near
+        total = int(self.amounts.sum())
+        return np.maximum(total, totals) - (total - query.sum(axis=0))
 
 
 class HistogramArrayStore:
@@ -758,13 +769,19 @@ class HistogramArrayStore:
             (np.ones(len(pair_bins), dtype=np.int64), (column_slot, pair_bins)),
             shape=(len(columns), len(query_keys)),
         )
-        # The zero offset sits in the middle of the 3^d offsets.
-        own_pairs = (np.arange(len(in_grid)) % len(offsets) == len(offsets) // 2)[
-            in_grid
-        ]
-        own = np.full(len(columns), -1, dtype=np.int64)
-        own[column_slot[own_pairs]] = pair_bins[own_pairs]
-        return QueryProbe(amounts, columns, indicator, indicator @ amounts, own)
+        # Probe column of every (offset, query bin) pair, -1 off the grid;
+        # the zero offset sits in the middle of the 3^d offsets.
+        slots = np.full(len(in_grid), -1, dtype=np.int64)
+        slots[in_grid] = column_slot
+        slots = slots.reshape(len(query_keys), len(offsets)).T
+        middle = len(offsets) // 2
+        steps = tuple(
+            (bins, slots[offset, bins])
+            for offset in (middle, *range(middle), *range(middle + 1, len(offsets)))
+            for bins in (np.flatnonzero(slots[offset] >= 0),)
+            if len(bins)
+        )
+        return QueryProbe(amounts, columns, indicator, indicator @ amounts, steps)
 
     def bulk_quick_bounds(self, query_histogram: TrajectoryHistogram) -> np.ndarray:
         """``histogram_distance_quick(query, ·)`` against every database row.
@@ -780,15 +797,53 @@ class HistogramArrayStore:
 
     def probe_rows(
         self, probe: QueryProbe, rows: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Quick bounds and exact-stage ceilings (:meth:`QueryProbe.ceilings`)
-        of ``rows`` (every row by default), equal to the full arrays'
-        entries bit for bit."""
+    ) -> np.ndarray:
+        """Quick bounds of ``rows`` (every row by default), equal to
+        :meth:`bulk_quick_bounds`' entries bit for bit."""
         counts, totals = self._counts, self.totals
         if rows is not None:
             counts, totals = counts[rows], totals[rows]
-        near = counts[:, probe.columns]
-        return probe.quick_bounds(near, totals), probe.ceilings(near, totals)
+        return probe.quick_bounds(counts[:, probe.columns], totals)
+
+    def probe_ceilings(self, probe: QueryProbe, rows: np.ndarray) -> np.ndarray:
+        """Exact-stage ceilings (:meth:`QueryProbe.ceilings`) of ``rows``.
+
+        Each row's value depends on that row alone, so any set of rows
+        gives the entries a pass over every row would, bit for bit.  Only
+        the rows' own CSR runs are read.
+        """
+        counts = self._counts
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = counts.indptr[rows].astype(np.int64)
+        lengths = counts.indptr[rows + 1] - starts
+        ends = np.cumsum(lengths)
+        entries = np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+            starts - ends + lengths, lengths
+        )
+        slot_of = np.full(self.cells, -1, dtype=np.int64)
+        slot_of[probe.columns] = np.arange(len(probe.columns))
+        slots = slot_of[counts.indices[entries]]
+        hit = slots >= 0
+        near = np.zeros((len(probe.columns), len(rows)), dtype=np.int64)
+        owners = np.repeat(np.arange(len(rows)), lengths)
+        near[slots[hit], owners[hit]] = counts.data[entries[hit]]
+        return probe.ceilings(near, self.totals[rows])
+
+    def histogram(self, row: int, space: HistogramSpace) -> TrajectoryHistogram:
+        """Row ``row``'s histogram, keyed by ``space``'s shared keys.
+
+        A CSR row holds its histogram's bins in raveled order, so this is
+        the histogram the row was built from, in key order; ``space``
+        must be the grid the row was binned on.
+        """
+        if not 0 <= row < self.count:
+            raise IndexError(f"row {row} out of range for {self.count} rows")
+        counts = self._counts
+        lo, hi = int(counts.indptr[row]), int(counts.indptr[row + 1])
+        keys = np.column_stack(
+            np.unravel_index(counts.indices[lo:hi], tuple(self._shape))
+        ) + self._lo
+        return space.shared(zip(map(tuple, keys.tolist()), counts.data[lo:hi].tolist()))
 
     def bulk_window_bounds(
         self, query_histogram: TrajectoryHistogram
@@ -804,3 +859,27 @@ class HistogramArrayStore:
         probe = self.query_probe(query_histogram)
         upper_query = probe.query_cap(self._counts[:, probe.columns])
         return np.maximum(0, int(probe.amounts.sum()) - upper_query)
+
+
+class HistogramRows(SequenceABC):
+    """The per-row dict histograms of a store, decoded on access.
+
+    Holds no dict per row: a corpus that derives a new store for every
+    version (the ingest views) would otherwise keep a dict per row, about
+    five times the store's bytes, for the exact stage and the scalar
+    bounds, which read few rows per query.
+    """
+
+    def __init__(self, store: HistogramArrayStore, space: HistogramSpace) -> None:
+        self._store = store
+        self._space = space
+
+    def __len__(self) -> int:
+        return self._store.count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[row] for row in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        return self._store.histogram(index, self._space)

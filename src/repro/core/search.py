@@ -233,6 +233,11 @@ class _RadiusList:
 
 _INF = float("inf")
 
+# Rows per exact-stage ceiling fill: the engines compute ceilings only
+# for upcoming visits, never for the whole corpus, which would cost more
+# than the matcher calls they settle.
+CEILING_WINDOW = 64
+
 
 # ----------------------------------------------------------------------
 # Pruner interface and implementations
@@ -265,11 +270,13 @@ class QueryPruner:
         Cost class of :meth:`exact_lower_bound` relative to one batched
         EDR verification.  False marks exact stages that cost about as
         much as the refinement they try to avoid: the 2-D histogram
-        bound's matcher takes ~45 µs per candidate against ~37 µs for
-        one bit-parallel EDR row on the 1.2k perfbench corpus.
-        Cost-aware engines may then skip the exact stage and verify
+        bound's matcher takes ~90 µs per call in a bound-order k-NN on
+        the 1.2k perfbench corpus, against ~86 µs per refined candidate.
+        The sharded engine then skips the exact stage and verifies
         directly — a pure scheduling choice that never changes answers,
-        only which stage pays for the candidate.
+        only which stage pays for the candidate.  The serial engines
+        skip it instead wherever :meth:`exact_ceilings` shows it cannot
+        prune.
     """
 
     name: str = "base"
@@ -308,11 +315,12 @@ class QueryPruner:
         """The pruner's strongest bound, with no threshold short-cut."""
         return self.lower_bound(candidate_index)
 
-    def exact_ceiling(self, candidate_index: int) -> float:
-        """An upper bound of :meth:`exact_lower_bound`, or +inf if none is
-        known.  Where it is <= the threshold the exact stage cannot
-        prune, so engines skip it."""
-        return float("inf")
+    def exact_ceilings(self, rows: np.ndarray) -> np.ndarray:
+        """Upper bounds of :meth:`exact_lower_bound` for ``rows`` (an
+        index array), +inf where none is known.  Where one is <= the
+        threshold the exact stage cannot prune, so engines skip it.  A
+        row's value does not depend on the other rows asked with it."""
+        return np.full(len(rows), _INF)
 
     def bulk_quick_lower_bounds(
         self, rows: Optional[np.ndarray] = None
@@ -404,11 +412,11 @@ class _HistogramQuery(QueryPruner):
         self._stores = array_stores
         self._probes: Optional[List] = None
         self.database_size = len(database_histograms[0])
-        # Ceilings of the exact bound, known for the rows a bulk quick
-        # pass has covered (+inf elsewhere: no ceiling known).
-        self._ceilings = np.full(self.database_size, np.inf)
         # 1-D bins take the exact line greedy; d-D bins run the
-        # matcher's augmenting paths, about one batched EDR row each.
+        # matcher's augmenting paths, ~90 µs per call, about what the
+        # refinement of the candidate costs.  The serial engines call
+        # it only where the greedy ceiling (exact_ceilings) cannot rule
+        # a prune out; the sharded engine skips the stage.
         self.exact_stage_cheap = all(
             len(next(iter(histogram), (0,))) == 1
             for histogram in query_histograms
@@ -444,27 +452,36 @@ class _HistogramQuery(QueryPruner):
             )
         )
 
-    def exact_ceiling(self, candidate_index: int) -> float:
-        return self._ceilings[candidate_index]
+    def _probed(self) -> List:
+        if self._probes is None:
+            self._probes = [
+                store.query_probe(query_histogram)
+                for query_histogram, store in zip(self._query, self._stores)
+            ]
+        return self._probes
+
+    def exact_ceilings(self, rows: np.ndarray) -> np.ndarray:
+        if self._stores is None:
+            return super().exact_ceilings(rows)
+        # Per-axis HDs combine by max, so do their ceilings.
+        return np.max(
+            [
+                store.probe_ceilings(probe, rows)
+                for probe, store in zip(self._probed(), self._stores)
+            ],
+            axis=0,
+        ).astype(np.float64)
 
     def bulk_quick_lower_bounds(
         self, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
         if self._stores is None:
             return super().bulk_quick_lower_bounds(rows)
-        if self._probes is None:
-            self._probes = [
-                store.query_probe(query_histogram)
-                for query_histogram, store in zip(self._query, self._stores)
-            ]
-        # Per-axis HDs combine by max, so do their quick bounds and
-        # their ceilings.
-        quick, ceilings = self._stores[0].probe_rows(self._probes[0], rows)
-        for probe, store in zip(self._probes[1:], self._stores[1:]):
-            axis_quick, axis_ceilings = store.probe_rows(probe, rows)
-            np.maximum(quick, axis_quick, out=quick)
-            np.maximum(ceilings, axis_ceilings, out=ceilings)
-        self._ceilings[slice(None) if rows is None else rows] = ceilings
+        # Per-axis HDs combine by max, so do their quick bounds.
+        probes = self._probed()
+        quick = self._stores[0].probe_rows(probes[0], rows)
+        for probe, store in zip(probes[1:], self._stores[1:]):
+            np.maximum(quick, store.probe_rows(probe, rows), out=quick)
         return quick.astype(np.float64)
 
     def bulk_lower_bounds(self, threshold: float = float("inf")) -> np.ndarray:
@@ -924,6 +941,12 @@ class _Chain:
     threshold only falls, so every row consulted later is among them;
     any other unfilled row is computed when it is read.  Other pruners
     get one bulk call over every row.
+
+    A two-stage pruner's exact stage runs only where its ceiling
+    (:meth:`QueryPruner.exact_ceilings`) exceeds the threshold.  The
+    ceilings are filled the same way, when a candidate first needs one:
+    for the next ``CEILING_WINDOW`` rows of the visit order whose quick
+    bound at that stage is known and <= the threshold.
     """
 
     def __init__(
@@ -946,6 +969,7 @@ class _Chain:
         ]
         self._quick: Dict[int, np.ndarray] = {}
         self._filled: Dict[int, np.ndarray] = {}
+        self._ceilings: Dict[int, np.ndarray] = {}  # NaN: not yet filled
         self._front = 0  # visit rank where the next window starts
         for stage in self._static[1:]:
             if self._pruners[stage].subset_bounds:
@@ -977,14 +1001,16 @@ class _Chain:
             self._quick[stage][rows] = pruner.bulk_quick_lower_bounds(rows)
             self._filled[stage][rows] = True
 
+    def _upcoming(self, rank: int, count: int) -> np.ndarray:
+        """The rows visited at ranks ``[rank, rank + count)``."""
+        stop = rank + count
+        if self._order is None:
+            return np.arange(rank, min(stop, self._size))
+        return self._order[rank:stop]
+
     def _fill(self, rank: int, threshold: float) -> None:
-        stop = rank + self._window
-        rows = (
-            np.arange(rank, min(stop, self._size))
-            if self._order is None
-            else self._order[rank:stop]
-        )
-        self._front = stop
+        rows = self._upcoming(rank, self._window)
+        self._front = rank + self._window
         for stage in self._static:
             filled = self._filled.get(stage)
             if filled is not None:
@@ -1009,6 +1035,22 @@ class _Chain:
                 self._bulk(stage, np.array([candidate_index]))
         return self._quick[stage][candidate_index]
 
+    def _ceiling(
+        self, stage: int, candidate_index: int, rank: int, threshold: float
+    ) -> float:
+        ceilings = self._ceilings.get(stage)
+        if ceilings is None:
+            ceilings = self._ceilings[stage] = np.full(self._size, np.nan)
+        if np.isnan(ceilings[candidate_index]):
+            rows = self._upcoming(rank, CEILING_WINDOW)
+            keep = self._quick[stage][rows] <= threshold
+            filled = self._filled.get(stage)
+            if filled is not None:
+                keep &= filled[rows]
+            rows = rows[keep & np.isnan(ceilings[rows])]
+            ceilings[rows] = self._pruners[stage].exact_ceilings(rows)
+        return ceilings[candidate_index]
+
     def pruner_for(
         self, candidate_index: int, rank: int, threshold: float
     ) -> Optional[QueryPruner]:
@@ -1022,7 +1064,7 @@ class _Chain:
                 return pruner
             elif (
                 pruner.two_stage
-                and pruner.exact_ceiling(candidate_index) > threshold
+                and self._ceiling(stage, candidate_index, rank, threshold) > threshold
                 and pruner.exact_lower_bound(candidate_index) > threshold
             ):
                 return pruner

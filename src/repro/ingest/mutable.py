@@ -12,10 +12,12 @@ artifacts *incrementally*:
   means and pooled flat arrays from the previous view's (seeded from
   the base generation): deleted rows are masked out and only inserted
   trajectories are computed and merged into the pool.
-* **Histogram count matrices** — each view derives its dict histograms
-  and CSR store from the previous view's while the grid origin (the
-  corpus minimum) stays put: kept rows are sliced out of the CSR and
-  only inserted rows are binned.  When an insert or delete moves the
+* **Histogram count matrices** — each view derives its CSR store from
+  the previous view's while the grid origin (the corpus minimum) stays
+  put: kept rows are sliced out of the CSR and only inserted rows are
+  binned.  The view's dict histograms are decoded from the store on
+  access (:class:`~repro.core.histogram.HistogramRows`), so no dict per
+  row is kept.  When an insert or delete moves the
   origin, every row is binned afresh — the one case where the cold
   build's grid anchor shifts — unless the origin is back on the base
   generation's, whose rows and store are then the starting point.
@@ -40,7 +42,7 @@ import numpy as np
 
 from ..core.database import TrajectoryDatabase
 from ..core.edr_batch import edr_many_bucketed
-from ..core.histogram import HistogramArrayStore, HistogramSpace
+from ..core.histogram import HistogramArrayStore, HistogramRows, HistogramSpace
 from ..core.qgram import mean_value_qgrams
 from ..core.trajectory import Trajectory
 from ..index.mergejoin import (
@@ -59,7 +61,7 @@ class _HistogramState(NamedTuple):
 
     space: HistogramSpace  # the grid every row is binned on
     uids: np.ndarray  # row order
-    rows: Sequence[dict]  # per-row dict histograms
+    rows: Sequence[dict]  # per-row dict histograms (decoded from store)
     store: HistogramArrayStore
 
 
@@ -556,9 +558,10 @@ class MutableDatabase:
         While the grid origin stays put, the previous view's space (or
         the base generation's, when the origin is back on the base's) is
         the view's, so every row shares its bin keys.  Rows surviving
-        from that view are reused and sliced out of its store, and only
-        rows new to this view are binned.  When the origin moved
-        elsewhere, every row is binned on ``space``, a new table.
+        from that view are sliced out of its store, and only rows new to
+        this view are binned.  When the origin moved elsewhere, every
+        row is binned on ``space``, a new table.  The dict histograms
+        are the store's rows, decoded on access.
         """
         axis = key[1]
         origin = space.origin.tobytes()
@@ -577,18 +580,18 @@ class MutableDatabase:
         )
         if state is not None:
             space = state.space
-        rows = [] if state is None else list(compress(state.rows, keep.tolist()))
+        kept = 0 if state is None else int(np.count_nonzero(keep))
         fresh = [
             space.histogram(
                 trajectory if axis is None else trajectory.projection(axis)
             )
-            for trajectory in view.trajectories[len(rows) :]
+            for trajectory in view.trajectories[kept:]
         ]
         if state is None:
             store = HistogramArrayStore(fresh, space.ndim)
         else:
             store = state.store.derive(keep, fresh)
-        state = _HistogramState(space, uids, rows + fresh, store)
+        state = _HistogramState(space, uids, HistogramRows(store, space), store)
         self._hist_cache[key] = state
         return state
 

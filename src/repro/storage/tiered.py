@@ -73,6 +73,7 @@ from ..core.histogram import HistogramArrayStore, HistogramSpace
 from ..core.qgram import mean_value_qgrams
 from ..core.rangequery import range_search as _range_search
 from ..core.search import (
+    CEILING_WINDOW,
     HistogramPruner,
     NearTrianglePruning,
     Pruner,
@@ -921,9 +922,10 @@ def _sliced_quick_bounds(
     store (the shard-packing trick: same ``lo``/``shape``, sliced
     ``totals``/``counts``) reproduces exactly the values the full-store
     pass would compute for those rows, while faulting only their bytes.
-    The blocked visit source uses :func:`_block_quick_bounds`, which also
-    keeps the exact-stage ceilings; this slice form stays as the
-    per-store reference the tests and the perfbench tracer name.
+    The blocked visit source uses :func:`_block_quick_bounds`, which
+    combines the variants through the query pruner; this slice form
+    stays as the per-store reference the tests and the perfbench tracer
+    name.
     """
     totals = store.totals[row_lo:row_hi]
     # Views of the rows' CSR runs, not scipy's row-slice copy: the
@@ -958,9 +960,7 @@ def _block_quick_bounds(
     primary: HistogramPruner, primary_query, row_lo: int, row_hi: int
 ) -> Tuple[np.ndarray, int]:
     """The primary's quick bounds for rows ``[row_lo, row_hi)``, and the
-    bytes they touch.  The query pruner's row-subset pass also keeps
-    those rows' exact-stage ceilings, so the blocked walk skips the
-    exact stage where the resident one does."""
+    bytes they touch."""
     quick = primary_query.bulk_quick_lower_bounds(np.arange(row_lo, row_hi))
     touched = sum(_slice_bytes(store, row_lo, row_hi) for store in primary._stores)
     return quick, touched
@@ -974,7 +974,7 @@ class _BlockedVisits:
     The primary must be a :class:`HistogramPruner` with a summary per
     variant.  Each block's summary bound lower-bounds every member's
     quick bound; an opened block yields its members with their exact,
-    row-sliced quick bounds (which also keep the exact-stage ceilings).
+    row-sliced quick bounds.
 
     Without ``radius`` the walk is *ordered*: blocks open in ascending
     summary-bound order and a heap keyed on ``(bound, index)`` merges
@@ -989,9 +989,13 @@ class _BlockedVisits:
     The source cannot look ahead, so :meth:`pruner_for` asks the later
     stages per visited candidate, through their scalar bounds, which
     equal the bulk arrays bit for bit (property-tested): the decisions
-    and counters are the resident engine's.  ``bytes`` tallies the
-    filter bytes the query touches: the summaries, the opened blocks
-    and each scalar bound evaluated, per the store's byte model.
+    and counters are the resident engine's.  The primary's exact stage
+    runs only where its ceiling exceeds the threshold; the ceilings are
+    filled for the next ``CEILING_WINDOW`` rows of the visited
+    candidate's block cursor whose quick bound is <= the threshold.
+    ``bytes`` tallies the filter bytes the query touches: the
+    summaries, the opened blocks, each row a ceiling fill reads and
+    each scalar bound evaluated, per the store's byte model.
     """
 
     def __init__(
@@ -1030,6 +1034,10 @@ class _BlockedVisits:
             costs.append(cost)
         self._primary_cost = costs[0]
         self._later = list(zip(query_pruners[1:], costs[1:]))
+        self._ceilings = np.full(self._count, np.nan)  # NaN: not yet filled
+        # The visited candidate's block cursor: its rows in visit order,
+        # their quick bounds, and the candidate's position in it.
+        self._cursor: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
 
     def walk(self, stats: SearchStats):
         stats.blocks_total = self._nblocks
@@ -1050,7 +1058,7 @@ class _BlockedVisits:
         block_order = np.argsort(block_bounds, kind="stable")
         # One heap entry per open block: its smallest unvisited bound.
         heap: List[Tuple[float, int, int, int]] = []
-        cursors: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
+        cursors: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         opened = 0
         while True:
             # An unopened block may hold a candidate as small as its
@@ -1063,19 +1071,20 @@ class _BlockedVisits:
                 opened += 1
                 row_lo, bounds = self._open(block_id, stats)
                 local_order = np.argsort(bounds, kind="stable")
-                cursors[block_id] = (local_order, bounds, row_lo)
-                first = int(local_order[0])
-                heapq.heappush(heap, (float(bounds[first]), row_lo + first, block_id, 0))
+                rows, bounds = row_lo + local_order, bounds[local_order]
+                cursors[block_id] = (rows, bounds)
+                heapq.heappush(heap, (float(bounds[0]), int(rows[0]), block_id, 0))
             if not heap:
                 return
             bound, candidate_index, block_id, position = heapq.heappop(heap)
-            local_order, bounds, row_lo = cursors[block_id]
-            if position + 1 < len(local_order):
-                successor = int(local_order[position + 1])
+            rows, bounds = cursors[block_id]
+            if position + 1 < len(rows):
                 heapq.heappush(
                     heap,
-                    (float(bounds[successor]), row_lo + successor, block_id, position + 1),
+                    (float(bounds[position + 1]), int(rows[position + 1]),
+                     block_id, position + 1),
                 )
+            self._cursor = (rows, bounds, position)
             yield candidate_index, bound
 
     def _index_walk(self, stats: SearchStats):
@@ -1087,14 +1096,31 @@ class _BlockedVisits:
                 stats.pruned_by[name] = stats.pruned_by.get(name, 0) + members
                 continue
             row_lo, bounds = self._open(block_id, stats)
-            yield from zip(range(row_lo, row_lo + len(bounds)), bounds.tolist())
+            rows = np.arange(row_lo, row_lo + len(bounds))
+            for position, (candidate_index, bound) in enumerate(
+                zip(rows.tolist(), bounds.tolist())
+            ):
+                self._cursor = (rows, bounds, position)
+                yield candidate_index, bound
+
+    def _ceiling(self, candidate_index: int, threshold: float) -> float:
+        ceilings = self._ceilings
+        if np.isnan(ceilings[candidate_index]):
+            rows, bounds, position = self._cursor
+            window = slice(position, position + CEILING_WINDOW)
+            rows = rows[window][bounds[window] <= threshold]
+            rows = rows[np.isnan(ceilings[rows])]
+            ceilings[rows] = self._primary_query.exact_ceilings(rows)
+            if self._primary_cost is not None:
+                self.bytes += int(self._primary_cost[rows].sum())
+        return ceilings[candidate_index]
 
     def pruner_for(self, candidate_index: int, rank: int, threshold: float):
         # The loop has compared the primary's quick bound; a histogram
         # primary is static and two-stage, and its exact stage runs only
         # where its ceiling says it can prune.
         primary = self._primary_query
-        if primary.exact_ceiling(candidate_index) > threshold:
+        if self._ceiling(candidate_index, threshold) > threshold:
             if self._primary_cost is not None:
                 self.bytes += int(self._primary_cost[candidate_index])
             if primary.exact_lower_bound(candidate_index) > threshold:

@@ -43,18 +43,20 @@ from repro.index.mergejoin import (
 )
 from repro.storage.tiered import _sliced_quick_bounds
 
+from .oracles import dinic_max_cancellation
+
 
 @st.composite
-def databases(draw):
+def databases(draw, ndim=2):
     seed = draw(st.integers(min_value=0, max_value=10_000))
     count = draw(st.integers(min_value=3, max_value=12))
     epsilon = draw(st.floats(0.05, 1.5, allow_nan=False))
     rng = np.random.default_rng(seed)
     trajectories = [
-        Trajectory(rng.normal(size=(int(rng.integers(1, 12)), 2)))
+        Trajectory(rng.normal(size=(int(rng.integers(1, 12)), ndim)))
         for _ in range(count)
     ]
-    query = Trajectory(rng.normal(size=(int(rng.integers(1, 12)), 2)))
+    query = Trajectory(rng.normal(size=(int(rng.integers(1, 12)), ndim)))
     return TrajectoryDatabase(trajectories, epsilon), query
 
 
@@ -67,6 +69,28 @@ COMMON_SETTINGS = settings(
 
 # The deterministic corpus variants come from the session-scoped
 # ``bulk_workload`` factory in conftest.py (memoized per parameter set).
+
+
+@st.composite
+def grid_histograms(draw):
+    """Histograms on a small 1-, 2- or 3-D grid, dense enough that bins
+    meet their neighbours, a query histogram, and a shift that moves the
+    query partly or wholly off the rows' padded grid."""
+    ndim = draw(st.integers(1, 3))
+    bins = st.tuples(*[st.integers(-2, 2)] * ndim)
+    histogram = st.dictionaries(bins, st.integers(1, 4), max_size=10)
+    rows = draw(st.lists(histogram, min_size=1, max_size=8))
+    return ndim, rows, draw(histogram), draw(st.integers(-5, 5))
+
+
+def _same_bin_ceiling(query_histogram, candidate):
+    """The ceiling the greedy one replaced: HD's ``max(m, n)`` minus the
+    elements paired within the same bin only."""
+    paired = sum(
+        min(count, candidate.get(bin_index, 0))
+        for bin_index, count in query_histogram.items()
+    )
+    return max(sum(query_histogram.values()), sum(candidate.values())) - paired
 
 
 def _store_variants(database, query):
@@ -279,11 +303,11 @@ class TestRowSubsets:
         for per_axis in (False, True):
             query_pruner = HistogramPruner(database, per_axis=per_axis).for_query(query)
             full = query_pruner.bulk_quick_lower_bounds()
-            ceilings = [query_pruner.exact_ceiling(i) for i in range(len(database))]
+            ceilings = query_pruner.exact_ceilings(np.arange(len(database)))
             for rows in _row_sets(data, len(database)):
                 fresh = HistogramPruner(database, per_axis=per_axis).for_query(query)
                 assert fresh.bulk_quick_lower_bounds(rows).tobytes() == full[rows].tobytes()
-                assert [fresh.exact_ceiling(i) for i in rows] == [ceilings[i] for i in rows]
+                assert fresh.exact_ceilings(rows).tobytes() == ceilings[rows].tobytes()
 
     @COMMON_SETTINGS
     @given(databases(), st.integers(-3, 3))
@@ -301,11 +325,68 @@ class TestRowSubsets:
             far = {tuple(key + 1000 for key in next(iter(query_histogram))): 2}
             for histogram in (query_histogram, shifted, far, {}):
                 matcher = HistogramMatcher(histogram)
-                quick, ceilings = store.probe_rows(store.query_probe(histogram))
+                probe = store.query_probe(histogram)
+                quick = store.probe_rows(probe)
+                ceilings = store.probe_ceilings(probe, np.arange(len(histograms)))
                 assert ceilings.dtype == np.int64
                 for row, candidate in enumerate(histograms):
                     assert quick[row] == histogram_distance_quick(histogram, candidate)
                     assert ceilings[row] >= matcher.distance(candidate)
+
+    @COMMON_SETTINGS
+    @given(grid_histograms(), st.data())
+    def test_greedy_ceiling_lies_between_exact_and_same_bin(self, case, data):
+        """Every row's ceiling is >= HD from the Dinic oracle and <= the
+        same-bin ceiling, in 1-D, 2-D and 3-D, for queries on, partly
+        off and wholly off the padded grid and for empty query and
+        candidate histograms; any row window gives the values of the
+        pass over every row bit for bit."""
+        ndim, histograms, query_histogram, shift = case
+        histograms = histograms + [{}]
+        store = HistogramArrayStore(histograms, ndim)
+        shifted = {
+            tuple(key + shift for key in bin_index): count
+            for bin_index, count in query_histogram.items()
+        }
+        every_row = np.arange(len(histograms))
+        for histogram in (query_histogram, shifted, {}):
+            probe = store.query_probe(histogram)
+            ceilings = store.probe_ceilings(probe, every_row)
+            assert ceilings.dtype == np.int64
+            longer = sum(histogram.values())
+            for row, candidate in enumerate(histograms):
+                exact = max(longer, sum(candidate.values())) - dinic_max_cancellation(
+                    histogram, candidate
+                )
+                assert exact <= ceilings[row] <= _same_bin_ceiling(histogram, candidate)
+            for rows in _row_sets(data, len(histograms)):
+                window = store.probe_ceilings(probe, rows)
+                assert window.tobytes() == ceilings[rows].tobytes()
+
+    @COMMON_SETTINGS
+    @given(st.integers(1, 3).flatmap(lambda ndim: databases(ndim=ndim)))
+    def test_per_axis_ceiling_is_the_max_over_axes(self, case):
+        """The per-axis pruner's ceiling is the max of its axes' ceilings,
+        between the exact per-axis HD and the max of the same-bin ones."""
+        database, query = case
+        query_pruner = HistogramPruner(database, per_axis=True).for_query(query)
+        every_row = np.arange(len(database))
+        ceilings = query_pruner.exact_ceilings(every_row)
+        axes = list(_store_variants(database, query))[1:]
+        want = np.max(
+            [
+                store.probe_ceilings(store.query_probe(histogram), every_row)
+                for store, histogram, _ in axes
+            ],
+            axis=0,
+        )
+        assert ceilings.tolist() == want.tolist()
+        for row in every_row:
+            same_bin = max(
+                _same_bin_ceiling(histogram, histograms[row])
+                for _, histogram, histograms in axes
+            )
+            assert query_pruner.exact_lower_bound(row) <= ceilings[row] <= same_bin
 
     @COMMON_SETTINGS
     @given(databases(), st.floats(0.0, 12.0, allow_nan=False))
@@ -315,12 +396,11 @@ class TestRowSubsets:
         database, query = case
         for per_axis in (False, True):
             query_pruner = HistogramPruner(database, per_axis=per_axis).for_query(query)
-            assert query_pruner.exact_ceiling(0) == np.inf  # no pass yet
-            query_pruner.bulk_quick_lower_bounds()
+            ceilings = query_pruner.exact_ceilings(np.arange(len(database)))
             for row in range(len(database)):
                 exact = query_pruner.exact_lower_bound(row)
-                assert query_pruner.exact_ceiling(row) >= exact
-                if query_pruner.exact_ceiling(row) <= threshold:
+                assert ceilings[row] >= exact
+                if ceilings[row] <= threshold:
                     assert not exact > threshold
 
 

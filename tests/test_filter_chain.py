@@ -5,8 +5,8 @@
 oracle's matching walk.
 
 The engines fill a later pruner's bounds only for the rows that can
-still reach it, and skip the exact histogram stage where its certified
-ceiling shows it cannot prune.  Neither may change a decision, so every
+still reach it, and skip the exact histogram stage where its greedy
+matching ceiling shows it cannot prune.  Neither may change a decision, so every
 engine must reproduce :func:`oracles.eager_knn` / :func:`oracles.eager_range`
 (every pruner's scalar ``lower_bound`` asked in chain order): the same
 answers, the same ``pruned_by`` and the same true-distance count.  The
@@ -19,7 +19,8 @@ import time
 import numpy as np
 import pytest
 
-from repro import Trajectory, TrajectoryDatabase
+from repro import MutableDatabase, Trajectory, TrajectoryDatabase
+from repro.core.histogram import HistogramMatcher
 from repro.core.rangequery import range_search
 from repro.core.search import HistogramPruner, knn_scan, knn_search, knn_sorted_search
 from repro.service.pruning import build_pruners
@@ -150,6 +151,94 @@ def test_default_order_without_a_static_first_stage(
                 assert _engine_row(*got) == want
             if not pruners:
                 assert got[1].true_distance_computations == len(database)
+
+
+@pytest.fixture(scope="module")
+def clustered_workload(tmp_path_factory):
+    """Route-clustered like the benchmark corpus (20 members of each of
+    15 routes, jitter 0.2 at ε 0.5), a merged view of it after a few
+    inserts and deletes, its tiered store, and held-out queries."""
+    rng = np.random.default_rng(5)
+    routes = [
+        np.cumsum(rng.normal(size=(int(rng.integers(15, 40)), 2)), axis=0)
+        for _ in range(15)
+    ]
+
+    def member(route):
+        return Trajectory(route + rng.normal(scale=0.2, size=route.shape))
+
+    database = TrajectoryDatabase(
+        [member(routes[i % len(routes)]) for i in range(300)], epsilon=0.5
+    )
+    database.warm()
+    mutable = MutableDatabase(database)
+    for route in (2, 7, 11):
+        mutable.insert(member(routes[route]))
+    for uid in (4, 150):
+        mutable.delete(uid)
+    directory = tmp_path_factory.mktemp("clustered-store")
+    build_store(
+        database.trajectories, directory, database.epsilon,
+        parts=("histogram", "qgram"), summary_block=16,
+    )
+    queries = [member(route) for route in routes]
+    with TieredDatabase.open(directory) as store:
+        yield database, mutable.view(), store, queries
+
+
+def test_the_matcher_runs_only_above_the_ceiling(clustered_workload, monkeypatch):
+    """Every engine decides like the eager loop, which runs the exact
+    histogram stage (the matcher) on every visit that passes the quick
+    bound, while the engines call the matcher at most once per bound-order
+    query on average: their greedy ceilings settle the rest."""
+    database, view, store, queries = clustered_workload
+    calls = []
+    matchable = HistogramMatcher.matchable
+
+    def counted(matcher, candidate):
+        calls.append(1)
+        return matchable(matcher, candidate)
+
+    monkeypatch.setattr(HistogramMatcher, "matchable", counted)
+
+    def run(engine, *args, **kwargs):
+        """``engine``'s decisions and its matcher calls; the engines
+        refine one candidate at a time, as the eager loop does."""
+        calls.clear()
+        if engine in (eager_knn, eager_range):
+            row = engine(*args, **kwargs)
+        else:
+            row = _engine_row(*engine(*args, refine_batch_size=None, **kwargs))
+        return row, len(calls)
+
+    eager_calls = bound_calls = 0
+    for corpus in (database, view):
+        pruners = build_pruners(corpus, "histogram,qgram")
+        for query in queries:
+            want, called = run(eager_knn, corpus, query, 10, pruners, sort=True)
+            eager_calls += called
+            got, called = run(knn_search, corpus, query, 10, pruners)
+            assert got == want
+            bound_calls += called
+            want, _ = run(eager_knn, corpus, query, 10, pruners)
+            got, _ = run(knn_search, corpus, query, 10, pruners, order="index")
+            assert got == want
+            radius = 0.25 * len(query)
+            want, _ = run(eager_range, corpus, query, radius, pruners)
+            got, _ = run(range_search, corpus, query, radius, pruners)
+            assert got == want
+    chain = build_pruners(store.database, "histogram,qgram")
+    pruners = build_pruners(database, "histogram,qgram")
+    for query in queries:
+        want, _ = run(eager_knn, database, query, 10, pruners, sort=True)
+        for block_skip in (True, False):
+            got, _ = run(
+                store.knn_sorted_search, query, 10, chain[0], chain[1:],
+                block_skip=block_skip,
+            )
+            assert got == want
+    bound_queries = 2 * len(queries)
+    assert bound_calls / bound_queries <= 1 < eager_calls / bound_queries
 
 
 def test_unknown_order_is_rejected(routes_workload):

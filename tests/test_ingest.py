@@ -105,7 +105,7 @@ def _assert_artifacts_equal(view, cold):
         for name in ("data", "indices", "indptr"):
             _assert_same_array(getattr(got._counts, name), getattr(want._counts, name))
         assert got._counts.shape == want._counts.shape
-        assert view.histograms(axis=axis)[1] == cold.histograms(axis=axis)[1]
+        assert list(view.histograms(axis=axis)[1]) == cold.histograms(axis=axis)[1]
     pools = [(view.flat_qgram_means(1), cold.flat_qgram_means(1))] + [
         (view.flat_qgram_means_1d(1, axis), cold.flat_qgram_means_1d(1, axis))
         for axis in range(view.ndim)

@@ -295,13 +295,20 @@ class TestBlockSkipping:
         _, _, queries = corpus
         tiered, _ = blocked_store
         exact_stage = []
+        ceiling_rows = []
         exact_lower_bound = _HistogramQuery.exact_lower_bound
+        exact_ceilings = _HistogramQuery.exact_ceilings
 
         def recorded(query_state, candidate_index):
             exact_stage.append(candidate_index)
             return exact_lower_bound(query_state, candidate_index)
 
+        def recorded_ceilings(query_state, rows):
+            ceiling_rows.extend(rows.tolist())
+            return exact_ceilings(query_state, rows)
+
         monkeypatch.setattr(_HistogramQuery, "exact_lower_bound", recorded)
+        monkeypatch.setattr(_HistogramQuery, "exact_ceilings", recorded_ceilings)
         for query in queries:
             primary, *secondary = build_pruners(tiered.database, "histogram,qgram")
             # Warm the pool so neither run pays for the other's pages.
@@ -310,6 +317,7 @@ class TestBlockSkipping:
             got, stats = tiered.knn_sorted_search(query, 5, primary, secondary)
             blocked_exact = list(exact_stage)
             exact_stage.clear()
+            ceiling_rows.clear()
             flat, flat_stats = tiered.knn_sorted_search(
                 query, 5, primary, secondary, block_skip=False
             )
@@ -319,10 +327,16 @@ class TestBlockSkipping:
             assert blocked_exact == exact_stage
             assert stats.pages_read == flat_stats.pages_read == 0
             # The blocked engine charges the exact stage per visited
-            # candidate; the flat one runs it on the same candidates but
-            # does not charge it, so charge it here under the same model.
+            # candidate and each row its ceiling fills read; the flat one
+            # does the same work but does not charge it, so charge it
+            # here under the same model.
             cost, fixed = tiered._per_candidate_bytes(primary)
-            flat_bytes = flat_stats.bytes_touched + fixed + int(cost[exact_stage].sum())
+            flat_bytes = (
+                flat_stats.bytes_touched
+                + fixed
+                + int(cost[exact_stage].sum())
+                + int(cost[ceiling_rows].sum())
+            )
             # Even when every block opens (this corpus has no ingest
             # locality), the summary premium stays bounded; real
             # skipping is asserted on the clustered corpus below.
