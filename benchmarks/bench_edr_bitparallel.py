@@ -8,7 +8,9 @@ Measures, on a synthetic random-walk database:
   ``edr_kernel="bitparallel"``
   (:func:`repro.edr_many_bitparallel`, 64 DP cells per machine word);
 * the raw kernels head to head over the whole database with no bounds,
-  reported as DP cell throughput.
+  reported as DP cell throughput;
+* the same kernels on small calls: the database in 20-candidate
+  batches, the size of a bound-ordered k-NN's refine flush.
 
 Before anything is timed, every kernel's k-NN answer is asserted
 *byte-equal* — same indices, bit-identical distances — to the scalar
@@ -127,6 +129,42 @@ def bench_raw_kernels(database, query, repeats: int) -> dict:
     }
 
 
+def bench_small_batches(database, queries, repeats: int, size: int = 20) -> dict:
+    """Both kernels on ``size``-candidate calls over the whole database.
+
+    A bound-ordered k-NN refines a few dozen candidates per query in
+    calls of about this size, where per-call overhead, not cell
+    throughput, decides the kernel's cost.
+    """
+    candidates = list(database.trajectories)
+    batches = [
+        candidates[start : start + size] for start in range(0, len(candidates), size)
+    ]
+    epsilon = database.epsilon
+    for query in queries:
+        for batch in batches:
+            assert np.array_equal(
+                edr_many(query, batch, epsilon),
+                edr_many_bitparallel(query, batch, epsilon),
+            ), "small-batch kernels disagree"
+
+    def run(kernel):
+        for query in queries:
+            for batch in batches:
+                kernel(query, batch, epsilon)
+
+    batched = best_of(repeats, lambda: run(edr_many))
+    bitparallel = best_of(repeats, lambda: run(edr_many_bitparallel))
+    calls = len(queries) * len(batches)
+    return {
+        "batch_size": size,
+        "calls": calls,
+        "batched_seconds": batched,
+        "bitparallel_seconds": bitparallel,
+        "speedup": batched / bitparallel if bitparallel else float("inf"),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=2000)
@@ -162,6 +200,7 @@ def main() -> int:
         database, queries, args.k, args.repeats, args.refine_batch_size
     )
     raw = bench_raw_kernels(database, queries[0], args.repeats)
+    small = bench_small_batches(database, queries, args.repeats)
 
     lines = [
         f"refine phase ({args.queries} queries, batch {args.refine_batch_size}): "
@@ -172,6 +211,10 @@ def main() -> int:
         f"batched {raw['batched_throughput_cells_per_s'] / 1e6:.0f}M cells/s, "
         f"bit-parallel {raw['bitparallel_throughput_cells_per_s'] / 1e6:.0f}M "
         f"cells/s ({raw['kernel_speedup']:.2f}x)",
+        f"small batches ({small['calls']} calls of {small['batch_size']}): "
+        f"batched {small['batched_seconds'] / small['calls'] * 1e3:.2f}ms/call, "
+        f"bit-parallel {small['bitparallel_seconds'] / small['calls'] * 1e3:.2f}"
+        f"ms/call ({small['speedup']:.2f}x)",
     ]
     print("\n".join(lines))
 
@@ -182,6 +225,7 @@ def main() -> int:
         "refine_batch_size": args.refine_batch_size,
         "refine_phase": refine,
         "raw_kernel": raw,
+        "small_batch": small,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

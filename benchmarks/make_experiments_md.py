@@ -219,11 +219,13 @@ SECTIONS = [
         "edr_bitparallel",
         "Engineering — bit-parallel EDR kernel",
         "Not a paper experiment: EDR's unit-cost DP rewritten in the "
-        "Myers/Hyyrö bit-parallel form (`edr_many_bitparallel`: vertical "
-        "deltas packed into uint64 words, 64 cells per word operation, "
-        "ε-match bitmasks from `match_bits`, the same per-candidate early "
-        "abandoning and band) versus the batched row DP (`edr_many`), on "
-        "the pruner-free refine phase and the raw kernels head to head.  "
+        "Myers/Hyyrö bit-parallel form (`edr_many_bitparallel`: the "
+        "vertical deltas of a whole candidate batch held in one Python "
+        "integer per vector, ε-match bitmasks from `match_bits`, the same "
+        "per-candidate early abandoning and band) versus the batched row "
+        "DP (`edr_many`), on the pruner-free refine phase, the raw kernels "
+        "head to head, and small 20-candidate calls (the size of a "
+        "bound-ordered k-NN's refine flush).  "
         "Before timing, every kernel's k-NN answer — scalar, batched, "
         "bit-parallel — is asserted *byte-equal* to the scalar `edr` "
         "linear scan; the engines refine with the bit-parallel kernel "

@@ -27,7 +27,12 @@ import numpy as np
 from ..index.bptree import BPlusTree
 from ..index.mergejoin import flatten_sorted_means, sort_means_1d, sort_means_2d
 from ..index.rtree import RTree
-from .histogram import HistogramArrayStore, HistogramSpace, TrajectoryHistogram
+from .histogram import (
+    HistogramArrayStore,
+    HistogramRows,
+    HistogramSpace,
+    TrajectoryHistogram,
+)
 from .neartriangle import build_reference_columns
 from .qgram import mean_value_qgrams
 from .trajectory import Trajectory
@@ -72,7 +77,7 @@ class TrajectoryDatabase:
         self._rtrees: Dict[int, RTree] = {}
         self._bptrees: Dict[Tuple[int, int], BPlusTree] = {}
         self._histograms: Dict[
-            Tuple[float, Optional[int]], Tuple[HistogramSpace, List[TrajectoryHistogram]]
+            Tuple[float, Optional[int]], Tuple[HistogramSpace, Sequence[TrajectoryHistogram]]
         ] = {}
         self._histogram_arrays: Dict[Tuple[float, Optional[int]], HistogramArrayStore] = {}
         self._reference_columns: Dict[Tuple[int, str], Dict[int, np.ndarray]] = {}
@@ -204,12 +209,16 @@ class TrajectoryDatabase:
     # ------------------------------------------------------------------
     def histograms(
         self, delta: float = 1.0, axis: Optional[int] = None
-    ) -> Tuple[HistogramSpace, List[TrajectoryHistogram]]:
+    ) -> Tuple[HistogramSpace, Sequence[TrajectoryHistogram]]:
         """Histogram space and per-trajectory histograms.
 
         ``delta`` scales the bin size to ``delta * epsilon`` (Theorem 7 /
         Corollary 1 require ``delta >= 1``); ``axis`` selects the 1-D
         per-axis variant of Corollary 1 (bin size stays ``delta * eps``).
+        The rows are :class:`~repro.core.histogram.HistogramRows`: dicts
+        decoded on access from the variant's :meth:`histogram_arrays`
+        store, which is built with them and is the only copy of the
+        counts kept.
         """
         if delta < 1.0:
             raise ValueError(
@@ -223,28 +232,37 @@ class TrajectoryDatabase:
             space = HistogramSpace.for_trajectories(
                 self.trajectories, bin_size, axis=axis
             )
-            built = [
-                space.histogram(t if axis is None else t.projection(axis))
-                for t in self.trajectories
-            ]
-            self._histograms[key] = (space, built)
+            self._keep_histograms(
+                key,
+                space,
+                [
+                    space.histogram(t if axis is None else t.projection(axis))
+                    for t in self.trajectories
+                ],
+            )
         return self._histograms[key]
+
+    def _keep_histograms(
+        self,
+        key: Tuple[float, Optional[int]],
+        space: HistogramSpace,
+        built: Sequence[TrajectoryHistogram],
+    ) -> None:
+        """Keep one variant's histograms as its CSR store alone."""
+        store = HistogramArrayStore(built, space.ndim)
+        self._histogram_arrays[key] = store
+        self._histograms[key] = (space, HistogramRows(store, space))
 
     def histogram_arrays(
         self, delta: float = 1.0, axis: Optional[int] = None
     ) -> HistogramArrayStore:
         """Array-backed (CSR) histogram store for one variant.
 
-        Built from the same per-trajectory histograms as
-        :meth:`histograms`; used by the bulk quick-bound kernels.
+        Holds the same per-trajectory histograms as :meth:`histograms`;
+        used by the bulk quick-bound kernels.
         """
-        key = (float(delta), axis)
-        if key not in self._histogram_arrays:
-            space, built = self.histograms(delta=delta, axis=axis)
-            self._histogram_arrays[key] = HistogramArrayStore(
-                built, 1 if axis is not None else self.ndim
-            )
-        return self._histogram_arrays[key]
+        self.histograms(delta=delta, axis=axis)
+        return self._histogram_arrays[(float(delta), axis)]
 
     # ------------------------------------------------------------------
     # Near-triangle artifacts
@@ -505,7 +523,7 @@ class TrajectoryDatabase:
                     histograms.append(
                         space.shared(zip(map(tuple, keys.tolist()), counts.tolist()))
                     )
-                database._histograms[(float(delta), axis)] = (space, histograms)
+                database._keep_histograms((float(delta), axis), space, histograms)
             for reference_count, policy in manifest["references"]:
                 tag = f"{reference_count}_{policy}"
                 reference_ids = archive[f"refids_{tag}"]

@@ -1,10 +1,10 @@
-"""Bit-parallel EDR kernels (Myers 1999, blocked as in Hyyrö 2003).
+"""Bit-parallel EDR kernels (Myers 1999; Hyyrö 2003).
 
 EDR's unit edit costs (paper Definition 2) quantize every cell update to
 {0, 1} — exactly the structure Myers' bit-vector algorithm exploits for
 Levenshtein distance.  Consecutive DP cells along the candidate axis
-differ by -1, 0, or +1, so a whole 64-cell stripe of the column is
-carried in two machine words:
+differ by -1, 0, or +1, so a whole column is carried in two bit
+vectors:
 
 * ``VP`` bit ``j``  =  1  iff  ``D[j+1, i] - D[j, i] = +1``
 * ``VN`` bit ``j``  =  1  iff  ``D[j+1, i] - D[j, i] = -1``
@@ -15,23 +15,30 @@ Python-level step at a time — the transpose of :func:`~repro.core
 recurrence is symmetric under swapping the sequences).  The classic
 character-equality bitmask becomes a per-query-element ε-match bitmask
 (:func:`~repro.core.matching.match_bits`): bit ``j`` of the mask is
-``match(query_i, candidate_j)``.  One update processes 64 DP cells with
-~15 word operations instead of 64 float min/add chains.
+``match(query_i, candidate_j)``.  One update is a handful of bitwise
+operations on the whole column instead of one float min/add chain per
+cell.
 
 Word-packing layout
 -------------------
-Candidates longer than 64 elements are *blocked*: ``W = ceil(n / 64)``
-words per bit vector, candidate position ``j`` living at bit ``j % 64``
-of word ``j // 64`` (little-endian bit order, matching ``np.packbits``
-with ``bitorder="little"``).  Horizontal carries (±1) propagate through
-the block chain per update, with Hyyrö's ``Eq |= 1`` correction on a
-negative carry-in.  The boundary row ``D[0, i] = i`` is encoded by
-feeding a ``+1`` carry into block 0 on every step.
+Myers and Hyyrö define the recurrence on a word of any width, and a
+Python ``int`` is such a word.  :func:`edr_many_bitparallel` holds the
+whole batch's ``VP`` and ``VN`` in two ints.  Candidate ``c`` owns a
+segment of ``words = width // 64 + 1`` 64-bit words at bit offset
+``c * words * 64``; candidate position ``j`` lives at bit ``j`` of its
+segment.  The ints' little-endian bytes are therefore the
+``(candidates, words)`` ``uint64`` array ``np.packbits(...,
+bitorder="little")`` produces, which is how match masks come in
+(``int.from_bytes``) and how deltas go out to the byte tables below
+(``to_bytes`` / ``np.frombuffer``).
 
-:func:`edr_many_bitparallel` vectorizes the word recurrence across a
-candidate axis: the per-block state is a ``(candidates, W)`` ``uint64``
-array and the Python loop advances all candidates one query element at
-a time, with the same active-set compaction idiom as ``edr_many``.
+Every segment keeps at least one zero guard bit above its candidate's
+last position, and the step keeps both ints inside ``real`` (the bits
+of real positions): ``~x`` is taken as ``real & ~x``.  The add's carry
+and the shifts then land at most on the guard bit, so no carry ever
+crosses into the next candidate, and there is no block chain to
+propagate.  A ``start`` int with bit 0 of every segment set feeds the
+``+1`` horizontal carry of the boundary row ``D[0, i] = i``.
 
 Early abandoning
 ----------------
@@ -39,14 +46,16 @@ Exact per-row minima come from the vertical-delta words: the DP value at
 candidate position ``j`` after query element ``i`` is ``i + prefix_j``
 where ``prefix_j`` sums the ±1 bits of ``VP``/``VN`` up to ``j``.  A
 16-bit lookup table over (VP byte, VN byte) pairs yields each byte's net
-sum and running minimum, so the masked row minimum (padding bits beyond
-each candidate's length excluded) costs one table gather per 8 cells.
+sum and running minimum, so the row minimum (bits past each candidate's
+length are zero) costs one table gather per 8 cells.
 ``row_min > bound`` proves the final distance exceeds the bound (row
 minima of the unit-cost DP never decrease), so the candidate's result
 becomes :data:`~repro.core.edr.EARLY_ABANDONED` exactly as in
 ``edr_many`` — the sentinel pattern is byte-for-byte identical because
 both kernels compare the same exact integer row minimum to the same
-bound.
+bound.  A check that abandons candidates rebuilds the two ints from the
+survivors' segments, narrowed to the survivors' own guard-bit width, so
+later steps cost only what is left.
 
 Free start
 ----------
@@ -83,25 +92,23 @@ __all__ = ["edr_bitparallel", "edr_many_bitparallel"]
 
 TrajectoryLike = Union[Trajectory, np.ndarray, Sequence]
 
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-_ONE = np.uint64(1)
-_ZERO = np.uint64(0)
-_SHIFT_MSB = np.uint64(63)
-
-# Match bitmasks are packed for several query elements at once so the
-# per-row cost of the ε-comparison is one slice of a big vectorized
-# pass instead of a handful of small numpy calls.  Small chunks keep
-# the float difference scratch cache-resident — at 256 candidates of
-# ~100 points a 32-row chunk spills to DRAM and the ε-compares become
-# memory-bound, so 4 rows per pass measures fastest end to end.
-_EQ_CHUNK_ROWS = 4
+# Match bitmasks are packed for several query rows at once, so the
+# ε-compares of a chunk are a few big vectorized passes.  A chunk holds
+# at most this many DP cells (rows x candidates x padded width): ~50
+# rows for a 20-candidate refine batch, 4 rows for 256 long candidates.
+# On 74-point queries against 30-120-point candidates, 2^16 measured
+# level with 2^17 and ahead of 2^15 and 2^18 on batches of 20, 64 and
+# 256 candidates (larger chunks spill the float scratch out of cache).
+_EQ_CHUNK_CELLS = 1 << 16
 
 # Bound checks run every 4th query row (and always on the last).  The
 # masked row minimum of the unit-cost DP never decreases with the row
 # index — every cell of row i+1 derives from a row-i neighbour plus a
 # non-negative cost — so a candidate exceeds its bound on some row iff
 # it exceeds it on the last row: the abandonment pattern is invariant
-# to the check schedule, and checking less often is pure throughput.
+# to the check schedule.  Strides 2-16 measured within noise on
+# ledger-shape k-NN refines; 4 beat 8 and 16 on the free-start filter,
+# whose wide batches shed most of their candidates in the first rows.
 _BOUND_CHECK_STRIDE = 4
 
 
@@ -124,19 +131,26 @@ def _build_prefix_tables() -> "tuple[np.ndarray, np.ndarray]":
 _NET, _MINPRE = _build_prefix_tables()
 
 
-def _length_masks(lengths: np.ndarray, words: int) -> np.ndarray:
-    """Per-candidate ``uint64`` masks with bits ``[0, n)`` set.
+def _column_masks(lengths: np.ndarray, words: int) -> "tuple[int, int]":
+    """``(real, start)`` for segments of ``words`` words: bits ``[0, n)``
+    of every candidate's segment, and bit 0 of every segment."""
+    bits = np.arange(words * 64) < lengths[:, None]
+    real = int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+    # Every segment is non-empty and ends below its guard bit, so the
+    # shift moves no bit into the next segment's bit 0.
+    return real, real ^ (real & (real << 1))
 
-    Shape ``(candidates, words)``; garbage bits at positions at or
-    beyond each candidate's length are cleared before any score or
-    row-minimum read.
-    """
-    starts = np.arange(words, dtype=np.int64) * 64
-    filled = np.clip(lengths[:, None] - starts[None, :], 0, 64)
-    # Clamp the shift to stay in [0, 63]: shifting a uint64 by 64 is
-    # undefined, and np.where evaluates both branches.
-    shift = np.where(filled > 0, 64 - filled, 0).astype(np.uint64)
-    return np.where(filled > 0, _ONES >> shift, np.uint64(0))
+
+def _words(column: int, count: int, words: int) -> np.ndarray:
+    """A column int as its ``(candidates, words)`` ``uint64`` segments."""
+    return np.frombuffer(
+        column.to_bytes(count * words * 8, "little"), dtype=np.uint64
+    ).reshape(count, words)
+
+
+def _chunk_rows(rows: int, count: int, words: int) -> int:
+    """Query rows per ε-match chunk under the :data:`_EQ_CHUNK_CELLS` budget."""
+    return max(1, min(rows, _EQ_CHUNK_CELLS // (count * words * 64)))
 
 
 def _min_prefixes(vp_masked: np.ndarray, vn_masked: np.ndarray) -> np.ndarray:
@@ -268,7 +282,7 @@ def edr_many_bitparallel(
     active = np.array(active_list, dtype=np.int64)
     active_lengths = lengths[active]
     width = int(active_lengths.max())
-    words = (width + 63) // 64
+    words = width // 64 + 1  # at least one guard bit above position width-1
     dims = query_points.shape[1]
 
     # Per-axis coordinate planes, padded with +inf (which can never
@@ -279,19 +293,15 @@ def edr_many_bitparallel(
         candidate_points = points[position]
         coords[:, row, : len(candidate_points)] = candidate_points.T
 
-    # One contiguous (candidates,) vector per 64-bit block: python-list
-    # indexing is free, every word operation runs on a contiguous array,
-    # and the common one-word case never touches a column stride.
-    vp_blocks = [
-        np.full(active.size, _ZERO if free_start else _ONES, dtype=np.uint64)
-        for _ in range(words)
-    ]  # D[j, 0] = j, or 0 when any start is free
-    vn_blocks = [np.zeros(active.size, dtype=np.uint64) for _ in range(words)]
-    masks = _length_masks(active_lengths, words)
+    # The whole batch's column is one Python int per delta vector:
+    # candidate c owns bits [c*words*64, (c+1)*words*64) (module notes).
+    real, start = _column_masks(active_lengths, words)
+    vp = 0 if free_start else real  # D[j, 0] = j, or 0 when any start is free
+    vn = 0
     use_bounds = bounds_array is not None
     active_bounds = bounds_array[active] if use_bounds else None
 
-    chunk_rows = min(_EQ_CHUNK_ROWS, m)
+    chunk_rows = _chunk_rows(m, active.size, words)
     bools = np.zeros((chunk_rows, active.size, words * 64), dtype=bool)
     diff = np.empty((chunk_rows, active.size, width), dtype=np.float64)
 
@@ -302,51 +312,35 @@ def edr_many_bitparallel(
         row = i - 1
         if row >= chunk_stop:
             chunk_base = row
-            chunk_stop = min(m, row + _EQ_CHUNK_ROWS)
+            chunk_stop = min(m, row + chunk_rows)
             eq_chunk = _pack_eq_chunk(
                 coords, query_points[chunk_base:chunk_stop], epsilon, bools, diff
             )
-        eq_row = eq_chunk[row - chunk_base]
+        eq = int.from_bytes(eq_chunk[row - chunk_base], "little")
 
-        # The boundary row D[0, i] = i feeds a +1 horizontal carry into
-        # block 0; later blocks chain the previous block's carry-out.
-        hp_in = _ONE
-        hn_in = _ZERO
-        last = words - 1
-        for block in range(words):
-            vp_block = vp_blocks[block]
-            vn_block = vn_blocks[block]
-            eq_block = eq_row[:, block]
-            xv = eq_block | vn_block
-            if block:  # Hyyrö's negative-carry fixup (block 0 carry is +1)
-                eq_block = eq_block | hn_in
-            xh = (((eq_block & vp_block) + vp_block) ^ vp_block) | eq_block
-            hp = vn_block | ~(xh | vp_block)
-            hn = vp_block & xh
-            if block != last:
-                hp_out = hp >> _SHIFT_MSB
-                hn_out = hn >> _SHIFT_MSB
-            hp = hp << _ONE
-            hp |= hp_in
-            hn = hn << _ONE
-            if block:
-                hn |= hn_in
-            vp_blocks[block] = hn | ~(xv | hp)
-            vn_blocks[block] = hp & xv
-            if block != last:
-                hp_in = hp_out
-                hn_in = hn_out
+        # Myers' step on the whole column, with ``~x`` taken as
+        # ``real & ~x == (x | real) ^ x``: the ints stay non-negative
+        # (CPython's bitwise ops on negative ints convert through two's
+        # complement and cost ~3x) and inside ``real``, so the add carry
+        # and the shifts stop at each segment's guard bit.
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = xh | vp
+        hp = vn | ((hp | real) ^ hp)
+        hn = (vp & xh) << 1
+        hp = (hp << 1) | start
+        vp = xv | hp
+        vp = ((vp | real) ^ vp) | (hn & real)
+        vn = hp & xv
 
         if use_bounds and (i == m or i % _BOUND_CHECK_STRIDE == 0):
-            # Exact masked row minimum: i + min(0, min_j prefix_j) over
-            # real candidate positions only.  Same value, same <= test
+            # Exact row minimum: i + min(0, min_j prefix_j) over real
+            # candidate positions only.  Same value, same <= test
             # as edr_many — identical abandonment pattern (see the
             # stride note above for why sparse checks don't change it).
-            vp_masked = np.stack(vp_blocks, axis=1)
-            vp_masked &= masks
-            vn_masked = np.stack(vn_blocks, axis=1)
-            vn_masked &= masks
-            row_minima = i + _min_prefixes(vp_masked, vn_masked)
+            vp_words = _words(vp, active.size, words)
+            vn_words = _words(vn, active.size, words)
+            row_minima = i + _min_prefixes(vp_words, vn_words)
             alive = row_minima <= active_bounds
             if not alive.all():
                 results[active[~alive]] = EARLY_ABANDONED
@@ -354,37 +348,28 @@ def edr_many_bitparallel(
                     return results
                 active = active[alive]
                 active_lengths = active_lengths[alive]
-                coords = np.ascontiguousarray(coords[:, alive])
-                vp_blocks = [block_bits[alive] for block_bits in vp_blocks]
-                vn_blocks = [block_bits[alive] for block_bits in vn_blocks]
-                masks = np.ascontiguousarray(masks[alive])
                 active_bounds = active_bounds[alive]
-                eq_chunk = np.ascontiguousarray(eq_chunk[:, alive])
-                new_width = int(active_lengths.max())
-                new_words = (new_width + 63) // 64
-                if new_words < words:
-                    words = new_words
-                    vp_blocks = vp_blocks[:words]
-                    vn_blocks = vn_blocks[:words]
-                    masks = np.ascontiguousarray(masks[:, :words])
-                    eq_chunk = np.ascontiguousarray(eq_chunk[:, :, :words])
-                if new_width < width:
-                    width = new_width
-                    coords = np.ascontiguousarray(coords[:, :, :width])
+                width = int(active_lengths.max())
+                words = width // 64 + 1
+                # Rebuild the column ints from the surviving segments,
+                # narrowed to the survivors' guard-bit width.
+                vp = int.from_bytes(vp_words[alive, :words].tobytes(), "little")
+                vn = int.from_bytes(vn_words[alive, :words].tobytes(), "little")
+                real, start = _column_masks(active_lengths, words)
+                coords = np.ascontiguousarray(coords[:, alive, :width])
+                eq_chunk = np.ascontiguousarray(eq_chunk[:, alive, :words])
                 # Scratch buffers match the compacted shapes; later
                 # chunks hold at most the rows still unprocessed.
-                rows_dim = min(_EQ_CHUNK_ROWS, max(m - i, 1))
-                bools = np.zeros((rows_dim, active.size, words * 64), dtype=bool)
-                diff = np.empty((rows_dim, active.size, width), dtype=np.float64)
+                chunk_rows = _chunk_rows(max(m - i, 1), active.size, words)
+                bools = np.zeros((chunk_rows, active.size, words * 64), dtype=bool)
+                diff = np.empty((chunk_rows, active.size, width), dtype=np.float64)
 
-    vp_masked = np.stack(vp_blocks, axis=1)
-    vp_masked &= masks
-    vn_masked = np.stack(vn_blocks, axis=1)
-    vn_masked &= masks
+    vp_words = _words(vp, active.size, words)
+    vn_words = _words(vn, active.size, words)
     if free_start:
-        results[active] = m + _min_prefixes(vp_masked, vn_masked)
+        results[active] = m + _min_prefixes(vp_words, vn_words)
     else:
-        results[active] = m + _net_scores(vp_masked, vn_masked)
+        results[active] = m + _net_scores(vp_words, vn_words)
     return results
 
 

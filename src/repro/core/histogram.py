@@ -883,3 +883,11 @@ class HistogramRows(SequenceABC):
         if index < 0:
             index += len(self)
         return self._store.histogram(index, self._space)
+
+    def __eq__(self, other) -> bool:
+        # Equal to any sequence of equal dicts, as the list it replaces was.
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]

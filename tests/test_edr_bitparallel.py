@@ -9,12 +9,19 @@ engines can swap kernels without changing one answer or counter.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Trajectory
 from repro.core.edr import EARLY_ABANDONED, edr, edr_reference
 from repro.core.edr_batch import edr_many
 from repro.core.edr_bitparallel import edr_bitparallel, edr_many_bitparallel
 from repro.core.matching import match_bits, match_matrix
+
+from .oracles import free_start_edr
+
+# Candidate lengths on and around the 64-bit word edges.
+_WORD_EDGES = (0, 1, 63, 64, 65, 127, 128, 129)
 
 
 def _walks(rng, count, low, high, ndim=2):
@@ -169,17 +176,40 @@ class TestBatchedAgreement:
         got = edr_many_bitparallel(query, candidates, 0.5, bounds=20.0)
         assert np.array_equal(want, got)
 
-    def test_mixed_word_count_batch(self):
-        """Candidates spanning 1..3 words in one batch stay exact."""
-        rng = np.random.default_rng(71)
-        query = np.cumsum(rng.normal(size=(100, 2)), axis=0)
-        candidates = [
-            np.cumsum(rng.normal(size=(n, 2)), axis=0)
-            for n in (1, 63, 64, 65, 127, 128, 129, 170)
-        ]
-        want = edr_many(query, candidates, 0.5)
-        got = edr_many_bitparallel(query, candidates, 0.5)
-        assert np.array_equal(want, got)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mixed_word_count_batch(self, data):
+        """Candidates of 0..3 words share one column without carries
+        crossing between them: values and sentinels stay exact with and
+        without bounds, and in free-start mode, in 1-D to 3-D."""
+        ndim = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def lattice(n):  # coordinate differences exact multiples of ε
+            return rng.integers(-3, 4, size=(n, ndim)).astype(np.float64) * 0.5
+
+        query = lattice(data.draw(st.integers(1, 40)))
+        lengths = data.draw(
+            st.lists(st.sampled_from(_WORD_EDGES), min_size=2, max_size=6)
+        )
+        candidates = [lattice(n) for n in lengths]
+        bounds = None
+        if data.draw(st.booleans()):
+            bounds = rng.integers(0, 60, size=len(candidates)).astype(float)
+        if data.draw(st.booleans()):
+            got = edr_many_bitparallel(
+                query, candidates, 0.5, bounds=bounds, free_start=True
+            )
+            want = [free_start_edr(query, c, 0.5) for c in candidates]
+            if bounds is not None:
+                want = [
+                    EARLY_ABANDONED if len(c) and value > bound else value
+                    for c, value, bound in zip(candidates, want, bounds)
+                ]
+        else:
+            got = edr_many_bitparallel(query, candidates, 0.5, bounds=bounds)
+            want = edr_many(query, candidates, 0.5, bounds=bounds)
+        assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
